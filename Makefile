@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-fixtures race bench bench-smoke bench-ratchet profile soak soak-smoke soak-smoke-crash soak-smoke-pressure diffcheck diffcheck-smoke replay-smoke explore verify
+.PHONY: build test vet lint lint-fixtures race bench bench-smoke bench-ratchet bench-golden profile soak soak-smoke soak-smoke-crash soak-smoke-pressure diffcheck diffcheck-smoke replay-smoke explore verify
 
 build:
 	$(GO) build ./...
@@ -50,6 +50,14 @@ bench-smoke:
 bench-ratchet:
 	$(GO) run ./cmd/simbench -out BENCH_simwall.ratchet.json
 	$(GO) run ./cmd/benchdiff -ratchet BENCH_simwall.json BENCH_simwall.ratchet.json
+
+# bench-golden keeps the host-time benchmark (hostbench/, its own module
+# importing internal/) building in tier-1: an internal/ API change that
+# breaks it fails vet, and a virtual-time change that stales
+# hostbench/golden.json fails TestGolden, which checks every cell's
+# digest. Timing runs stay with hostbench/run.sh.
+bench-golden:
+	$(GO) -C hostbench vet . && $(GO) -C hostbench test -count=1 -run '^TestGolden$$' .
 
 # profile writes CPU and allocation profiles of one full harness run for
 # the burn-down methodology (go tool pprof -top cpu.pprof, etc.).
@@ -121,6 +129,7 @@ explore:
 
 # verify is the tier-1 gate: everything must build, vet clean, pass
 # ciderlint, pass the full test suite under the race detector, run the
-# bench, soak, and diffcheck harnesses once end to end, and prove the
+# bench, soak, and diffcheck harnesses once end to end, check the
+# host-time benchmark against its golden digests, and prove the
 # record/replay round trip is bit-identical.
-verify: build vet lint lint-fixtures race bench-smoke soak-smoke soak-smoke-crash soak-smoke-pressure diffcheck-smoke replay-smoke
+verify: build vet lint lint-fixtures race bench-smoke bench-golden soak-smoke soak-smoke-crash soak-smoke-pressure diffcheck-smoke replay-smoke

@@ -131,8 +131,9 @@ func Compare(seed uint64, android, ios *CellResult) []Divergence {
 		return out // cells that failed to run have nothing else to compare
 	}
 	if android.Dropped > 0 || ios.Dropped > 0 {
-		// Eviction would make the event comparison lie by omission; with
-		// a 64Ki ring this means the generator grew past its design size.
+		// Eviction would make the event comparison lie by omission; under
+		// the 64Ki capacity bound this means the generator grew past its
+		// design size.
 		add("cell", "cell:dropped", "android=%d ios=%d dropped trace events",
 			android.Dropped, ios.Dropped)
 		return out

@@ -511,8 +511,10 @@ func RunCellDecided(p *Program, ios bool, plan fault.Plan, dec sim.Decider) *Cel
 	}
 	k.RegisterBinFmt(&kernel.ELFLoader{})
 	tr := trace.NewSession("diffcheck")
-	// Programs are short; a deep ring guarantees Dropped()==0 so the
-	// event comparison sees complete streams.
+	// The capacity is a bound, not an allocation: ring storage grows
+	// with the events a short program records, and a bound far above
+	// that guarantees Dropped()==0 so the comparison sees complete
+	// streams.
 	tr.SetRingCapacity(1 << 16)
 	sm.SetSink(tr)
 	k.SetTracer(tr)

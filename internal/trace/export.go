@@ -102,7 +102,7 @@ func (s *Session) Text() string {
 	}
 	if s.seq > 0 {
 		fmt.Fprintf(&b, "events: %d recorded, %d retained, %d dropped\n",
-			s.seq, len(s.ring), s.Dropped())
+			s.seq, s.n, s.Dropped())
 	}
 	return b.String()
 }

@@ -258,6 +258,14 @@ type SyscallStats struct {
 // DefaultRingSize bounds the event ring unless overridden.
 const DefaultRingSize = 4096
 
+// ringChunk is the event ring's allocation unit. Storage grows one chunk
+// at a time as events arrive, so a capacity is only a bound: a session
+// that records 200 events under a 64Ki capacity holds one chunk. 256
+// divides DefaultRingSize, so a full default ring is 16 whole chunks
+// and growth never copies (unlike append-doubling, which would allocate
+// about twice the capacity on the way to filling it).
+const ringChunk = 256
+
 // Session is one configuration's trace state. It implements sim.Sink and
 // is fed by the kernel's dispatch/signal paths and by library-layer
 // counters. All methods are single-threaded by construction: the sim
@@ -266,9 +274,14 @@ type Session struct {
 	// Label names the traced configuration (e.g. "cider-ios").
 	Label string
 
-	ring    []Event
+	// chunks holds the retained events: slot i lives in
+	// chunks[i/ringChunk][i%ringChunk]. limit is the ring capacity, n the
+	// number of events retained, and next the slot the next event
+	// overwrites once n == limit.
+	chunks  [][]Event
+	limit   int
+	n       int
 	next    int
-	full    bool
 	seq     uint64
 	sched   [sim.NumSchedEvents]uint64
 	sys     map[SyscallKey]*SyscallStats
@@ -279,22 +292,20 @@ type Session struct {
 func NewSession(label string) *Session {
 	return &Session{
 		Label:   label,
-		ring:    make([]Event, 0, DefaultRingSize),
+		limit:   DefaultRingSize,
 		sys:     make(map[SyscallKey]*SyscallStats),
 		counter: make(map[string]uint64),
 	}
 }
 
-// SetRingCapacity resizes the (empty or non-empty) event ring; existing
-// events are dropped. n <= 0 disables event recording but keeps
-// histograms and counters.
+// SetRingCapacity rebounds the (empty or non-empty) event ring; existing
+// events are dropped and count toward Dropped. n <= 0 disables event
+// recording but keeps histograms and counters.
 func (s *Session) SetRingCapacity(n int) {
-	if n < 0 {
-		n = 0
-	}
-	s.ring = make([]Event, 0, n)
+	s.chunks = nil
+	s.limit = max(n, 0)
+	s.n = 0
 	s.next = 0
-	s.full = false
 }
 
 // Enabled reports whether the session collects anything. A nil Session
@@ -306,20 +317,36 @@ func (s *Session) Enabled() bool { return s != nil }
 func (s *Session) record(e Event) {
 	s.seq++
 	e.Seq = s.seq
-	if cap(s.ring) == 0 {
+	if s.limit == 0 {
 		return
 	}
-	if len(s.ring) < cap(s.ring) {
-		s.ring = append(s.ring, e)
-		return
+	*s.slot() = e
+}
+
+// slot claims the ring slot for the next event. It stays out of line so
+// record remains small enough to inline: producers then build each Event
+// in place instead of copying 112 bytes through a call, which made a
+// wrapping ring's per-event cost about 1.5× in a microbenchmark.
+//
+//hot:noalloc
+//go:noinline
+func (s *Session) slot() *Event {
+	i := s.n
+	if s.n < s.limit {
+		if i%ringChunk == 0 {
+			//lint:allow hotalloc: one chunk per 256 retained events, reused on every wrap
+			s.chunks = append(s.chunks, make([]Event, min(ringChunk, s.limit-s.n)))
+		}
+		s.n++
+	} else {
+		// Ring is full: overwrite oldest.
+		i = s.next
+		s.next++
+		if s.next == s.limit {
+			s.next = 0
+		}
 	}
-	// Ring is full: overwrite oldest.
-	s.full = true
-	s.ring[s.next] = e
-	s.next++
-	if s.next == cap(s.ring) {
-		s.next = 0
-	}
+	return &s.chunks[i/ringChunk][i%ringChunk]
 }
 
 // SchedEvent implements sim.Sink.
@@ -420,24 +447,26 @@ func (s *Session) SchedCount(ev sim.SchedEvent) uint64 {
 	return s.sched[ev]
 }
 
-// Dropped reports how many events were evicted from the ring.
-func (s *Session) Dropped() uint64 {
-	if !s.full {
-		return 0
-	}
-	return s.seq - uint64(cap(s.ring))
+// Dropped reports how many recorded events the ring no longer retains:
+// those evicted by wraparound or discarded by SetRingCapacity.
+func (s *Session) Dropped() uint64 { return s.seq - uint64(s.n) }
+
+// Events returns the retained events oldest-first: slots [next, n) then
+// [0, next). Before the first wrap next is 0 and the second run is empty.
+func (s *Session) Events() []Event {
+	out := s.appendSlots(make([]Event, 0, s.n), s.next, s.n)
+	return s.appendSlots(out, 0, s.next)
 }
 
-// Events returns the retained events oldest-first.
-func (s *Session) Events() []Event {
-	if !s.full {
-		out := make([]Event, len(s.ring))
-		copy(out, s.ring)
-		return out
+// appendSlots appends ring slots [from, to) to out, one bulk copy per
+// chunk they span.
+func (s *Session) appendSlots(out []Event, from, to int) []Event {
+	for from < to {
+		c := s.chunks[from/ringChunk][from%ringChunk:]
+		c = c[:min(len(c), to-from)]
+		out = append(out, c...)
+		from += len(c)
 	}
-	out := make([]Event, 0, cap(s.ring))
-	out = append(out, s.ring[s.next:]...)
-	out = append(out, s.ring[:s.next]...)
 	return out
 }
 

@@ -2,9 +2,11 @@ package trace
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/persona"
 	"repro/internal/sim"
@@ -79,6 +81,135 @@ func TestRingWraparound(t *testing.T) {
 	}
 	if s.SchedCount(sim.SchedSpawn) != 10 {
 		t.Fatal("sched counter must survive ring eviction")
+	}
+
+	// Lockstep against a naive reference ring, across chunk boundaries and
+	// a mid-stream resize: every capacity, from empty to three wraps.
+	for _, capacity := range []int{0, 1, ringChunk - 1, ringChunk, ringChunk + 1, DefaultRingSize, 1 << 16} {
+		for _, count := range []int{0, 1, capacity - 1, capacity, capacity + 1, 2*capacity + 7, 3 * capacity} {
+			if count < 0 {
+				continue
+			}
+			s, ref := NewSession("ring"), &refRing{}
+			s.SetRingCapacity(capacity)
+			ref.resize(capacity)
+			for i := 0; i < count; i++ {
+				s.SchedEvent(sim.SchedSpawn, "p", i, time.Duration(i), "")
+				ref.record()
+			}
+			ref.check(t, s, "cap=%d count=%d", capacity, count)
+			// Resize mid-stream: recorded events are discarded and counted.
+			resized := capacity/2 + 3
+			s.SetRingCapacity(resized)
+			ref.resize(resized)
+			ref.check(t, s, "cap=%d count=%d resized to %d", capacity, count, resized)
+			for i := 0; i < resized+5; i++ {
+				s.SchedEvent(sim.SchedWake, "q", i, time.Duration(i), "")
+				ref.record()
+			}
+			ref.check(t, s, "cap=%d count=%d resized to %d then wrapped", capacity, count, resized)
+		}
+	}
+}
+
+// refRing is the obvious ring: a slice that drops its oldest element on
+// overflow. It tracks sequence numbers only, which is what identifies an
+// event.
+type refRing struct {
+	limit int
+	seq   uint64
+	kept  []uint64
+}
+
+func (r *refRing) resize(n int) { r.limit, r.kept = n, nil }
+
+func (r *refRing) record() {
+	r.seq++
+	if r.limit == 0 {
+		return
+	}
+	r.kept = append(r.kept, r.seq)
+	if len(r.kept) > r.limit {
+		r.kept = r.kept[1:]
+	}
+}
+
+// check compares Events (in Seq order), Dropped, and the retained count
+// Text prints.
+func (r *refRing) check(t *testing.T, s *Session, format string, args ...any) {
+	t.Helper()
+	where := fmt.Sprintf(format, args...)
+	evs := s.Events()
+	if len(evs) != len(r.kept) {
+		t.Fatalf("%s: retained %d events, want %d", where, len(evs), len(r.kept))
+	}
+	for i, e := range evs {
+		if e.Seq != r.kept[i] {
+			t.Fatalf("%s: event %d seq = %d, want %d", where, i, e.Seq, r.kept[i])
+		}
+	}
+	if got, want := s.Dropped(), r.seq-uint64(len(r.kept)); got != want {
+		t.Fatalf("%s: dropped = %d, want %d", where, got, want)
+	}
+	if r.seq > 0 {
+		line := fmt.Sprintf("events: %d recorded, %d retained, %d dropped",
+			r.seq, len(r.kept), r.seq-uint64(len(r.kept)))
+		if !strings.Contains(s.Text(), line) {
+			t.Fatalf("%s: Text() lacks %q:\n%s", where, line, s.Text())
+		}
+	}
+}
+
+// TestResizeCountsDiscarded pins that a resize which throws recorded
+// events away reports them as dropped at once, not only after the new
+// ring refills.
+func TestResizeCountsDiscarded(t *testing.T) {
+	s := NewSession("resize")
+	for i := 0; i < 10; i++ {
+		s.SchedEvent(sim.SchedSpawn, "p", i, time.Duration(i), "")
+	}
+	s.SetRingCapacity(4)
+	if got := s.Dropped(); got != 10 {
+		t.Fatalf("dropped = %d after discarding 10 events, want 10", got)
+	}
+	if n := len(s.Events()); n != 0 {
+		t.Fatalf("retained %d events after resize, want 0", n)
+	}
+}
+
+// TestRingAllocatesOnDemand guards the ring's storage: a deep capacity
+// is only a bound, so a session that records a few hundred events pays
+// for the chunk it fills (plus the session and its maps), not for the
+// capacity; and once a slot's chunk exists, recording allocates nothing.
+func TestRingAllocatesOnDemand(t *testing.T) {
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s := NewSession("alloc")
+			s.SetRingCapacity(1 << 16)
+			for j := 0; j < 200; j++ {
+				s.SchedEvent(sim.SchedSpawn, "p", j, time.Duration(j), "")
+			}
+		}
+	})
+	// One chunk, rounded up to its allocator size class (28,672 B plus an
+	// 8 B object header lands in the 32 KiB class), plus the session and
+	// its maps. Two chunks, or the 7.3 MB capacity, fail.
+	chunk := int64(ringChunk * unsafe.Sizeof(Event{}))
+	limit := chunk*5/4 + 1024
+	if got := res.AllocedBytesPerOp(); got > limit {
+		t.Errorf("200 events under a 64Ki capacity allocate %d B, want <= %d (one %d B chunk, rounded, + session)",
+			got, limit, chunk)
+	}
+
+	s := NewSession("alloc")
+	s.SetRingCapacity(ringChunk)
+	s.SchedEvent(sim.SchedSpawn, "p", 0, 0, "")
+	// 1000 more events fill the chunk and wrap it several times.
+	if n := testing.AllocsPerRun(1000, func() {
+		s.SchedEvent(sim.SchedSpawn, "p", 1, 1, "")
+	}); n != 0 {
+		t.Errorf("SchedEvent allocates %.1f times per event once its chunk exists, want 0", n)
 	}
 }
 
