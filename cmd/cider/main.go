@@ -23,7 +23,8 @@
 //	                       workload; --full adds Fig. 6) under the
 //	                       deterministic fault-schedule matrix and check the
 //	                       error-path invariants: identical digests at any
-//	                       jobs level, leak-free kernels, no deadlocks;
+//	                       jobs level, leak-free kernels, no deadlocks, and
+//	                       no simulated process left running afterwards;
 //	                       --verify re-runs each schedule at jobs=1 and
 //	                       jobs=N and compares digests; --explore N runs N
 //	                       seeded perturbations of every ambiguous scheduler
@@ -62,6 +63,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -106,10 +108,19 @@ func main() {
 		if err := fs.Parse(args[1:]); err != nil {
 			os.Exit(2)
 		}
+		base := runtime.NumGoroutine()
 		if *explore > 0 {
 			err = runSoakExplore(*jobs, *quick, *full, *schedule, *explore, *artifactDir)
 		} else {
 			err = runSoak(*jobs, *quick, *full, *schedule, *verify, *artifactDir)
+		}
+		if err == nil {
+			// Every cell closes its System after the audit; a goroutine
+			// still running now is a simulated process nobody released,
+			// holding its whole System in memory.
+			if gerr := runner.AwaitGoroutines(base, 5*time.Second); gerr != nil {
+				err = fmt.Errorf("soak: %w", gerr)
+			}
 		}
 	case len(args) > 0 && args[0] == "replay":
 		fs := flag.NewFlagSet("replay", flag.ExitOnError)
@@ -169,6 +180,7 @@ func runDemo(traced bool) error {
 	if err != nil {
 		return err
 	}
+	defer sys.Close()
 	if traced {
 		sys.EnableTrace()
 	}
@@ -293,6 +305,7 @@ func runCrashes() error {
 	if err != nil {
 		return err
 	}
+	defer sys.Close()
 	sys.EnableTrace()
 	if _, err := sys.BootServices(); err != nil {
 		return err

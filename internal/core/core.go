@@ -572,8 +572,20 @@ func (s *System) assembleGraphics(device *hw.Device) error {
 // Run drives the simulation until every process exits.
 func (s *System) Run() error { return s.Sim.Run() }
 
+// Close releases the goroutines of the processes still alive when Run
+// returned — service daemons parked in mach_msg or wait4, or the threads
+// a deadlock left blocked — and with them the System they keep
+// reachable. Their stacks unwind through Go defers, which can change
+// IPC and kernel state, so call Close after the audit that reads that
+// state (LeakCheck, trace digests), not before. Close is idempotent;
+// Run and Start afterwards return sim.ErrClosed. See sim.Sim.Close.
+func (s *System) Close() { s.Sim.Close() }
+
 // Start launches the executable at path as a new process.
 func (s *System) Start(path string, argv []string) (*kernel.Task, error) {
+	if s.Sim.Closed() {
+		return nil, sim.ErrClosed
+	}
 	return s.Kernel.StartProcess(path, argv)
 }
 

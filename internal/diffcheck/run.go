@@ -494,6 +494,8 @@ func RunCellDecided(p *Program, ios bool, plan fault.Plan, dec sim.Decider) *Cel
 		res.Persona = persona.IOS
 	}
 	sm := sim.New()
+	// Runs once the cell's session and leak check have been read.
+	defer sm.Close()
 	sm.SetDecider(dec)
 	k, err := kernel.New(sm, kernel.Config{
 		Profile: kernel.ProfileCider, Device: hw.Nexus7(),
@@ -547,13 +549,11 @@ func RunCellDecided(p *Program, ios bool, plan fault.Plan, dec sim.Decider) *Cel
 	}
 	res.Dropped = tr.Dropped()
 	res.Events = map[string][]string{}
-	for _, ev := range tr.Events() {
-		line, procKey, keep := normalizeEvent(ev)
-		if !keep {
-			continue
+	tr.Walk(func(ev *trace.Event) {
+		if line, procKey, keep := normalizeEvent(*ev); keep {
+			res.Events[procKey] = append(res.Events[procKey], line)
 		}
-		res.Events[procKey] = append(res.Events[procKey], line)
-	}
+	})
 	for key := range res.Events {
 		res.Procs = append(res.Procs, key)
 	}

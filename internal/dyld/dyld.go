@@ -143,10 +143,13 @@ type costs struct {
 	parse       time.Duration
 	bindSym     time.Duration
 	initImage   time.Duration
-	atexitH     time.Duration
-	atforkH     time.Duration
 	cacheAttach time.Duration
 }
+
+const (
+	atexitCycles = 9620 // ~7.4 µs per atexit handler
+	atforkCycles = 6240 // ~4.8 µs per atfork phase handler
+)
 
 func costsFor(t *kernel.Thread) costs {
 	cpu := t.Kernel().Device().CPU
@@ -154,8 +157,6 @@ func costsFor(t *kernel.Thread) costs {
 		parse:       cpu.Cycles(52000),   // ~40 µs @1.3GHz: load commands
 		bindSym:     cpu.Cycles(1560),    // ~1.2 µs per bound symbol
 		initImage:   cpu.Cycles(58500),   // ~45 µs per image initializer
-		atexitH:     cpu.Cycles(9620),    // ~7.4 µs per atexit handler
-		atforkH:     cpu.Cycles(6240),    // ~4.8 µs per atfork phase handler
 		cacheAttach: cpu.Cycles(1560000), // ~1.2 ms one-time cache attach
 	}
 }
@@ -296,7 +297,7 @@ func loadAll(t *kernel.Thread, cs costs, images *Images, roots []string) error {
 		// Run the image initializer and register its teardown hooks: one
 		// atexit handler and one pthread_atfork triple per library.
 		t.Charge(cs.initImage)
-		registerImageHandlers(st, cs)
+		registerImageHandlers(st)
 		work = append(work, f.Dylibs...)
 	}
 	return nil
@@ -306,14 +307,19 @@ func loadAll(t *kernel.Thread, cs costs, images *Images, roots []string) error {
 // "for each library, dyld registers a callback that is called on exit,
 // resulting in the execution of 115 handlers on exit", plus the
 // pthread_atfork callbacks iOS libraries install.
-func registerImageHandlers(st *libsystem.State, cs costs) {
-	st.AtExit(func(ht *kernel.Thread) { ht.Charge(cs.atexitH) })
-	st.AtFork(
-		func(ht *kernel.Thread) { ht.Charge(cs.atforkH) }, // prepare
-		func(ht *kernel.Thread) { ht.Charge(cs.atforkH) }, // parent
-		func(ht *kernel.Thread) { ht.Charge(cs.atforkH) }, // child
-	)
+func registerImageHandlers(st *libsystem.State) {
+	st.AtExit(atexitHandler)
+	st.AtFork(atforkHandler, atforkHandler, atforkHandler) // prepare, parent, child
 }
+
+// atexitHandler and atforkHandler are the library hooks every image
+// registers. They are shared functions, not closures over an exec's
+// costs, so the ~115 registrations per exec allocate nothing; each
+// handler prices itself on the running thread's device, the device the
+// registering exec was priced on.
+func atexitHandler(t *kernel.Thread) { t.Charge(t.Kernel().Device().CPU.Cycles(atexitCycles)) }
+
+func atforkHandler(t *kernel.Thread) { t.Charge(t.Kernel().Device().CPU.Cycles(atforkCycles)) }
 
 // manifestCache maps a serialized cache manifest (keyed like ParseShared,
 // by backing-array identity, which pins the bytes so keys can't be reused)
@@ -384,7 +390,7 @@ func attachSharedCache(t *kernel.Thread, cs costs, images *Images) bool {
 	groups := 8
 	for i := 0; i < groups; i++ {
 		t.Charge(cs.initImage)
-		registerImageHandlers(st, cs)
+		registerImageHandlers(st)
 	}
 	return true
 }

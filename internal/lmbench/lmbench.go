@@ -240,6 +240,12 @@ func Run(conf Configuration, tests []Test) ([]Result, error) {
 // it must not advance virtual time. The hook replaces the old package
 // global OnSystem, which the parallel engine made a data race — per-run
 // state keeps concurrent batteries (and concurrent tests) independent.
+//
+// RunWith does not close the System: a hook that keeps it owns it and
+// calls System.Close once it has audited the post-run state (the soak
+// cells read trace digests and LeakCheck after RunWith returns). Without
+// that, any daemons the hook booted stay parked and keep the System in
+// memory.
 func RunWith(conf Configuration, tests []Test, onSystem func(*core.System)) ([]Result, error) {
 	sys, err := core.NewSystem(conf.System)
 	if err != nil {

@@ -90,6 +90,10 @@ func Run(conf Configuration, tests []Test) ([]Result, error) {
 // RunWith is Run with a per-run system hook: onSystem, when non-nil, is
 // invoked with the freshly booted System before the app starts — the
 // place to attach a trace session. It must not advance virtual time.
+//
+// RunWith does not close the System: a hook that keeps it owns it and
+// calls System.Close once it has audited the post-run state, as the soak
+// cells do after reading trace digests and LeakCheck.
 func RunWith(conf Configuration, tests []Test, onSystem func(*core.System)) ([]Result, error) {
 	sys, err := core.NewSystem(conf.System)
 	if err != nil {

@@ -14,6 +14,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -169,6 +170,14 @@ type Sink interface {
 
 // exitProc is the panic value used to unwind a Proc on Exit.
 type exitProc struct{ p *Proc }
+
+// closeUnwind is the panic value Close unwinds a released Proc with. It
+// is zero-size, so raising it on the switch path allocates nothing.
+type closeUnwind struct{}
+
+// ErrClosed is returned by Run, and is the panic value of Spawn, once the
+// Sim has been closed.
+var ErrClosed = errors.New("sim: simulator closed")
 
 // Proc is a simulated thread of execution. Its methods must only be called
 // from its own goroutine while it holds the run token (i.e. from within the
@@ -470,6 +479,9 @@ type Sim struct {
 	// panicValue propagates a Proc panic out of Run.
 	panicValue any
 	panicProc  string
+	// closed is set by Close: a Proc handed the token from then on
+	// unwinds instead of running.
+	closed bool
 }
 
 // New creates an empty simulator.
@@ -519,8 +531,11 @@ func blockDetail(p *Proc) string {
 // Spawn creates a new Proc running fn. When called before Run, the Proc
 // starts at time zero; when called from inside a running Proc, the child
 // inherits the parent's clock. The child's goroutine starts lazily on first
-// schedule.
+// schedule. Spawn panics with ErrClosed once the Sim has been closed.
 func (s *Sim) Spawn(name string, fn func(*Proc)) *Proc {
+	if s.closed {
+		panic(ErrClosed)
+	}
 	p := &Proc{
 		sim:       s,
 		id:        s.nextID,
@@ -549,6 +564,16 @@ func (s *Sim) procMain(p *Proc) {
 	<-p.run
 	defer func() {
 		r := recover()
+		if s.closed {
+			// Close is releasing this Proc. The simulation is over and
+			// its results already read, so whatever unwound the stack —
+			// the closeUnwind sentinel, or a panic a deferred call raised
+			// on the way — ends here: no exit callbacks, no accounting,
+			// no events, and the token goes straight back to Close.
+			p.state = StateDone
+			s.yield <- struct{}{}
+			return
+		}
 		if r != nil {
 			if e, ok := r.(exitProc); !ok || e.p != p {
 				// Real panic: record and unwind the whole simulation.
@@ -569,6 +594,9 @@ func (s *Sim) procMain(p *Proc) {
 		s.emit(SchedExit, p, "")
 		s.handoff()
 	}()
+	if s.closed {
+		return // released before its first turn: fn never runs
+	}
 	p.fn(p)
 }
 
@@ -578,9 +606,16 @@ func (s *Sim) procMain(p *Proc) {
 //
 //hot:noalloc
 func (s *Sim) yieldAndWait(p *Proc) {
+	if s.closed {
+		// A deferred call blocked while Close unwinds p: keep unwinding.
+		panic(closeUnwind{})
+	}
 	s.emit(SchedBlock, p, blockDetail(p))
 	if !s.handoffFrom(p) {
 		<-p.run
+		if s.closed {
+			panic(closeUnwind{})
+		}
 	}
 	p.state = StateRunning
 	s.emit(SchedResume, p, "")
@@ -724,10 +759,13 @@ func (s *Sim) next() *Proc {
 
 // Run executes the simulation until every Proc is done, a deadlock is
 // detected, or a Proc panics (in which case Run re-panics with the Proc's
-// panic value).
+// panic value). After Close it returns ErrClosed.
 func (s *Sim) Run() error {
 	if s.running {
 		return fmt.Errorf("sim: Run called reentrantly")
+	}
+	if s.closed {
+		return ErrClosed
 	}
 	s.running = true
 	defer func() { s.running = false }()
@@ -772,6 +810,65 @@ func (s *Sim) Run() error {
 	}
 	return nil
 }
+
+// Close releases the goroutine of every Proc that has not finished:
+// daemons parked or sleeping when Run returned, Procs spawned but never
+// scheduled, and the non-daemons an ErrDeadlock left blocked. Each such
+// goroutine otherwise waits for the run token forever and keeps
+// everything its Proc can reach alive.
+//
+// Close first detaches the sink, the interrupt hook and the decider, then
+// hands each Proc the token in id order, one at a time. The Proc unwinds
+// its stack with a private panic that procMain recovers without running
+// OnExit callbacks, updating Live, emitting events or handing the token
+// on. Go defers do run during the unwind, and one that would block
+// (Park, Sleep, a preempting Advance) unwinds further instead. Because
+// those defers can change simulated state (a Mach port lock released, a
+// reply port destroyed), Close is not done when Run returns: the owner
+// calls it after reading the results it wants.
+//
+// Close is idempotent. It must not be called while Run is executing;
+// afterwards Run returns ErrClosed and Spawn panics with it.
+func (s *Sim) Close() {
+	if s.closed {
+		return
+	}
+	if s.running {
+		panic("sim: Close called during Run")
+	}
+	s.closed = true
+	s.sink, s.interruptHook, s.decider = nil, nil, nil
+	for _, p := range s.takeUnfinished() {
+		if p.state == StateDone {
+			continue
+		}
+		p.state = StateRunning
+		s.current = p
+		p.run <- struct{}{}
+		<-s.yield
+	}
+	s.current = nil
+}
+
+// takeUnfinished empties the ready heap, the sleep wheel and the parked
+// set, returning their Procs sorted by id.
+func (s *Sim) takeUnfinished() []*Proc {
+	procs := make([]*Proc, 0, s.ready.Len()+s.sleepers.Len()+len(s.parked))
+	procs = append(procs, s.ready.procs...)
+	s.ready = &procHeap{}
+	for s.sleepers.Len() > 0 {
+		procs = append(procs, s.sleepers.popMin())
+	}
+	for _, p := range s.parked {
+		procs = append(procs, p)
+	}
+	clear(s.parked)
+	sort.Slice(procs, func(i, j int) bool { return procs[i].id < procs[j].id })
+	return procs
+}
+
+// Closed reports whether Close has been called.
+func (s *Sim) Closed() bool { return s.closed }
 
 // Current returns the Proc holding the run token, or nil between turns.
 func (s *Sim) Current() *Proc { return s.current }

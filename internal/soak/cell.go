@@ -233,6 +233,7 @@ func runLmbenchCell(s Schedule, ref replay.CellRef, dec sim.Decider) cellOutcome
 	}
 	if sys != nil {
 		o.auditSystem(d, s, sys)
+		sys.Close()
 	}
 	o.digest, o.latPart = d.sum(), ld.sum()
 	return o
@@ -286,6 +287,7 @@ func runPassmarkCell(s Schedule, ref replay.CellRef, dec sim.Decider) cellOutcom
 	}
 	if sys != nil {
 		o.auditSystem(d, s, sys)
+		sys.Close()
 	}
 	o.digest = d.sum()
 	return o
@@ -307,6 +309,9 @@ func runMachCell(s Schedule, dec sim.Decider) (o cellOutcome) {
 	defer func() { o.digest = d.sum() }()
 
 	sm := sim.New()
+	// Every return path below has finished auditing the kernel by the
+	// time this runs.
+	defer sm.Close()
 	k, err := kernel.New(sm, kernel.Config{
 		Profile: kernel.ProfileCider, Device: hw.Nexus7(),
 		Root: vfs.New(), Registry: prog.NewRegistry(),

@@ -397,7 +397,7 @@ func digestSession(d *digest, tr *trace.Session) {
 		d.str("no-trace")
 		return
 	}
-	for _, ev := range tr.Events() {
+	tr.Walk(func(ev *trace.Event) {
 		d.u64(ev.Seq)
 		d.u64(uint64(ev.At))
 		d.u64(uint64(ev.Kind))
@@ -409,7 +409,7 @@ func digestSession(d *digest, tr *trace.Session) {
 		d.str(ev.Name)
 		d.u64(uint64(int64(ev.Errno)))
 		d.str(ev.Detail)
-	}
+	})
 	for _, c := range tr.Counters() {
 		d.str(c.Name)
 		d.u64(c.Value)

@@ -110,7 +110,7 @@ func (s *Session) Text() string {
 // EventsText renders the retained event ring, one line per event.
 func (s *Session) EventsText() string {
 	var b strings.Builder
-	for _, e := range s.Events() {
+	s.Walk(func(e *Event) {
 		fmt.Fprintf(&b, "[%6d] %12s %-8s %s(%d)", e.Seq, fmtNS(e.At), e.Kind, e.Proc, e.ProcID)
 		switch e.Kind {
 		case EvSched:
@@ -135,7 +135,7 @@ func (s *Session) EventsText() string {
 			fmt.Fprintf(&b, " (%s)", e.Detail)
 		}
 		b.WriteString("\n")
-	}
+	})
 	return b.String()
 }
 

@@ -451,22 +451,25 @@ func (s *Session) SchedCount(ev sim.SchedEvent) uint64 {
 // those evicted by wraparound or discarded by SetRingCapacity.
 func (s *Session) Dropped() uint64 { return s.seq - uint64(s.n) }
 
-// Events returns the retained events oldest-first: slots [next, n) then
-// [0, next). Before the first wrap next is 0 and the second run is empty.
-func (s *Session) Events() []Event {
-	out := s.appendSlots(make([]Event, 0, s.n), s.next, s.n)
-	return s.appendSlots(out, 0, s.next)
+// Walk calls fn on each retained event oldest-first: slots [next, n)
+// then [0, next). Before the first wrap next is 0 and the second run is
+// empty. fn sees the ring's own storage without a copy, so it must not
+// keep the pointer or record into the session.
+func (s *Session) Walk(fn func(e *Event)) {
+	s.walkSlots(s.next, s.n, fn)
+	s.walkSlots(0, s.next, fn)
 }
 
-// appendSlots appends ring slots [from, to) to out, one bulk copy per
-// chunk they span.
-func (s *Session) appendSlots(out []Event, from, to int) []Event {
-	for from < to {
-		c := s.chunks[from/ringChunk][from%ringChunk:]
-		c = c[:min(len(c), to-from)]
-		out = append(out, c...)
-		from += len(c)
+func (s *Session) walkSlots(from, to int, fn func(e *Event)) {
+	for i := from; i < to; i++ {
+		fn(&s.chunks[i/ringChunk][i%ringChunk])
 	}
+}
+
+// Events returns a copy of the retained events, oldest-first (see Walk).
+func (s *Session) Events() []Event {
+	out := make([]Event, 0, s.n)
+	s.Walk(func(e *Event) { out = append(out, *e) })
 	return out
 }
 

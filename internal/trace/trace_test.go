@@ -135,7 +135,8 @@ func (r *refRing) record() {
 }
 
 // check compares Events (in Seq order), Dropped, and the retained count
-// Text prints.
+// Text prints, and checks that Walk visits exactly what Events returns,
+// in place and without allocating.
 func (r *refRing) check(t *testing.T, s *Session, format string, args ...any) {
 	t.Helper()
 	where := fmt.Sprintf(format, args...)
@@ -147,6 +148,19 @@ func (r *refRing) check(t *testing.T, s *Session, format string, args ...any) {
 		if e.Seq != r.kept[i] {
 			t.Fatalf("%s: event %d seq = %d, want %d", where, i, e.Seq, r.kept[i])
 		}
+	}
+	walked := 0
+	s.Walk(func(e *Event) {
+		if walked >= len(evs) || *e != evs[walked] {
+			t.Fatalf("%s: Walk event %d differs from Events", where, walked)
+		}
+		walked++
+	})
+	if walked != len(evs) {
+		t.Fatalf("%s: Walk visited %d events, Events returned %d", where, walked, len(evs))
+	}
+	if a := testing.AllocsPerRun(1, func() { s.Walk(func(e *Event) { walked++ }) }); a != 0 {
+		t.Fatalf("%s: Walk allocated %.0f times", where, a)
 	}
 	if got, want := s.Dropped(), r.seq-uint64(len(r.kept)); got != want {
 		t.Fatalf("%s: dropped = %d, want %d", where, got, want)
