@@ -16,6 +16,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/abi"
@@ -237,6 +238,10 @@ func NewSystem(cfg Config, opts ...Options) (*System, error) {
 	sys := &System{Config: cfg, Sim: s, Registry: reg, opts: o}
 
 	device := o.Device
+	sharedCache := cfg == ConfigIPad
+	if o.SharedCache != nil {
+		sharedCache = *o.SharedCache
+	}
 	var err error
 	var root vfs.FileSystem
 	var profile kernel.Profile
@@ -258,7 +263,7 @@ func NewSystem(cfg Config, opts ...Options) (*System, error) {
 		if sys.AndroidFS, err = newAndroidFS(); err != nil {
 			return nil, err
 		}
-		if sys.IOSFS, err = newIOSFS(); err != nil {
+		if sys.IOSFS, err = newIOSFS(sharedCache); err != nil {
 			return nil, err
 		}
 		// "Cider overlays a file system hierarchy on the existing Android
@@ -269,7 +274,7 @@ func NewSystem(cfg Config, opts ...Options) (*System, error) {
 			device = hw.IPadMini()
 		}
 		profile = kernel.ProfileXNUNative
-		if sys.IOSFS, err = newIOSFS(); err != nil {
+		if sys.IOSFS, err = newIOSFS(sharedCache); err != nil {
 			return nil, err
 		}
 		root = sys.IOSFS
@@ -332,23 +337,14 @@ func NewSystem(cfg Config, opts ...Options) (*System, error) {
 		}
 	}
 	if cfg != ConfigVanilla {
-		sharedCache := cfg == ConfigIPad
-		if o.SharedCache != nil {
-			sharedCache = *o.SharedCache
-		}
 		if err := dyld.Register(reg, dyld.Config{SharedCache: sharedCache}); err != nil {
 			return nil, err
 		}
 		if err := libsystem.RegisterSh(reg); err != nil {
 			return nil, err
 		}
-		if sys.Syslog, err = services.RegisterAll(reg, sys.IOSFS); err != nil {
+		if sys.Syslog, err = services.RegisterAll(reg); err != nil {
 			return nil, err
-		}
-		if sharedCache {
-			if err := dyld.BuildSharedCache(sys.IOSFS, IOSDylibs()); err != nil {
-				return nil, err
-			}
 		}
 	}
 
@@ -637,9 +633,31 @@ func (s *System) InstallIOSBinary(path, key string, dylibs []string, fn prog.Fun
 	if dylibs == nil {
 		dylibs = []string{LibSystemPath}
 	}
-	bin, err := prog.MachOExecutable(key, dylibs, nil)
+	bin, err := iosExecutable(key, dylibs)
 	if err != nil {
 		return err
 	}
-	return s.IOSFS.WriteFile(path, bin)
+	return s.IOSFS.WriteFileShared(path, bin)
+}
+
+// iosExecutables memoizes InstallIOSBinary's images: the bytes are a pure
+// function of the key and the dylib list, and the benchmark batteries
+// install the same few binaries into every cell. Sharing one image per
+// distinct binary keeps macho.ParseShared's identity cache, which pins
+// every array it sees, bounded by the number of distinct binaries.
+var iosExecutables sync.Map // iosExecutableID -> []byte
+
+type iosExecutableID struct{ key, dylibs string }
+
+func iosExecutable(key string, dylibs []string) ([]byte, error) {
+	id := iosExecutableID{key, strings.Join(dylibs, "\x00")}
+	if v, ok := iosExecutables.Load(id); ok {
+		return v.([]byte), nil
+	}
+	bin, err := prog.MachOExecutable(key, dylibs, nil)
+	if err != nil {
+		return nil, err
+	}
+	v, _ := iosExecutables.LoadOrStore(id, bin)
+	return v.([]byte), nil
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/graphics"
 	"repro/internal/libsystem"
 	"repro/internal/prog"
+	"repro/internal/services"
 	"repro/internal/vfs"
 )
 
@@ -93,8 +94,9 @@ func IOSDylibs() []string {
 }
 
 // buildIOSFS lays down the iOS filesystem image: the dylib set, dyld, the
-// iOS shell, and the directory skeleton apps expect (/Documents and
-// friends come from the app sandbox, created at install time).
+// iOS shell, the service daemons, and the directory skeleton apps expect
+// (/Documents and friends come from the app sandbox, created at install
+// time).
 func buildIOSFS(fs *vfs.FS) error {
 	for _, dir := range []string{
 		"/usr/lib/system", "/System/Library/Frameworks",
@@ -158,7 +160,10 @@ func buildIOSFS(fs *vfs.FS) error {
 	if err != nil {
 		return err
 	}
-	return fs.WriteFile("/bin/sh", shBin)
+	if err := fs.WriteFile("/bin/sh", shBin); err != nil {
+		return err
+	}
+	return services.InstallImage(fs)
 }
 
 // androidSystemLibs is the Bionic/.so set of an Android 4.2 image.

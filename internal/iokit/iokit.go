@@ -16,6 +16,7 @@ package iokit
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/ducttape"
@@ -75,7 +76,7 @@ type Registry struct {
 // Install duct-tapes I/O Kit into the kernel: validates the unit graph,
 // hooks the Linux device-add path, and returns the registry.
 func Install(k *kernel.Kernel, env *ducttape.Env) (*Registry, error) {
-	if _, err := ducttape.Link(Units()); err != nil {
+	if err := linkUnits(); err != nil {
 		return nil, err
 	}
 	cpu := k.Device().CPU
@@ -210,6 +211,14 @@ func (r *Registry) Call(t *kernel.Thread, entryID uint64, selector uint32, args 
 
 // Entries returns the number of registry entries.
 func (r *Registry) Entries() int { return len(r.entries) }
+
+// linkUnits validates Units once per process: the graph is a package
+// constant, so every boot would rebuild and discard the same image. A bad
+// graph still fails every Install.
+var linkUnits = sync.OnceValue(func() error {
+	_, err := ducttape.Link(Units())
+	return err
+})
 
 // Units declares the duct-tape compilation-unit graph for the I/O Kit
 // sources: XNU's iokit/ tree (minus the hardware-facing controllers the

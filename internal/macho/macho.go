@@ -608,7 +608,8 @@ func Sniff(b []byte) (filetype uint32, ok bool) {
 // life of the entry, so a key can never be recycled for different bytes.
 // The population is bounded by the number of distinct binaries in the
 // process — dominated by the template dylib images every booted System now
-// shares (see internal/core's filesystem templates).
+// shares (see internal/core's filesystem templates); core also memoizes
+// the executables it installs per cell, so each is one array too.
 var sharedFiles sync.Map // *byte -> *sharedEntry
 
 type sharedEntry struct {

@@ -57,9 +57,9 @@ func (b *SyslogBuffer) Len() int { return len(b.lines) }
 func (b *SyslogBuffer) Dropped() uint64 { return b.dropped }
 
 // RegisterAll installs the service programs (launchd, configd, notifyd,
-// syslogd) into the registry and their Mach-O binaries into the iOS
-// filesystem. The returned SyslogBuffer observes syslogd.
-func RegisterAll(reg *prog.Registry, iosFS *vfs.FS) (*SyslogBuffer, error) {
+// syslogd, crashreporterd) into the registry. The returned SyslogBuffer
+// observes syslogd. Their Mach-O binaries come from InstallImage.
+func RegisterAll(reg *prog.Registry) (*SyslogBuffer, error) {
 	slog := &SyslogBuffer{}
 
 	register := func(key string, body func(t *kernel.Thread) uint64) error {
@@ -93,11 +93,17 @@ func RegisterAll(reg *prog.Registry, iosFS *vfs.FS) (*SyslogBuffer, error) {
 	if err := register(CrashReporterKey, crashReporterMain); err != nil {
 		return nil, err
 	}
-	if err := iosFS.MkdirAll(CrashLogDir); err != nil {
-		return nil, err
-	}
+	return slog, nil
+}
 
-	// Install the Mach-O binaries (copied from an iOS device, per §3).
+// InstallImage lays the services' files into an iOS filesystem image: the
+// daemons' Mach-O binaries (copied from an iOS device, per §3) and
+// CrashLogDir. They depend on nothing but package constants, so the core
+// filesystem template holds them once for every booted System.
+func InstallImage(iosFS *vfs.FS) error {
+	if err := iosFS.MkdirAll(CrashLogDir); err != nil {
+		return err
+	}
 	for _, svc := range []struct{ path, key string }{
 		{LaunchdPath, LaunchdKey},
 		{ConfigdPath, ConfigdKey},
@@ -107,13 +113,13 @@ func RegisterAll(reg *prog.Registry, iosFS *vfs.FS) (*SyslogBuffer, error) {
 	} {
 		bin, err := prog.MachOExecutable(svc.key, []string{"/usr/lib/libSystem.B.dylib"}, nil)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := iosFS.WriteFile(svc.path, bin); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return slog, nil
+	return nil
 }
 
 // Supervision (KeepAlive) constants. All delays are virtual-clock, so

@@ -105,8 +105,8 @@ type Node struct {
 	children map[string]*Node
 	data     []byte
 	// shared marks data as copy-on-write: the slice is owned by a frozen
-	// template tree (see FS.Freeze/Clone) and must be replaced, never
-	// written in place.
+	// template tree (see FS.Freeze/Clone) or by a WriteFileShared caller
+	// and must be replaced, never written in place.
 	shared bool
 	target string // symlink target
 	dev    Device
@@ -502,22 +502,48 @@ func (fs *FS) Rename(oldp, newp string) error {
 // WriteFile creates (or truncates) the file at p with the given contents,
 // creating parent directories as needed.
 func (fs *FS) WriteFile(p string, data []byte) error {
+	n, err := fs.fileAt(p)
+	if err != nil {
+		return err
+	}
+	n.SetData(append([]byte(nil), data...))
+	return nil
+}
+
+// WriteFileShared is WriteFile for caller-owned immutable bytes: the file
+// stores data itself, copy-on-write exactly as Freeze marks a template's
+// files, so a later write through this FS copies first and data is never
+// modified. The caller must never modify data either. Installing one
+// image in many trees this way shares its bytes, and with them every
+// cache keyed by their identity (macho.ParseShared).
+func (fs *FS) WriteFileShared(p string, data []byte) error {
+	n, err := fs.fileAt(p)
+	if err != nil {
+		return err
+	}
+	n.data = data
+	n.shared = data != nil
+	return nil
+}
+
+// fileAt returns the regular file at p, creating it and its parent
+// directories as needed.
+func (fs *FS) fileAt(p string) (*Node, error) {
 	dir, _ := Split(p)
 	if err := fs.MkdirAll(dir); err != nil {
-		return err
+		return nil, err
 	}
 	n, err := fs.Lookup(p)
 	if err != nil {
 		n, err = fs.Create(p)
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if n.IsDir() {
-		return &ErrIsDir{Path: Clean(p)}
+		return nil, &ErrIsDir{Path: Clean(p)}
 	}
-	n.SetData(append([]byte(nil), data...))
-	return nil
+	return n, nil
 }
 
 // Freeze marks every file's contents as shared, turning the tree into a

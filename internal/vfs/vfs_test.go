@@ -96,6 +96,31 @@ func TestWriteDataGrows(t *testing.T) {
 	}
 }
 
+func TestWriteFileSharedIsCopyOnWrite(t *testing.T) {
+	img := []byte("image")
+	a, b := New(), New()
+	for _, fs := range []*FS{a, b} {
+		if err := fs.WriteFileShared("/bin/x", img); err != nil {
+			t.Fatal(err)
+		}
+	}
+	na, _ := a.Lookup("/bin/x")
+	nb, _ := b.Lookup("/bin/x")
+	if &na.Data()[0] != &img[0] || &nb.Data()[0] != &img[0] {
+		t.Fatal("WriteFileShared copied the caller's bytes")
+	}
+	na.WriteData(0, []byte("I"))
+	if string(img) != "image" || string(nb.Data()) != "image" {
+		t.Fatalf("write reached the shared bytes: img %q, b %q", img, nb.Data())
+	}
+	if string(na.Data()) != "Image" {
+		t.Fatalf("a = %q", na.Data())
+	}
+	if err := a.WriteFileShared("/bin", img); err == nil {
+		t.Fatal("WriteFileShared over a directory succeeded")
+	}
+}
+
 func TestSymlinks(t *testing.T) {
 	fs := New()
 	fs.MkdirAll("/data/app")

@@ -246,7 +246,7 @@ const ExtensionName = "mach_ipc"
 // the unit graph under the three-zone rules, then registers the subsystem
 // as a kernel extension.
 func InstallIPC(k *kernel.Kernel, env *ducttape.Env) (*IPC, error) {
-	if _, err := ducttape.Link(AllUnits()); err != nil {
+	if err := linkAllUnits(); err != nil {
 		return nil, err
 	}
 	cpu := k.Device().CPU

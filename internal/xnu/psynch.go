@@ -36,7 +36,7 @@ const PsynchExtension = "psynch"
 
 // InstallPsynch duct-tapes pthread kernel support into the kernel.
 func InstallPsynch(k *kernel.Kernel, env *ducttape.Env) (*Psynch, error) {
-	if _, err := ducttape.Link(AllUnits()); err != nil {
+	if err := linkAllUnits(); err != nil {
 		return nil, err
 	}
 	ps := &Psynch{

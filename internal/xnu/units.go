@@ -1,13 +1,26 @@
 package xnu
 
-import "repro/internal/ducttape"
+import (
+	"sync"
+
+	"repro/internal/ducttape"
+)
+
+// linkAllUnits validates AllUnits once per process: the graph is a
+// package constant, so every boot would rebuild and discard the same
+// image. A bad graph still fails every InstallIPC and InstallPsynch.
+var linkAllUnits = sync.OnceValue(func() error {
+	_, err := ducttape.Link(AllUnits())
+	return err
+})
 
 // AllUnits declares the compilation-unit symbol graph of the duct-taped
 // foreign subsystems: which XNU source files are compiled in unmodified,
 // which symbols they define and consume, and which duct tape shims satisfy
 // their externals. InstallIPC/InstallPsynch validate this graph with
-// ducttape.Link at boot, so a zone violation (foreign code reaching
-// directly into Linux internals, or vice versa) fails kernel assembly.
+// ducttape.Link (once per process, see linkAllUnits), so a zone violation
+// (foreign code reaching directly into Linux internals, or vice versa)
+// fails kernel assembly.
 //
 // The file names mirror the real trees: XNU v2050.18.24's osfmk/ipc and
 // bsd/kern, and the Linux 3.x sources of the Nexus 7's Android 4.2 kernel.
