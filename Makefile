@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-fixtures race bench bench-smoke bench-ratchet bench-golden profile soak soak-smoke soak-smoke-crash soak-smoke-pressure diffcheck diffcheck-smoke replay-smoke explore verify
+.PHONY: build test vet lint lint-fixtures race switch-allocs bench bench-golden profile soak soak-smoke diffcheck diffcheck-smoke replay-smoke explore verify
 
 build:
 	$(GO) build ./...
@@ -29,27 +29,19 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench runs the wall-clock harness (full Fig. 5 + Fig. 6 batteries at
-# jobs=1 and jobs=GOMAXPROCS, best of 3) and writes BENCH_simwall.json.
-# Compare two snapshots with: go run ./cmd/benchdiff OLD.json NEW.json
+# switch-allocs pins the context-switch round (the park/wake handoff
+# the syscall fast path stands on) at zero allocations. The test file is
+# left out of -race builds, whose runtime allocates on its own account,
+# so verify runs it here, without the race detector.
+switch-allocs:
+	$(GO) test -count=1 -run '^TestSwitchRoundAllocs$$' ./internal/sim
+
+# bench runs the host-time benchmark (hostbench/, declared in
+# BENCHMARK.json) on every workload and prints each run's end-to-end
+# metrics. To compare two checkouts, run each with --out FILE.json and
+#   bash hostbench/run.sh diff -old 'a/*.json' -new 'b/*.json'
 bench:
-	$(GO) run ./cmd/simbench -out BENCH_simwall.json
-
-# bench-smoke is the 1-iteration harness run wired into verify: it proves
-# the harness itself still works without the repeated timing passes, and
-# -maxswitchallocs 0 asserts the context-switch round still allocates
-# nothing (the floor the syscall fast path stands on). The output goes to
-# a scratch file (gitignored) so verify never dirties the committed
-# BENCH_simwall.json snapshot.
-bench-smoke:
-	$(GO) run ./cmd/simbench -iterations 1 -maxswitchallocs 0 -out BENCH_simwall.smoke.json
-
-# bench-ratchet re-measures and fails unless ns/sim-syscall strictly
-# improved versus the committed snapshot — run this before regenerating
-# BENCH_simwall.json in a perf PR so the claimed win is machine-checked.
-bench-ratchet:
-	$(GO) run ./cmd/simbench -out BENCH_simwall.ratchet.json
-	$(GO) run ./cmd/benchdiff -ratchet BENCH_simwall.json BENCH_simwall.ratchet.json
+	for w in fig5 fig6 soak-crash diffcheck; do bash hostbench/run.sh --workload $$w --seconds 30 --trace 0 || exit 1; done
 
 # bench-golden keeps the host-time benchmark (hostbench/, its own module
 # importing internal/) building in tier-1: an internal/ API change that
@@ -59,10 +51,10 @@ bench-ratchet:
 bench-golden:
 	$(GO) -C hostbench vet . && $(GO) -C hostbench test -count=1 -run '^TestGolden$$' .
 
-# profile writes CPU and allocation profiles of one full harness run for
-# the burn-down methodology (go tool pprof -top cpu.pprof, etc.).
+# profile writes CPU and allocation profiles of one pass over the Fig. 5
+# benchmarks for the burn-down methodology (go tool pprof -top cpu.pprof).
 profile:
-	$(GO) run ./cmd/simbench -iterations 1 -cpuprofile cpu.pprof -memprofile mem.pprof -out BENCH_simwall.smoke.json
+	$(GO) test -run '^$$' -bench '^BenchmarkFig5' -benchtime 1x -cpuprofile cpu.pprof -memprofile mem.pprof .
 	@echo "profile: wrote cpu.pprof mem.pprof (inspect with: go tool pprof -top cpu.pprof)"
 
 # soak runs the full fault-schedule matrix over the complete Fig. 5 + 6
@@ -72,27 +64,17 @@ profile:
 soak:
 	$(GO) run ./cmd/cider soak -full -verify
 
-# soak-smoke is the 1-schedule version wired into verify: the eintr-storm
-# schedule over the reduced battery, with the jobs=1 vs jobs=N digest
-# comparison, proves injection, leak checking and determinism end to end
-# in a few seconds.
+# soak-smoke is the version wired into verify: three schedules over the
+# reduced battery, each with the jobs=1 vs jobs=N digest comparison.
+# eintr-storm proves injection, leak checking and determinism end to
+# end; daemon-crash kills service daemons mid-battery, so launchd must
+# respawn them and crash reports must land; mem-pressure-storm drives
+# the memorystatus ladder (notify, shed, jetsam in band order) while the
+# benchmark runs foreground, so the foreground must survive, kills must
+# actually fire, and launchd must respawn reaped daemons without
+# charging its crash-loop budget.
 soak-smoke:
-	$(GO) run ./cmd/cider soak -quick -verify -schedule eintr-storm
-
-# soak-smoke-crash is the crash-containment smoke: the daemon-crash
-# schedule kills service daemons mid-battery; launchd must respawn them,
-# crash reports must land, and the digest must stay jobs-invariant.
-soak-smoke-crash:
-	$(GO) run ./cmd/cider soak -quick -verify -schedule daemon-crash
-
-# soak-smoke-pressure is the resource-governance smoke: the
-# mem-pressure-storm schedule drives the memorystatus ladder (notify,
-# shed, jetsam in band order) while the benchmark runs foreground;
-# the digest must stay jobs-invariant, the foreground must survive,
-# kills must actually fire, and launchd must respawn reaped daemons
-# without charging its crash-loop budget.
-soak-smoke-pressure:
-	$(GO) run ./cmd/cider soak -quick -verify -schedule mem-pressure-storm
+	$(GO) run ./cmd/cider soak -quick -verify -schedule eintr-storm,daemon-crash,mem-pressure-storm
 
 # diffcheck runs the differential persona oracle at full depth: 200
 # seeded programs, each executed under both personas and diffed after
@@ -128,8 +110,8 @@ explore:
 	$(GO) run ./cmd/cider diffcheck --explore 3 --seeds 60
 
 # verify is the tier-1 gate: everything must build, vet clean, pass
-# ciderlint, pass the full test suite under the race detector, run the
-# bench, soak, and diffcheck harnesses once end to end, check the
-# host-time benchmark against its golden digests, and prove the
-# record/replay round trip is bit-identical.
-verify: build vet lint lint-fixtures race bench-smoke bench-golden soak-smoke soak-smoke-crash soak-smoke-pressure diffcheck-smoke replay-smoke
+# ciderlint, pass the full test suite under the race detector, keep the
+# context-switch round allocation-free, check the host-time benchmark
+# against its golden digests, run the soak and diffcheck harnesses once
+# end to end, and prove the record/replay round trip is bit-identical.
+verify: build vet lint lint-fixtures race switch-allocs bench-golden soak-smoke diffcheck-smoke replay-smoke

@@ -17,11 +17,12 @@
 //	                       histograms plus the null-syscall overhead
 //	                       decomposition; --json emits one machine-readable
 //	                       document with both
-//	cider soak [--jobs N] [--quick] [--full] [--schedule NAME] [--verify]
-//	           [--explore N] [--artifact-dir DIR]
+//	cider soak [--jobs N] [--quick] [--full] [--schedule NAME[,NAME...]]
+//	           [--verify] [--explore N] [--artifact-dir DIR]
 //	                       run the Fig. 5 battery (plus a dedicated Mach IPC
 //	                       workload; --full adds Fig. 6) under the
-//	                       deterministic fault-schedule matrix and check the
+//	                       deterministic fault-schedule matrix (or the
+//	                       listed schedules) and check the
 //	                       error-path invariants: identical digests at any
 //	                       jobs level, leak-free kernels, no deadlocks, and
 //	                       no simulated process left running afterwards;
@@ -101,7 +102,7 @@ func main() {
 		jobs := fs.Int("jobs", 0, "max parallel host workers (<=0: GOMAXPROCS)")
 		quick := fs.Bool("quick", false, "reduced lmbench battery (the verify smoke)")
 		full := fs.Bool("full", false, "also run the Fig. 6 PassMark battery")
-		schedule := fs.String("schedule", "", "run a single named schedule (default: whole matrix)")
+		schedule := fs.String("schedule", "", "comma-separated schedule names to run (default: whole matrix)")
 		verify := fs.Bool("verify", false, "run each schedule at jobs=1 and jobs=N and compare digests")
 		explore := fs.Int("explore", 0, "run N seeded schedule perturbations per schedule (DPOR-lite)")
 		artifactDir := fs.String("artifact-dir", "", "directory for failure replay artifacts (default: temp dir)")
@@ -109,11 +110,7 @@ func main() {
 			os.Exit(2)
 		}
 		base := runtime.NumGoroutine()
-		if *explore > 0 {
-			err = runSoakExplore(*jobs, *quick, *full, *schedule, *explore, *artifactDir)
-		} else {
-			err = runSoak(*jobs, *quick, *full, *schedule, *verify, *artifactDir)
-		}
+		err = runSoak(*jobs, *quick, *full, *schedule, *verify, *explore, *artifactDir)
 		if err == nil {
 			// Every cell closes its System after the audit; a goroutine
 			// still running now is a simulated process nobody released,
@@ -152,7 +149,7 @@ func main() {
 			os.Exit(2)
 		}
 		if *explore > 0 {
-			err = runDiffcheckExplore(*seeds, *jobs, *explore, *artifactDir)
+			err = runExplore(*explore, *jobs, *artifactDir, diffcheck.Suite(*seeds))
 		} else {
 			err = runDiffcheck(*seeds, *jobs, *corpus, !*noMin, *suggest, *artifactDir)
 		}
@@ -393,22 +390,34 @@ func runCrashes() error {
 }
 
 // runSoak drives the Fig. 5/6 batteries (plus the dedicated Mach IPC
-// workload) under the fault-schedule matrix and reports the three
-// invariants: deterministic digests, leak-free kernels, no deadlocks.
-// Benchmark cells failing under injection is expected and reported as a
-// count, not an error; a finding (leak or deadlock) exits nonzero.
-func runSoak(jobs int, quick, full bool, schedule string, verify bool, artifactDir string) error {
+// workload) under the fault-schedule matrix, or the comma-separated
+// schedules named, and reports the three invariants: deterministic
+// digests, leak-free kernels, no deadlocks. Benchmark cells failing
+// under injection is expected and reported as a count, not an error; a
+// finding (leak or deadlock) exits nonzero. With rounds > 0 it explores
+// each schedule's cells instead (see runExplore).
+func runSoak(jobs int, quick, full bool, schedule string, verify bool, rounds int, artifactDir string) error {
 	scheds := soak.Schedules()
 	if schedule != "" {
-		s, ok := soak.ScheduleByName(schedule)
-		if !ok {
-			return fmt.Errorf("soak: unknown schedule %q", schedule)
+		scheds = scheds[:0]
+		for _, name := range strings.Split(schedule, ",") {
+			s, ok := soak.ScheduleByName(name)
+			if !ok {
+				return fmt.Errorf("soak: unknown schedule %q", name)
+			}
+			scheds = append(scheds, s)
 		}
-		scheds = []soak.Schedule{s}
 	}
 	opts := soak.Options{Jobs: jobs, Full: full, ArtifactDir: artifactDir}
 	if quick {
 		opts.Tests = soak.QuickTests()
+	}
+	if rounds > 0 {
+		suites := make([]replay.Suite, len(scheds))
+		for i, s := range scheds {
+			suites[i] = soak.Suite(s, opts)
+		}
+		return runExplore(rounds, jobs, artifactDir, suites...)
 	}
 
 	battery := "full lmbench"
@@ -459,44 +468,37 @@ func runSoak(jobs int, quick, full bool, schedule string, verify bool, artifactD
 	return nil
 }
 
-// runSoakExplore drives the DPOR-lite schedule explorer: every soak
-// cell re-runs under N seeded perturbations of the scheduler's
-// ambiguous decisions, and any invariant violation arrives as a
-// minimized replay artifact.
-func runSoakExplore(jobs int, quick, full bool, schedule string, rounds int, artifactDir string) error {
-	scheds := soak.Schedules()
-	if schedule != "" {
-		s, ok := soak.ScheduleByName(schedule)
-		if !ok {
-			return fmt.Errorf("soak: unknown schedule %q", schedule)
-		}
-		scheds = []soak.Schedule{s}
-	}
-	opts := soak.Options{Jobs: jobs, Full: full, ArtifactDir: artifactDir}
-	if quick {
-		opts.Tests = soak.QuickTests()
-	}
-	fmt.Printf("== soak explore: %d schedule(s) x %d perturbation seed(s) ==\n", len(scheds), rounds)
-	fmt.Printf("%-14s %-18s %9s %10s %10s  %s\n",
-		"schedule", "digest", "cell-runs", "decisions", "perturbed", "verdict")
+// runExplore drives the DPOR-lite schedule explorer over soak schedules
+// or diffcheck persona pairs alike: every cell of every suite re-runs
+// under N seeded perturbations of the scheduler's ambiguous decisions,
+// and any invariant violation or divergence arrives as a minimized
+// replay artifact. One table row per suite.
+func runExplore(rounds, jobs int, artifactDir string, suites ...replay.Suite) error {
+	fmt.Printf("== explore: %d suite(s) x %d perturbation round(s) ==\n", len(suites), rounds)
+	fmt.Printf("%-14s %-18s %9s %10s %10s  %s\n", "suite", "digest", "cell-runs", "decisions", "perturbed", "verdict")
 	bad := false
-	for _, s := range scheds {
-		r := soak.Explore(s, opts, rounds)
+	for _, su := range suites {
+		r := replay.Explore(su, rounds, jobs, artifactDir)
 		verdict := "ok"
 		if len(r.Findings) > 0 {
 			verdict = fmt.Sprintf("%d FINDING(S)", len(r.Findings))
 			bad = true
 		}
-		fmt.Printf("%-14s %016x %9d %10d %10d  %s\n",
-			r.Schedule, r.Digest, r.CellRuns, r.Decisions, r.Perturbed, verdict)
+		fmt.Printf("%-14s %016x %9d %10d %10d  %s\n", r.Name, r.Digest, r.Runs, r.Decisions, r.Perturbed, verdict)
 		for _, f := range r.Findings {
 			fmt.Printf("    finding: %s\n", f)
 		}
 	}
 	if bad {
-		return fmt.Errorf("soak: explore found invariant violations")
+		return fmt.Errorf("explore: findings on perturbed schedules")
 	}
 	return nil
+}
+
+// cellFor rebuilds the cell an artifact recorded, by artifact kind.
+var cellFor = map[string]func(*replay.Artifact) (replay.Cell, error){
+	replay.KindSoak:      soak.CellFor,
+	replay.KindDiffcheck: diffcheck.CellFor,
 }
 
 // runReplay re-executes one recorded cell from an artifact file and
@@ -506,51 +508,25 @@ func runReplay(path string) error {
 	if err != nil {
 		return err
 	}
-	switch a.Kind {
-	case replay.KindSoak:
-		rep, rerr := soak.ReplayCell(a)
-		if rerr != nil {
-			return rerr
-		}
-		return reportReplay(a, rep.Digest, rep.DecisionCount, rep.Findings)
-	case replay.KindDiffcheck:
-		rep, rerr := diffcheck.ReplayArtifact(a)
-		if rerr != nil {
-			return rerr
-		}
-		return reportReplay(a, rep.Digest, rep.DecisionCount, rep.Findings)
-	}
-	return fmt.Errorf("replay: unknown artifact kind %q", a.Kind)
-}
-
-// reportReplay prints the replay outcome and fails on digest mismatch.
-func reportReplay(a *replay.Artifact, digest, decisions uint64, findings []string) error {
-	want, err := a.DigestValue()
+	c, err := cellFor[a.Kind](a)
 	if err != nil {
 		return err
 	}
-	label := a.Schedule
-	if a.Kind == replay.KindDiffcheck {
-		label = fmt.Sprintf("seed %#x", a.Seed)
+	fmt.Printf("== replay: %s %s ==\n", a.Kind, a.Label())
+	o, got, err := replay.Replay(c, a)
+	if o == nil {
+		return err
 	}
-	ref := ""
-	if a.Cell != nil {
-		ref = " cell " + a.Cell.String()
-	}
-	fmt.Printf("== replay: %s %s%s ==\n", a.Kind, label, ref)
 	fmt.Printf("  decisions: %d recorded, %d replayed (%d non-canonical)\n",
-		a.DecisionCount, decisions, len(a.Decisions))
-	for _, f := range findings {
+		a.DecisionCount, got.DecisionCount, len(a.Decisions)+len(a.DecisionsIOS))
+	for _, f := range o.Findings() {
 		fmt.Printf("  finding: %s\n", f)
 	}
-	if digest != want {
-		fmt.Printf("  digest: %016x, recorded %016x\n", digest, want)
-		return fmt.Errorf("replay: digest mismatch: replayed %016x, recorded %016x", digest, want)
+	if err != nil {
+		fmt.Printf("  digest: %s, recorded %s\n", got.Digest, a.Digest)
+		return err
 	}
-	fmt.Printf("  digest: %016x == recorded (bit-identical)\n", digest)
-	if a.DecisionCount != 0 && decisions != a.DecisionCount {
-		return fmt.Errorf("replay: decision count diverged: replayed %d, recorded %d", decisions, a.DecisionCount)
-	}
+	fmt.Printf("  digest: %s == recorded (bit-identical)\n", got.Digest)
 	return nil
 }
 
@@ -567,51 +543,32 @@ func runReplaySmoke() error {
 		{Bench: "mach"},
 		{Bench: "lmbench", Config: lmbench.ConfigCiderIOS, Test: "null syscall"},
 	}
+	dir, err := os.MkdirTemp("", "cider-replay-smoke")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(dir)
 	for _, ref := range cells {
 		a, rec := soak.RecordCell(s, ref, nil, 0)
-		dir, err := os.MkdirTemp("", "cider-replay-smoke")
+		path, err := a.Save(dir)
 		if err != nil {
-			return err
-		}
-		path := dir + "/artifact.json"
-		if err := a.WriteFile(path); err != nil {
 			return err
 		}
 		b, err := replay.Load(path)
 		if err != nil {
 			return err
 		}
-		rep, err := soak.ReplayCell(b)
+		c, err := soak.CellFor(b)
 		if err != nil {
 			return err
 		}
-		if rep.Digest != rec.Digest {
-			return fmt.Errorf("replay smoke: %s: replayed %016x, recorded %016x",
-				ref, rep.Digest, rec.Digest)
+		if _, _, err := replay.Replay(c, b); err != nil {
+			return fmt.Errorf("replay smoke: %s: %w", ref, err)
 		}
 		fmt.Printf("replay smoke: %s under %s: %d decisions, digest %016x == replayed (bit-identical)\n",
 			ref, s.Name, rec.DecisionCount, rec.Digest)
-		os.RemoveAll(dir)
 	}
 	return nil
-}
-
-// runDiffcheckExplore drives the persona oracle under DPOR-lite
-// schedule exploration: every seed's persona pair re-runs under N
-// perturbed schedules, and any residual divergence arrives as a
-// minimized replay artifact.
-func runDiffcheckExplore(seeds, jobs, rounds int, artifactDir string) error {
-	fmt.Printf("== diffcheck explore: %d seeds x %d perturbation round(s) ==\n", seeds, rounds)
-	rep, err := diffcheck.Explore(diffcheck.Options{Seeds: seeds, Jobs: jobs, ArtifactDir: artifactDir}, rounds)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("pair-runs=%d decisions=%d perturbed=%d digest=%016x findings=%d\n",
-		rep.PairRuns, rep.Decisions, rep.Perturbed, rep.Digest, len(rep.Findings))
-	for _, f := range rep.Findings {
-		fmt.Printf("  finding: %s\n", f)
-	}
-	return rep.Err()
 }
 
 // runDiffcheck drives the differential persona oracle and reports. A

@@ -221,7 +221,7 @@ func CheckSeed(seed uint64) ([]Divergence, *Program) {
 
 // CompareProgram runs one explicit program under both personas and diffs.
 func CompareProgram(seed uint64, p *Program, plan fault.Plan) []Divergence {
-	android := RunCell(p, false, plan)
-	ios := RunCell(p, true, plan)
+	android := RunCellDecided(p, false, plan, nil)
+	ios := RunCellDecided(p, true, plan, nil)
 	return Compare(seed, android, ios)
 }

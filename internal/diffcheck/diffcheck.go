@@ -37,17 +37,8 @@ type Options struct {
 	Seeds int
 	// Jobs is host parallelism; <= 0 means GOMAXPROCS.
 	Jobs int
-	// Allowlist overrides DefaultAllowlist when non-nil.
-	Allowlist []AllowEntry
 	// Minimize delta-debugs each residual divergence.
 	Minimize bool
-	// MinimizeBudget caps two-cell reruns per minimized divergence;
-	// 0 means a default sized for generated programs.
-	MinimizeBudget int
-	// NoRecord disables scheduler-decision recording (recording is on by
-	// default; the canonical schedule's choice log is empty, so it cannot
-	// change results).
-	NoRecord bool
 	// ArtifactDir is where replay artifacts for diverging seeds are
 	// written; empty means the OS temp dir.
 	ArtifactDir string
@@ -64,62 +55,37 @@ type Report struct {
 	AllowHits map[string]int
 }
 
-type seedOutcome struct {
-	divs []Divergence
-	hits map[string]int
-}
-
 // Run executes the oracle over seeds 1..o.Seeds, fanning seeds out over
 // the host-parallel runner. Each seed is a closed experiment (generate,
-// run both cells, diff, filter, optionally minimize), so results merge
-// in seed order and the report is independent of Jobs.
+// run both cells recorded, diff, filter through DefaultAllowlist,
+// optionally minimize), so results merge in seed order and the report
+// is independent of Jobs. A diverging seed's recording is written as a
+// replay artifact, named in each of its divergences.
 func Run(o Options) (*Report, error) {
-	allow := o.Allowlist
-	if allow == nil {
-		allow = DefaultAllowlist()
-	}
-	budget := o.MinimizeBudget
-	if budget <= 0 {
-		budget = 400
-	}
-	outcomes, err := runner.Map(o.Seeds, o.Jobs, func(i int) (seedOutcome, error) {
-		seed := uint64(i + 1)
-		p := Generate(seed)
-		plan := PlanFor(seed)
-		var divs []Divergence
-		var hits map[string]int
-		if o.NoRecord {
-			divs, hits = Filter(CompareProgram(seed, p, plan), allow)
-		} else {
-			recA, recI := replay.NewRecorder(nil), replay.NewRecorder(nil)
-			pr := runPair(seed, p, plan, recA, recI)
-			divs, hits = Filter(pr.divs, allow)
-			if len(divs) > 0 {
-				a := buildArtifact(seed, 0, recA.Choices(), recI.Choices(),
-					recA.Count()+recI.Count(), pr.digest, divs[0].Sig)
-				path := artifactPath(o.ArtifactDir, seed, 0)
-				if werr := a.WriteFile(path); werr == nil {
-					for j := range divs {
-						divs[j].Artifact = path
-					}
-				}
-			}
+	outcomes, err := runner.Map(o.Seeds, o.Jobs, func(i int) (*pairRun, error) {
+		c := newPair(uint64(i + 1))
+		out, a := replay.Record(c, 0)
+		pr := out.(*pairRun)
+		path := ""
+		if len(pr.divs) > 0 {
+			_, path = replay.Emit(a, o.ArtifactDir)
 		}
-		for j := range divs {
-			divs[j].Program = p.Text()
+		for j := range pr.divs {
+			pr.divs[j].Program = c.p.Text()
+			pr.divs[j].Artifact = path
 			if o.Minimize {
-				divs[j].Minimized = Minimize(p, plan, divs[j], allow, budget).Text()
+				pr.divs[j].Minimized = Minimize(c.p, c.plan, pr.divs[j]).Text()
 			}
 		}
-		return seedOutcome{divs: divs, hits: hits}, nil
+		return pr, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	rep := &Report{Seeds: o.Seeds, AllowHits: map[string]int{}}
-	for _, oc := range outcomes {
-		rep.Divergences = append(rep.Divergences, oc.divs...)
-		for id, n := range oc.hits {
+	for _, pr := range outcomes {
+		rep.Divergences = append(rep.Divergences, pr.divs...)
+		for id, n := range pr.hits {
 			rep.AllowHits[id] += n
 		}
 	}

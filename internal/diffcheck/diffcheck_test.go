@@ -89,8 +89,8 @@ func TestCrossPersonaFaultErrnoCanonical(t *testing.T) {
 			Name: "errno-audit", Seed: 1,
 			Rules: []fault.Rule{{Op: fault.OpSyscall, Match: "*/getpid", Errno: int(e), Nth: 1}},
 		}
-		android := RunCell(p, false, plan)
-		ios := RunCell(p, true, plan)
+		android := RunCellDecided(p, false, plan, nil)
+		ios := RunCellDecided(p, true, plan, nil)
 		if divs := Compare(1, android, ios); len(divs) > 0 {
 			t.Errorf("injected %v (canonical %d) diverges across personas:\n%v", e, int(e), divs[0])
 			continue
@@ -130,7 +130,7 @@ func TestMinimizerShrinksAsymmetricFault(t *testing.T) {
 	if target.Class != "result" || !strings.Contains(target.Sig, "dup") {
 		t.Fatalf("unexpected first divergence: %v", target)
 	}
-	min := Minimize(p, plan, target, DefaultAllowlist(), 200)
+	min := Minimize(p, plan, target)
 	if len(min.Ops) != 1 || min.Ops[0].Kind != opDup {
 		t.Fatalf("minimized to %d ops (%v), want the single dup", len(min.Ops), min.Text())
 	}

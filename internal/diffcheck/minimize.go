@@ -2,15 +2,20 @@ package diffcheck
 
 import "repro/internal/fault"
 
+// minimizeBudget caps the two-cell reruns Minimize spends on one
+// divergence.
+const minimizeBudget = 400
+
 // Minimize greedily shrinks a diverging program while the divergence
 // keeps reproducing with the same Class and Sig under the given fault
-// plan. Generated programs are closed under subsequence (empty fd slots
-// read as -1), so dropping any op still leaves a runnable program.
-// budget caps the number of two-cell reruns; each pass sweeps candidates
-// from the back so ops after the divergence point disappear first.
-func Minimize(p *Program, plan fault.Plan, target Divergence, allow []AllowEntry, budget int) *Program {
+// plan and DefaultAllowlist. Generated programs are closed under
+// subsequence (empty fd slots read as -1), so dropping any op still
+// leaves a runnable program. Each pass sweeps candidates from the back
+// so ops after the divergence point disappear first.
+func Minimize(p *Program, plan fault.Plan, target Divergence) *Program {
+	budget := minimizeBudget
 	reproduces := func(q *Program) bool {
-		divs, _ := Filter(CompareProgram(p.Seed, q, plan), allow)
+		divs, _ := Filter(CompareProgram(p.Seed, q, plan), DefaultAllowlist())
 		for _, d := range divs {
 			if d.Class == target.Class && d.Sig == target.Sig {
 				return true

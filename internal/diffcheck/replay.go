@@ -2,55 +2,28 @@ package diffcheck
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 
 	"repro/internal/fault"
 	"repro/internal/replay"
-	"repro/internal/runner"
 	"repro/internal/sim"
 )
-
-// fold is FNV-1a 64 over mixed-type records (the same incremental shape
-// soak's schedule digest uses); it fingerprints a pair run for the
-// replay digest-equality assertion.
-type fold struct{ h uint64 }
-
-func newFold() *fold { return &fold{h: 0xcbf29ce484222325} }
-
-func (d *fold) u64(v uint64) {
-	for i := 0; i < 8; i++ {
-		d.h ^= uint64(byte(v >> (8 * i)))
-		d.h *= 0x100000001b3
-	}
-}
-
-func (d *fold) str(s string) {
-	for i := 0; i < len(s); i++ {
-		d.h ^= uint64(s[i])
-		d.h *= 0x100000001b3
-	}
-	d.u64(uint64(len(s)))
-}
-
-func (d *fold) sum() uint64 { return d.h }
 
 // foldCell folds everything Compare looks at — the executor log, the
 // normalized per-process event streams, the counters, and the cell
 // health signals — so equal pair digests imply equal comparisons.
-func foldCell(d *fold, r *CellResult) {
-	d.str(r.Err)
-	d.str(r.LeakErr)
-	d.u64(r.Dropped)
-	d.u64(uint64(len(r.Log)))
+func foldCell(d *replay.Digest, r *CellResult) {
+	d.Str(r.Err)
+	d.Str(r.LeakErr)
+	d.U64(r.Dropped)
+	d.U64(uint64(len(r.Log)))
 	for _, line := range r.Log {
-		d.str(line)
+		d.Str(line)
 	}
 	for _, p := range r.Procs {
-		d.str(p)
+		d.Str(p)
 		for _, line := range r.Events[p] {
-			d.str(line)
+			d.Str(line)
 		}
 	}
 	names := make([]string, 0, len(r.Counters))
@@ -59,225 +32,84 @@ func foldCell(d *fold, r *CellResult) {
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		d.str(n)
-		d.u64(r.Counters[n])
+		d.Str(n)
+		d.U64(r.Counters[n])
 	}
 }
 
-// pairRun is one seed's two persona cells executed under explicit
-// scheduler policies, with the pre-allowlist divergences and the pair
-// digest replay asserts against.
+// pair is one seed's persona pair as a replay.Cell: the android cell
+// consumes decision stream 0 and the iOS cell stream 1 (the personas
+// never share a simulator, so each side has its own stream).
+type pair struct {
+	seed uint64
+	p    *Program
+	plan fault.Plan
+}
+
+func newPair(seed uint64) pair { return pair{seed: seed, p: Generate(seed), plan: PlanFor(seed)} }
+
+func (c pair) Streams() int { return 2 }
+
+func (c pair) Run(decs []sim.Decider) replay.Outcome {
+	return runPair(c.seed, c.p, c.plan, decs[0], decs[1])
+}
+
+func (c pair) Artifact() *replay.Artifact {
+	return &replay.Artifact{Version: replay.ArtifactVersion, Kind: replay.KindDiffcheck, Seed: c.seed}
+}
+
+// pairRun is one pair execution: the residual (unallowlisted)
+// divergences, the allowlist hits, and the pair digest replay asserts
+// against. It is the replay.Outcome of a pair.
 type pairRun struct {
-	android, ios *CellResult
-	divs         []Divergence
-	digest       uint64
+	divs   []Divergence
+	hits   map[string]int
+	digest uint64
+}
+
+func (r *pairRun) Digest() uint64 { return r.digest }
+
+func (r *pairRun) Findings() []replay.Finding {
+	fs := make([]replay.Finding, len(r.divs))
+	for i, d := range r.divs {
+		fs[i] = replay.Finding{Kind: replay.Divergence, Key: d.Sig, Detail: d.String()}
+	}
+	return fs
 }
 
 // runPair executes the program under both personas with the given
-// deciders (android cell first, then iOS — the personas never share a
-// simulator, so each side has its own decision stream) and diffs.
-func runPair(seed uint64, p *Program, plan fault.Plan, decA, decI sim.Decider) pairRun {
+// deciders (android cell first, then iOS), diffs, and filters the
+// divergences through DefaultAllowlist.
+func runPair(seed uint64, p *Program, plan fault.Plan, decA, decI sim.Decider) *pairRun {
 	a := RunCellDecided(p, false, plan, decA)
 	i := RunCellDecided(p, true, plan, decI)
-	pr := pairRun{android: a, ios: i, divs: Compare(seed, a, i)}
-	d := newFold()
-	d.u64(seed)
+	pr := &pairRun{}
+	pr.divs, pr.hits = Filter(Compare(seed, a, i), DefaultAllowlist())
+	d := replay.NewDigest()
+	d.U64(seed)
 	foldCell(d, a)
 	foldCell(d, i)
-	pr.digest = d.sum()
+	pr.digest = d.Sum()
 	return pr
 }
 
-// buildArtifact assembles a diffcheck replay artifact: the seed
-// regenerates the program and fault plan, the two choice logs pin both
-// cells' schedules.
-func buildArtifact(seed, exploreSeed uint64, chA, chI []replay.Choice, decCount, digest uint64, note string) *replay.Artifact {
-	a := &replay.Artifact{
-		Version:       replay.ArtifactVersion,
-		Kind:          replay.KindDiffcheck,
-		Seed:          seed,
-		ExploreSeed:   exploreSeed,
-		Decisions:     chA,
-		DecisionsIOS:  chI,
-		DecisionCount: decCount,
-		Note:          note,
+// Suite is the persona pairs of seeds 1..seeds for replay.Explore.
+func Suite(seeds int) replay.Suite {
+	cells := make([]replay.Cell, seeds)
+	for i := range cells {
+		cells[i] = newPair(uint64(i + 1))
 	}
-	a.SetDigest(digest)
-	return a
+	return replay.Suite{Name: "diffcheck", Seed: uint64(seeds), Cells: cells}
 }
 
-// artifactPath names a diffcheck artifact deterministically from its
-// provenance, in dir (or the OS temp dir when dir is empty).
-func artifactPath(dir string, seed, exploreSeed uint64) string {
-	if dir == "" {
-		dir = os.TempDir()
-	}
-	name := fmt.Sprintf("cider-replay-diffcheck-seed-%x", seed)
-	if exploreSeed != 0 {
-		name += fmt.Sprintf("-x%d", exploreSeed)
-	}
-	return filepath.Join(dir, name+".json")
-}
-
-// ReplayReport is the outcome of re-executing a diffcheck artifact.
-type ReplayReport struct {
-	// Digest is the replayed pair digest; it must equal the artifact's.
-	Digest uint64
-	// DecisionCount totals both cells' consulted decision points.
-	DecisionCount uint64
-	// Findings are the residual divergences the replayed pair exhibits.
-	Findings []string
-}
-
-// ReplayArtifact re-executes a diffcheck artifact bit-identically: the
-// program and fault plan are regenerated from the seed, and each
-// persona cell replays its recorded choice log.
-func ReplayArtifact(a *replay.Artifact) (*ReplayReport, error) {
+// CellFor rebuilds the persona pair a diffcheck artifact recorded (the
+// seed regenerates program and fault plan), for replay.Replay.
+func CellFor(a *replay.Artifact) (replay.Cell, error) {
 	if a.Kind != replay.KindDiffcheck {
 		return nil, fmt.Errorf("diffcheck: artifact kind %q is not %q", a.Kind, replay.KindDiffcheck)
 	}
 	if a.Seed == 0 {
 		return nil, fmt.Errorf("diffcheck: artifact has no program seed")
 	}
-	p := Generate(a.Seed)
-	plan := PlanFor(a.Seed)
-	recA := replay.NewRecorder(replay.NewReplayer(a.Decisions))
-	recI := replay.NewRecorder(replay.NewReplayer(a.DecisionsIOS))
-	pr := runPair(a.Seed, p, plan, recA, recI)
-	divs, _ := Filter(pr.divs, DefaultAllowlist())
-	rep := &ReplayReport{Digest: pr.digest, DecisionCount: recA.Count() + recI.Count()}
-	for _, d := range divs {
-		rep.Findings = append(rep.Findings, d.String())
-	}
-	return rep, nil
-}
-
-// ExploreReport summarizes a diffcheck schedule-exploration run. It is
-// deterministic for fixed (Options.Seeds, rounds) regardless of Jobs.
-type ExploreReport struct {
-	// Seeds and Rounds echo the inputs.
-	Seeds, Rounds int
-	// PairRuns counts explored two-cell executions.
-	PairRuns int
-	// Decisions totals the scheduler decision points consulted.
-	Decisions uint64
-	// Perturbed totals the non-canonical choices taken.
-	Perturbed uint64
-	// Findings are residual divergences explored schedules exposed, each
-	// carrying its minimized replay artifact path.
-	Findings []string
-	// Artifacts lists the minimized artifact files written.
-	Artifacts []string
-	// Digest fingerprints the full exploration (per-seed, per-round pair
-	// digests) — the explorer-determinism criterion.
-	Digest uint64
-}
-
-// Err folds findings into an error (nil when exploration ran clean).
-func (r *ExploreReport) Err() error {
-	if len(r.Findings) == 0 {
-		return nil
-	}
-	return fmt.Errorf("diffcheck: explore: %d finding(s)", len(r.Findings))
-}
-
-// exOutcome is one seed's exploration results, merged in seed order.
-type exOutcome struct {
-	runs                 int
-	decisions, perturbed uint64
-	digests              []uint64
-	findings, artifacts  []string
-}
-
-// Explore runs every seed's persona pair under `rounds` seeded
-// perturbations of both cells' scheduler decisions (DPOR-lite). The
-// persona-equivalence invariant must hold under every legal schedule —
-// wake order and preemption choices are persona-neutral kernel
-// internals — so any residual divergence an explored schedule exposes
-// is a real ordering bug. Each is minimized via delta-debug over the
-// two choice logs and written out as a one-command replay artifact.
-func Explore(o Options, rounds int) (*ExploreReport, error) {
-	allow := o.Allowlist
-	if allow == nil {
-		allow = DefaultAllowlist()
-	}
-	outcomes, err := runner.Map(o.Seeds, o.Jobs, func(i int) (exOutcome, error) {
-		seed := uint64(i + 1)
-		p := Generate(seed)
-		plan := PlanFor(seed)
-		var oc exOutcome
-		for round := 1; round <= rounds; round++ {
-			// Distinct explorer seeds per cell: the two simulations are
-			// independent, so their perturbations should be too.
-			recA := replay.NewRecorder(&replay.Explorer{Seed: uint64(round)*2 - 1})
-			recI := replay.NewRecorder(&replay.Explorer{Seed: uint64(round) * 2})
-			pr := runPair(seed, p, plan, recA, recI)
-			oc.runs++
-			oc.decisions += recA.Count() + recI.Count()
-			oc.perturbed += uint64(len(recA.Choices()) + len(recI.Choices()))
-			oc.digests = append(oc.digests, pr.digest)
-			divs, _ := Filter(pr.divs, allow)
-			if len(divs) == 0 {
-				continue
-			}
-			sig := divs[0].Sig
-			chA, chI := minimizePair(seed, p, plan, allow, sig, recA.Choices(), recI.Choices())
-			mA := replay.NewRecorder(replay.NewReplayer(chA))
-			mI := replay.NewRecorder(replay.NewReplayer(chI))
-			mpr := runPair(seed, p, plan, mA, mI)
-			if mdivs, _ := Filter(mpr.divs, allow); len(mdivs) == 0 || mdivs[0].Sig != sig {
-				// Defensive: minimization only ever keeps reproducing trials,
-				// so fall back to the unminimized recording.
-				chA, chI = recA.Choices(), recI.Choices()
-				mA = replay.NewRecorder(replay.NewReplayer(chA))
-				mI = replay.NewRecorder(replay.NewReplayer(chI))
-				mpr = runPair(seed, p, plan, mA, mI)
-			}
-			art := buildArtifact(seed, uint64(round), chA, chI, mA.Count()+mI.Count(), mpr.digest, sig)
-			path := artifactPath(o.ArtifactDir, seed, uint64(round))
-			if werr := art.WriteFile(path); werr != nil {
-				oc.findings = append(oc.findings, fmt.Sprintf("seed %#x: artifact write failed: %v", seed, werr))
-				continue
-			}
-			oc.findings = append(oc.findings, fmt.Sprintf(
-				"seed %#x (explore round %d, sig %q, %d non-canonical choices after minimization): reproduce with: cider replay %s",
-				seed, round, sig, len(chA)+len(chI), path))
-			oc.artifacts = append(oc.artifacts, path)
-		}
-		return oc, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep := &ExploreReport{Seeds: o.Seeds, Rounds: rounds}
-	d := newFold()
-	d.u64(uint64(o.Seeds))
-	d.u64(uint64(rounds))
-	for i, oc := range outcomes {
-		rep.PairRuns += oc.runs
-		rep.Decisions += oc.decisions
-		rep.Perturbed += oc.perturbed
-		rep.Findings = append(rep.Findings, oc.findings...)
-		rep.Artifacts = append(rep.Artifacts, oc.artifacts...)
-		d.u64(uint64(i + 1))
-		for _, dg := range oc.digests {
-			d.u64(dg)
-		}
-	}
-	rep.Digest = d.sum()
-	return rep, nil
-}
-
-// minimizePair delta-debugs the two choice logs of a diverging explored
-// pair, one side at a time, while the divergence signature reproduces.
-// Each trial re-executes both cells.
-func minimizePair(seed uint64, p *Program, plan fault.Plan, allow []AllowEntry, sig string, chA, chI []replay.Choice) ([]replay.Choice, []replay.Choice) {
-	repro := func(ta, ti []replay.Choice) bool {
-		pr := runPair(seed, p, plan, replay.NewReplayer(ta), replay.NewReplayer(ti))
-		divs, _ := Filter(pr.divs, allow)
-		return len(divs) > 0 && divs[0].Sig == sig
-	}
-	chA = replay.MinimizeChoices(chA, 0, func(t []replay.Choice) bool { return repro(t, chI) })
-	chI = replay.MinimizeChoices(chI, 0, func(t []replay.Choice) bool { return repro(chA, t) })
-	return chA, chI
+	return newPair(a.Seed), nil
 }

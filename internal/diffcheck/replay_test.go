@@ -1,7 +1,7 @@
 package diffcheck
 
 import (
-	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/replay"
@@ -10,34 +10,31 @@ import (
 // TestRecordReplayFiftySeeds is the tentpole criterion on the persona
 // oracle: fifty seeds' pair runs each record to an artifact that —
 // after a full encode/decode round trip through the file format —
-// replays to the exact same pair digest and decision count.
+// replays to the exact same pair digest and decision count. No pair
+// digest may be the empty fold.
 func TestRecordReplayFiftySeeds(t *testing.T) {
 	dir := t.TempDir()
 	for seed := uint64(1); seed <= 50; seed++ {
-		p := Generate(seed)
-		plan := PlanFor(seed)
-		recA, recI := replay.NewRecorder(nil), replay.NewRecorder(nil)
-		pr := runPair(seed, p, plan, recA, recI)
-		a := buildArtifact(seed, 0, recA.Choices(), recI.Choices(),
-			recA.Count()+recI.Count(), pr.digest, "")
-		path := filepath.Join(dir, "art.json")
-		if err := a.WriteFile(path); err != nil {
+		o, a := replay.Record(newPair(seed), 0)
+		if d := o.Digest(); d == 0 || d == replay.EmptyDigest {
+			t.Errorf("seed %d: pair digest %016x folded nothing", seed, d)
+		}
+		path, err := a.Save(dir)
+		if err != nil {
 			t.Fatal(err)
 		}
 		b, err := replay.Load(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := ReplayArtifact(b)
+		c, err := CellFor(b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.Digest != pr.digest {
-			t.Errorf("seed %d: replayed digest %016x, recorded %016x", seed, rep.Digest, pr.digest)
-		}
-		if rep.DecisionCount != recA.Count()+recI.Count() {
-			t.Errorf("seed %d: replayed %d decisions, recorded %d",
-				seed, rep.DecisionCount, recA.Count()+recI.Count())
+		if _, got, err := replay.Replay(c, b); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		} else if got.DecisionCount != a.DecisionCount {
+			t.Errorf("seed %d: replayed %d decisions, recorded %d", seed, got.DecisionCount, a.DecisionCount)
 		}
 	}
 }
@@ -46,25 +43,15 @@ func TestRecordReplayFiftySeeds(t *testing.T) {
 // digest) to host parallelism: jobs=1 and jobs=4 must agree, and two
 // identical runs must agree (explorer determinism).
 func TestPairDigestJobsInvariant(t *testing.T) {
-	opts := Options{Seeds: 24, Jobs: 1, ArtifactDir: t.TempDir()}
-	a, err := Explore(opts, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Explore(opts, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Jobs = 4
-	c, err := Explore(opts, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range []*ExploreReport{b, c} {
+	dir := t.TempDir()
+	a := replay.Explore(Suite(24), 2, 1, dir)
+	b := replay.Explore(Suite(24), 2, 1, dir)
+	c := replay.Explore(Suite(24), 2, 4, dir)
+	for _, r := range []*replay.Report{b, c} {
 		if r.Digest != a.Digest {
 			t.Errorf("explore digest diverged: %016x vs %016x", r.Digest, a.Digest)
 		}
-		if r.Decisions != a.Decisions || r.Perturbed != a.Perturbed || r.PairRuns != a.PairRuns {
+		if r.Decisions != a.Decisions || r.Perturbed != a.Perturbed || r.Runs != a.Runs {
 			t.Errorf("explore totals diverged: %+v vs %+v", r, a)
 		}
 		if len(r.Findings) != len(a.Findings) {
@@ -74,28 +61,25 @@ func TestPairDigestJobsInvariant(t *testing.T) {
 }
 
 // TestRecordingDoesNotChangeReport pins canonical equivalence on the
-// oracle: Run with recording (the default) and with NoRecord produce
-// byte-identical reports.
+// oracle: each seed's recorded pair (what Run executes) filters to the
+// same divergences and allowlist hits as the unrecorded CompareProgram.
 func TestRecordingDoesNotChangeReport(t *testing.T) {
-	r1, err := Run(Options{Seeds: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Run(Options{Seeds: 16, NoRecord: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Text() != r2.Text() {
-		t.Fatalf("recording changed the report:\n%s\nvs\n%s", r1.Text(), r2.Text())
+	for seed := uint64(1); seed <= 16; seed++ {
+		o, _ := replay.Record(newPair(seed), 0)
+		pr := o.(*pairRun)
+		divs, hits := Filter(CompareProgram(seed, Generate(seed), PlanFor(seed)), DefaultAllowlist())
+		if !reflect.DeepEqual(pr.divs, divs) || !reflect.DeepEqual(pr.hits, hits) {
+			t.Errorf("seed %d: recording changed the comparison:\n%v %v\nvs\n%v %v", seed, pr.divs, pr.hits, divs, hits)
+		}
 	}
 }
 
 // TestReplayArtifactValidation pins artifact validation.
 func TestReplayArtifactValidation(t *testing.T) {
-	if _, err := ReplayArtifact(&replay.Artifact{Version: replay.ArtifactVersion, Kind: replay.KindSoak}); err == nil {
+	if _, err := CellFor(&replay.Artifact{Version: replay.ArtifactVersion, Kind: replay.KindSoak}); err == nil {
 		t.Error("soak artifact accepted by diffcheck replay")
 	}
-	if _, err := ReplayArtifact(&replay.Artifact{Version: replay.ArtifactVersion, Kind: replay.KindDiffcheck}); err == nil {
+	if _, err := CellFor(&replay.Artifact{Version: replay.ArtifactVersion, Kind: replay.KindDiffcheck}); err == nil {
 		t.Error("artifact without seed accepted")
 	}
 }

@@ -478,16 +478,12 @@ type CellResult struct {
 // process names (and therefore per-proc event stream keys) line up.
 const progKey = "diffcheck-main"
 
-// RunCell executes p in a fresh minimal Cider cell under the given
-// persona and fault plan and collects the comparison inputs.
-func RunCell(p *Program, ios bool, plan fault.Plan) *CellResult {
-	return RunCellDecided(p, ios, plan, nil)
-}
-
-// RunCellDecided is RunCell with a scheduler decision policy attached to
-// the cell's simulator before anything runs: a replay.Recorder to log
-// the schedule, a replay.Explorer to perturb it, or a replay.Replayer
-// to pin it to a recorded artifact. nil runs the canonical schedule.
+// RunCellDecided executes p in a fresh minimal Cider cell under the
+// given persona and fault plan and collects the comparison inputs. dec
+// is attached to the cell's simulator before anything runs: a
+// replay.Recorder to log the schedule, a replay.Explorer to perturb it,
+// or a replay.Replayer to pin it to a recorded artifact; nil runs the
+// canonical schedule.
 func RunCellDecided(p *Program, ios bool, plan fault.Plan, dec sim.Decider) *CellResult {
 	res := &CellResult{Persona: persona.Android}
 	if ios {
@@ -563,11 +559,4 @@ func RunCellDecided(p *Program, ios bool, plan fault.Plan, dec sim.Decider) *Cel
 		res.Counters[nc.Name] = nc.Value
 	}
 	return res
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

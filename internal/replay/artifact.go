@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strconv"
 
 	"repro/internal/fault"
@@ -141,11 +142,79 @@ func Load(path string) (*Artifact, error) {
 	return Decode(data)
 }
 
-// WriteFile encodes the artifact to path (0644).
-func (a *Artifact) WriteFile(path string) error {
+// Save writes the artifact into dir (the OS temp dir when empty) under
+// its deterministic, filesystem-safe name and returns the path.
+func (a *Artifact) Save(dir string) (string, error) {
+	if dir == "" {
+		dir = os.TempDir()
+	}
+	name := "cider-replay-diffcheck-seed-" + strconv.FormatUint(a.Seed, 16)
+	if a.Kind == KindSoak {
+		name = "cider-replay-" + sanitize(a.Schedule) + "-" + sanitize(a.Cell.String())
+	}
+	if a.ExploreSeed != 0 {
+		name += fmt.Sprintf("-x%d", a.ExploreSeed)
+	}
 	b, err := a.Encode()
 	if err != nil {
-		return err
+		return "", err
 	}
-	return os.WriteFile(path, b, 0o644)
+	path := filepath.Join(dir, name+".json")
+	return path, os.WriteFile(path, b, 0o644)
+}
+
+// Label names the recorded cell in reports.
+func (a *Artifact) Label() string {
+	s := fmt.Sprintf("seed %#x", a.Seed)
+	if a.Kind == KindSoak {
+		s = a.Schedule + " cell " + a.Cell.String()
+	}
+	if a.ExploreSeed != 0 {
+		s += fmt.Sprintf(" (explore round %d, %d non-canonical choices)", a.ExploreSeed, a.perturbed())
+	}
+	return s
+}
+
+// logs returns the per-stream choice logs of an n-stream cell (n is 1
+// or 2): Decisions, then DecisionsIOS.
+func (a *Artifact) logs(n int) [][]Choice {
+	return [][]Choice{a.Decisions, a.DecisionsIOS}[:n]
+}
+
+// setLogs stores per-stream choice logs in logs' order.
+func (a *Artifact) setLogs(logs [][]Choice) {
+	a.Decisions = logs[0]
+	if len(logs) > 1 {
+		a.DecisionsIOS = logs[1]
+	}
+}
+
+// perturbed counts the non-canonical choices across both logs.
+func (a *Artifact) perturbed() uint64 { return uint64(len(a.Decisions) + len(a.DecisionsIOS)) }
+
+// sanitize maps a label to [a-z0-9-]: lmbench test names carry '+',
+// '(', ')', '/' and spaces.
+func sanitize(s string) string {
+	out := make([]byte, 0, len(s))
+	dash := false
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case c >= 'a' && c <= 'z' || c >= '0' && c <= '9':
+			out = append(out, c)
+			dash = false
+		case c >= 'A' && c <= 'Z':
+			out = append(out, c+'a'-'A')
+			dash = false
+		default:
+			if !dash && len(out) > 0 {
+				out = append(out, '-')
+				dash = true
+			}
+		}
+	}
+	for len(out) > 0 && out[len(out)-1] == '-' {
+		out = out[:len(out)-1]
+	}
+	return string(out)
 }

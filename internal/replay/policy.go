@@ -19,7 +19,10 @@
 //
 // An Artifact (artifact.go) bundles a choice sequence with everything
 // else a cell needs to re-execute bit-identically in isolation: the
-// fault plan, the cell reference, and the recorded digest.
+// fault plan, the cell reference, and the recorded digest. cell.go is
+// the one engine soak and diffcheck share on top of these: the Cell
+// interface, Record, Replay, and the Explore driver with its
+// minimization (minimize.go); digest.go is the one fingerprint fold.
 package replay
 
 import (

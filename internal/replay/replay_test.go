@@ -197,12 +197,12 @@ func TestMinimizeChoices(t *testing.T) {
 		}
 		return has[4] && has[12]
 	}
-	min := MinimizeChoices(in, 0, repro)
+	min := MinimizeChoices(in, repro)
 	if len(min) != 2 || min[0].Pos != 4 || min[1].Pos != 12 {
 		t.Fatalf("minimized to %v, want positions 4 and 12", min)
 	}
 	// A non-reproducing input comes back unchanged (nothing to shrink to).
-	same := MinimizeChoices(in, 0, func([]Choice) bool { return false })
+	same := MinimizeChoices(in, func([]Choice) bool { return false })
 	if len(same) != len(in) {
 		t.Fatalf("non-reproducing input shrank to %v", same)
 	}

@@ -11,32 +11,36 @@ import (
 // (pipes, Mach IPC, select) pays.
 func BenchmarkPingPongHandoff(b *testing.B) {
 	b.ReportAllocs()
-	const hop = time.Microsecond
 	for i := 0; i < b.N; i++ {
-		s := New()
-		var pa, pb *Proc
-		const rounds = 1000
-		pa = s.Spawn("a", func(p *Proc) {
-			for j := 0; j < rounds; j++ {
-				p.Advance(hop)
-				p.Wake(pb, WakeNormal)
-				p.Park("pong")
-			}
-			p.Wake(pb, WakeInterrupted)
-		})
-		pb = s.Spawn("b", func(p *Proc) {
-			for {
-				if p.Park("ping") == WakeInterrupted {
-					return
-				}
-				p.Advance(hop)
-				p.Wake(pa, WakeNormal)
-			}
-		})
-		if err := s.Run(); err != nil {
+		if err := pingPong(1000); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// pingPong runs two Procs bouncing park/wake for rounds round trips,
+// each round trip two full run-token handoffs.
+func pingPong(rounds int) error {
+	s := New()
+	var pa, pb *Proc
+	pa = s.Spawn("a", func(p *Proc) {
+		for j := 0; j < rounds; j++ {
+			p.Advance(time.Microsecond)
+			p.Wake(pb, WakeNormal)
+			p.Park("pong")
+		}
+		p.Wake(pb, WakeInterrupted)
+	})
+	pb = s.Spawn("b", func(p *Proc) {
+		for {
+			if p.Park("ping") == WakeInterrupted {
+				return
+			}
+			p.Advance(time.Microsecond)
+			p.Wake(pa, WakeNormal)
+		}
+	})
+	return s.Run()
 }
 
 // BenchmarkAdvanceSoleRunnable measures Advance when the running Proc is

@@ -3,8 +3,6 @@ package soak
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/core"
@@ -64,69 +62,81 @@ type CellReport struct {
 	Injected uint64
 }
 
-// cellOutcome is everything one cell contributes to a schedule Result.
+// cellOutcome is everything one cell contributes to a schedule Result;
+// it is the replay.Outcome of a soak cell.
 type cellOutcome struct {
 	ref      replay.CellRef
 	digest   uint64
 	failed   int
 	injected uint64
 	counters map[string]uint64
-	findings []string
+	findings []replay.Finding
 	// latPart fingerprints the cell's Fig. 5 latency contribution
 	// (lmbench cells only; latPresent gates it).
 	latPart    uint64
 	latPresent bool
-	// choices/decCount are the recorded scheduler decisions (recording
-	// runs only).
-	choices  []replay.Choice
-	decCount uint64
+	// art is the cell's recording (recording runs only).
+	art *replay.Artifact
 }
 
-func (o *cellOutcome) report() *CellReport {
-	return &CellReport{
-		Ref: o.ref, Digest: o.digest, DecisionCount: o.decCount,
-		Findings: o.findings, Failed: o.failed, Injected: o.injected,
+func (o *cellOutcome) Digest() uint64             { return o.digest }
+func (o *cellOutcome) Findings() []replay.Finding { return o.findings }
+
+// fail records a finding.
+func (o *cellOutcome) fail(kind replay.FindingKind, format string, args ...any) {
+	o.findings = append(o.findings, replay.Finding{Kind: kind, Detail: fmt.Sprintf(format, args...)})
+}
+
+// cell is one soak cell as a replay.Cell: a single simulator, so a
+// single decision stream.
+type cell struct {
+	s   Schedule
+	ref replay.CellRef
+}
+
+func (c cell) Streams() int                          { return 1 }
+func (c cell) Run(decs []sim.Decider) replay.Outcome { return c.run(decs[0]) }
+
+func (c cell) Artifact() *replay.Artifact {
+	plan, ref := c.s.Plan, c.ref
+	return &replay.Artifact{
+		Version: replay.ArtifactVersion, Kind: replay.KindSoak, Schedule: c.s.Name, Plan: &plan,
+		Services: c.s.Services, Pressure: c.s.Pressure, FDHog: c.s.FDHog, Cell: &ref,
 	}
 }
 
-// runCellRef executes one cell in isolation. dec, when non-nil, is
-// installed as the cell System's scheduler Decider (recording, replay,
-// or exploration); the caller owns reading any recording back out.
-func runCellRef(s Schedule, ref replay.CellRef, dec sim.Decider) cellOutcome {
-	switch ref.Bench {
+// run executes the cell in isolation. dec, when non-nil, is installed
+// as the cell System's scheduler Decider (recording, replay, or
+// exploration).
+func (c cell) run(dec sim.Decider) *cellOutcome {
+	switch c.ref.Bench {
 	case "lmbench":
-		return runLmbenchCell(s, ref, dec)
+		return runLmbenchCell(c.s, c.ref, dec)
 	case "passmark":
-		return runPassmarkCell(s, ref, dec)
+		return runPassmarkCell(c.s, c.ref, dec)
 	case "mach":
-		return runMachCell(s, dec)
+		return runMachCell(c.s, dec)
 	}
-	return cellOutcome{ref: ref, findings: []string{fmt.Sprintf("unknown cell bench %q", ref.Bench)}}
-}
-
-// outcomeFromRecorder copies a recording into the outcome.
-func (o *cellOutcome) fromRecorder(rec *replay.Recorder) {
-	if rec == nil {
-		return
-	}
-	o.choices = rec.Choices()
-	o.decCount = rec.Count()
+	o := &cellOutcome{ref: c.ref}
+	o.fail(replay.Setup, "unknown cell bench %q", c.ref.Bench)
+	return o
 }
 
 // auditSystem folds one booted System's post-run state into the
 // outcome: injection counts, the trace stream, supervision accounting,
 // and the kernel leak check.
-func (o *cellOutcome) auditSystem(d *digest, s Schedule, sys *core.System) {
+func (o *cellOutcome) auditSystem(d *replay.Digest, s Schedule, sys *core.System) {
 	if sys.Fault != nil {
 		o.injected += sys.Fault.Fired()
-		d.u64(sys.Fault.Fired())
+		d.U64(sys.Fault.Fired())
 	}
 	digestSession(d, sys.Trace)
 	o.collectCounters(sys.Trace)
-	if crashes, respawns, throttled := supervisionCounters(sys.Trace); crashes > respawns+throttled+1 {
-		o.findings = append(o.findings, fmt.Sprintf(
+	crashes, respawns := o.counters[trace.CounterLaunchdCrashes], o.counters[trace.CounterLaunchdRespawns]
+	if throttled := o.counters[trace.CounterLaunchdThrottled]; crashes > respawns+throttled+1 {
+		o.fail(replay.Supervision,
 			"cell %s: supervision lost services: %d crashes vs %d respawns + %d throttled",
-			o.ref, crashes, respawns, throttled))
+			o.ref, crashes, respawns, throttled)
 	}
 	if s.Pressure && sys.Kernel != nil {
 		// The foreground-survival invariant: however hard the storm blows,
@@ -136,13 +146,13 @@ func (o *cellOutcome) auditSystem(d *digest, s Schedule, sys *core.System) {
 		// bug, not load shedding.
 		total, perBand := sys.Kernel.Memorystatus().Kills()
 		if perBand[kernel.BandForeground] != 0 {
-			o.findings = append(o.findings, fmt.Sprintf(
+			o.fail(replay.Foreground,
 				"cell %s: foreground-survival violated: %d foreground kill(s) of %d total",
-				o.ref, perBand[kernel.BandForeground], total))
+				o.ref, perBand[kernel.BandForeground], total)
 		}
 	}
 	if err := sys.Kernel.LeakCheck(); err != nil {
-		o.findings = append(o.findings, fmt.Sprintf("cell %s: %v", o.ref, err))
+		o.fail(replay.Leak, "cell %s: %v", o.ref, err)
 	}
 }
 
@@ -158,38 +168,31 @@ func (o *cellOutcome) collectCounters(tr *trace.Session) {
 	}
 }
 
-func lmbenchConfByName(name string) (lmbench.Configuration, bool) {
-	for _, c := range lmbench.Configurations() {
-		if c.Name == name {
-			return c, true
+// byName finds the element of xs whose name is name.
+func byName[T any](xs []T, name string, nameOf func(T) string) (T, bool) {
+	for _, x := range xs {
+		if nameOf(x) == name {
+			return x, true
 		}
 	}
-	return lmbench.Configuration{}, false
+	var zero T
+	return zero, false
 }
 
-func lmbenchTestByName(name string) (lmbench.Test, bool) {
-	for _, t := range lmbench.AllTests() {
-		if t.Name == name {
-			return t, true
-		}
-	}
-	return lmbench.Test{}, false
-}
+func runLmbenchCell(s Schedule, ref replay.CellRef, dec sim.Decider) *cellOutcome {
+	o := &cellOutcome{ref: ref, latPresent: true}
+	d := replay.NewDigest()
+	d.Str("lmbench")
+	d.Str(ref.Config)
+	d.Str(ref.Test)
+	ld := replay.NewDigest()
+	ld.Str(ref.Test)
 
-func runLmbenchCell(s Schedule, ref replay.CellRef, dec sim.Decider) cellOutcome {
-	o := cellOutcome{ref: ref, latPresent: true}
-	d := newDigest()
-	d.str("lmbench")
-	d.str(ref.Config)
-	d.str(ref.Test)
-	ld := newDigest()
-	ld.str(ref.Test)
-
-	conf, okC := lmbenchConfByName(ref.Config)
-	test, okT := lmbenchTestByName(ref.Test)
+	conf, okC := byName(lmbench.Configurations(), ref.Config, func(c lmbench.Configuration) string { return c.Name })
+	test, okT := byName(lmbench.AllTests(), ref.Test, func(t lmbench.Test) string { return t.Name })
 	if !okC || !okT {
-		o.findings = append(o.findings, fmt.Sprintf("cell %s: unknown lmbench config/test", ref))
-		o.digest, o.latPart = d.sum(), ld.sum()
+		o.fail(replay.Setup, "cell %s: unknown lmbench config/test", ref)
+		o.digest, o.latPart = d.Sum(), ld.Sum()
 		return o
 	}
 	var sys *core.System
@@ -211,23 +214,23 @@ func runLmbenchCell(s Schedule, ref replay.CellRef, dec sim.Decider) cellOutcome
 		sys = y
 	})
 	if err != nil {
-		d.str("err:" + err.Error())
-		ld.str("err:" + err.Error())
+		d.Str("err:" + err.Error())
+		ld.Str("err:" + err.Error())
 		var dl *sim.ErrDeadlock
 		if errors.As(err, &dl) {
-			o.findings = append(o.findings, fmt.Sprintf("cell %s deadlocked under %q: %v", ref, s.Name, dl.Report()))
+			o.fail(replay.Deadlock, "cell %s deadlocked under %q: %v", ref, s.Name, dl.Report())
 		}
 	} else {
 		for _, r := range rs {
-			d.u64(uint64(r.Latency))
-			ld.u64(uint64(r.Latency))
+			d.U64(uint64(r.Latency))
+			ld.U64(uint64(r.Latency))
 			if r.Failed {
-				d.u64(1)
-				ld.u64(1)
+				d.U64(1)
+				ld.U64(1)
 				o.failed++
 			} else {
-				d.u64(0)
-				ld.u64(0)
+				d.U64(0)
+				ld.U64(0)
 			}
 		}
 	}
@@ -235,27 +238,20 @@ func runLmbenchCell(s Schedule, ref replay.CellRef, dec sim.Decider) cellOutcome
 		o.auditSystem(d, s, sys)
 		sys.Close()
 	}
-	o.digest, o.latPart = d.sum(), ld.sum()
+	o.digest, o.latPart = d.Sum(), ld.Sum()
 	return o
 }
 
-func runPassmarkCell(s Schedule, ref replay.CellRef, dec sim.Decider) cellOutcome {
-	o := cellOutcome{ref: ref}
-	d := newDigest()
-	d.str("passmark")
-	d.str(ref.Config)
+func runPassmarkCell(s Schedule, ref replay.CellRef, dec sim.Decider) *cellOutcome {
+	o := &cellOutcome{ref: ref}
+	d := replay.NewDigest()
+	d.Str("passmark")
+	d.Str(ref.Config)
 
-	var conf passmark.Configuration
-	found := false
-	for _, c := range passmark.Configurations() {
-		if c.Name == ref.Config {
-			conf, found = c, true
-			break
-		}
-	}
+	conf, found := byName(passmark.Configurations(), ref.Config, func(c passmark.Configuration) string { return c.Name })
 	if !found {
-		o.findings = append(o.findings, fmt.Sprintf("cell %s: unknown passmark config", ref))
-		o.digest = d.sum()
+		o.fail(replay.Setup, "cell %s: unknown passmark config", ref)
+		o.digest = d.Sum()
 		return o
 	}
 	var sys *core.System
@@ -268,20 +264,20 @@ func runPassmarkCell(s Schedule, ref replay.CellRef, dec sim.Decider) cellOutcom
 		sys = y
 	})
 	if err != nil {
-		d.str("err:" + err.Error())
+		d.Str("err:" + err.Error())
 		var dl *sim.ErrDeadlock
 		if errors.As(err, &dl) {
-			o.findings = append(o.findings, fmt.Sprintf("cell %s deadlocked under %q: %v", ref, s.Name, dl.Report()))
+			o.fail(replay.Deadlock, "cell %s deadlocked under %q: %v", ref, s.Name, dl.Report())
 		}
 	} else {
 		for _, r := range rs {
-			d.str(r.Test)
-			d.u64(uint64(int64(r.Score * 1e6)))
+			d.Str(r.Test)
+			d.U64(uint64(int64(r.Score * 1e6)))
 			if r.Err != nil {
-				d.u64(1)
+				d.U64(1)
 				o.failed++
 			} else {
-				d.u64(0)
+				d.U64(0)
 			}
 		}
 	}
@@ -289,7 +285,7 @@ func runPassmarkCell(s Schedule, ref replay.CellRef, dec sim.Decider) cellOutcom
 		o.auditSystem(d, s, sys)
 		sys.Close()
 	}
-	o.digest = d.sum()
+	o.digest = d.Sum()
 	return o
 }
 
@@ -300,13 +296,13 @@ func runPassmarkCell(s Schedule, ref replay.CellRef, dec sim.Decider) cellOutcom
 // under queue pressure, interrupted sends/receives with bounded retry,
 // dead-name notifications, and task-exit teardown of a space still
 // holding live receive rights.
-func runMachCell(s Schedule, dec sim.Decider) (o cellOutcome) {
-	o = cellOutcome{ref: replay.CellRef{Bench: "mach"}}
-	d := newDigest()
-	d.str("mach-cell")
+func runMachCell(s Schedule, dec sim.Decider) (o *cellOutcome) {
+	o = &cellOutcome{ref: replay.CellRef{Bench: "mach"}}
+	d := replay.NewDigest()
+	d.Str("mach-cell")
 	// Named result: the deferred digest capture must land in the value
 	// the caller sees, on every return path below.
-	defer func() { o.digest = d.sum() }()
+	defer func() { o.digest = d.Sum() }()
 
 	sm := sim.New()
 	// Every return path below has finished auditing the kernel by the
@@ -317,14 +313,14 @@ func runMachCell(s Schedule, dec sim.Decider) (o cellOutcome) {
 		Root: vfs.New(), Registry: prog.NewRegistry(),
 	})
 	if err != nil {
-		o.findings = append(o.findings, fmt.Sprintf("mach cell: boot: %v", err))
+		o.fail(replay.Setup, "mach cell: boot: %v", err)
 		return o
 	}
 	k.InstallLinuxTable()
 	k.RegisterBinFmt(&kernel.ELFLoader{})
 	ipc, err := xnu.InstallIPC(k, ducttape.NewEnv(k))
 	if err != nil {
-		o.findings = append(o.findings, fmt.Sprintf("mach cell: ipc: %v", err))
+		o.fail(replay.Setup, "mach cell: ipc: %v", err)
 		return o
 	}
 	tr := trace.NewSession("mach-cell")
@@ -444,14 +440,14 @@ func runMachCell(s Schedule, dec sim.Decider) (o cellOutcome) {
 		})
 	}
 	if err != nil {
-		o.findings = append(o.findings, fmt.Sprintf("mach cell: spawn: %v", err))
+		o.fail(replay.Setup, "mach cell: spawn: %v", err)
 		return o
 	}
 	if rerr := sm.Run(); rerr != nil {
-		d.str("mach-err:" + rerr.Error())
+		d.Str("mach-err:" + rerr.Error())
 		var dl *sim.ErrDeadlock
 		if errors.As(rerr, &dl) {
-			o.findings = append(o.findings, fmt.Sprintf("mach cell deadlocked under %q: %v", s.Name, dl.Report()))
+			o.fail(replay.Deadlock, "mach cell deadlocked under %q: %v", s.Name, dl.Report())
 		}
 		return o
 	}
@@ -459,107 +455,45 @@ func runMachCell(s Schedule, dec sim.Decider) (o cellOutcome) {
 		// Without faults the workload must complete perfectly; under
 		// injection partial completion is the point.
 		if sent != msgs || received != msgs || !notified {
-			o.findings = append(o.findings, fmt.Sprintf(
-				"mach cell: clean run incomplete: sent=%d received=%d notified=%v", sent, received, notified))
+			o.fail(replay.Incomplete,
+				"mach cell: clean run incomplete: sent=%d received=%d notified=%v", sent, received, notified)
 		}
 	}
-	d.u64(sent)
-	d.u64(received)
-	d.u64(retries)
-	d.u64(gaveUp)
+	d.U64(sent)
+	d.U64(received)
+	d.U64(retries)
+	d.U64(gaveUp)
 	if notified {
-		d.u64(1)
+		d.U64(1)
 	} else {
-		d.u64(0)
+		d.U64(0)
 	}
 	fired := in.Fired()
 	o.injected += fired
-	d.u64(fired)
+	d.U64(fired)
 	digestSession(d, tr)
 	o.collectCounters(tr)
 	if lerr := k.LeakCheck(); lerr != nil {
-		o.findings = append(o.findings, fmt.Sprintf("mach cell (%s): %v", s.Name, lerr))
+		o.fail(replay.Leak, "mach cell (%s): %v", s.Name, lerr)
 	}
 	return o
-}
-
-// artifactForOutcome packages a cell outcome as a replay artifact.
-func artifactForOutcome(s Schedule, o *cellOutcome, exploreSeed uint64) *replay.Artifact {
-	ref := o.ref
-	plan := s.Plan
-	a := &replay.Artifact{
-		Version:       replay.ArtifactVersion,
-		Kind:          replay.KindSoak,
-		Schedule:      s.Name,
-		Plan:          &plan,
-		Services:      s.Services,
-		Pressure:      s.Pressure,
-		FDHog:         s.FDHog,
-		Cell:          &ref,
-		ExploreSeed:   exploreSeed,
-		Decisions:     o.choices,
-		DecisionCount: o.decCount,
-	}
-	a.SetDigest(o.digest)
-	if len(o.findings) > 0 {
-		a.Note = o.findings[0]
-	}
-	return a
-}
-
-// artifactPath builds a deterministic, filesystem-safe artifact path.
-func artifactPath(dir, schedule string, ref replay.CellRef, exploreSeed uint64) string {
-	if dir == "" {
-		dir = os.TempDir()
-	}
-	name := "cider-replay-" + sanitize(schedule) + "-" + sanitize(ref.String())
-	if exploreSeed != 0 {
-		name += fmt.Sprintf("-x%d", exploreSeed)
-	}
-	return filepath.Join(dir, name+".json")
-}
-
-// sanitize maps a cell label to [a-z0-9-]: lmbench test names carry
-// '+', '(', ')' and '/'.
-func sanitize(s string) string {
-	out := make([]byte, 0, len(s))
-	dash := false
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c >= 'a' && c <= 'z' || c >= '0' && c <= '9':
-			out = append(out, c)
-			dash = false
-		case c >= 'A' && c <= 'Z':
-			out = append(out, c+'a'-'A')
-			dash = false
-		default:
-			if !dash && len(out) > 0 {
-				out = append(out, '-')
-				dash = true
-			}
-		}
-	}
-	for len(out) > 0 && out[len(out)-1] == '-' {
-		out = out[:len(out)-1]
-	}
-	return string(out)
 }
 
 // RecordCell runs one cell under a Recorder (wrapping inner, which may
 // be nil for the canonical schedule or an Explorer for a perturbed one)
 // and returns the replay artifact plus the cell report.
 func RecordCell(s Schedule, ref replay.CellRef, inner sim.Decider, exploreSeed uint64) (*replay.Artifact, *CellReport) {
-	rec := replay.NewRecorder(inner)
-	o := runCellRef(s, ref, rec)
-	o.fromRecorder(rec)
-	return artifactForOutcome(s, &o, exploreSeed), o.report()
+	out, a := replay.Record(cell{s: s, ref: ref}, exploreSeed, inner)
+	o := out.(*cellOutcome)
+	r := &CellReport{Ref: ref, Digest: o.digest, DecisionCount: a.DecisionCount, Failed: o.failed, Injected: o.injected}
+	for _, f := range o.findings {
+		r.Findings = append(r.Findings, f.Detail)
+	}
+	return a, r
 }
 
-// ReplayCell re-executes a soak artifact's cell in isolation under its
-// recorded decision log and reports the outcome; the caller compares
-// CellReport.Digest against the artifact's recorded digest.
-func ReplayCell(a *replay.Artifact) (*CellReport, error) {
+// CellFor rebuilds the cell a soak artifact recorded, for replay.Replay.
+func CellFor(a *replay.Artifact) (replay.Cell, error) {
 	if a.Kind != replay.KindSoak {
 		return nil, fmt.Errorf("soak: artifact kind %q is not %q", a.Kind, replay.KindSoak)
 	}
@@ -567,8 +501,5 @@ func ReplayCell(a *replay.Artifact) (*CellReport, error) {
 		return nil, fmt.Errorf("soak: artifact missing cell or plan")
 	}
 	s := Schedule{Name: a.Schedule, Plan: *a.Plan, Services: a.Services, Pressure: a.Pressure, FDHog: a.FDHog}
-	rec := replay.NewRecorder(replay.NewReplayer(a.Decisions))
-	o := runCellRef(s, *a.Cell, rec)
-	o.fromRecorder(rec)
-	return o.report(), nil
+	return cell{s: s, ref: *a.Cell}, nil
 }

@@ -1,7 +1,6 @@
 package soak
 
 import (
-	"path/filepath"
 	"testing"
 
 	"repro/internal/replay"
@@ -11,36 +10,41 @@ import (
 // schedule in the soak matrix, every quick-battery cell records to an
 // artifact that — after a full encode/decode round trip through the
 // file format — replays to the exact same digest, decision count, and
-// findings in isolation.
+// findings in isolation. No cell digest may be zero or the empty fold:
+// a digest that folded nothing cannot tell two runs apart.
 func TestRecordReplayBitIdentical(t *testing.T) {
 	dir := t.TempDir()
 	for _, s := range Schedules() {
 		refs := CellRefs(QuickTests(), false)
 		for i, ref := range refs {
 			a, rec := RecordCell(s, ref, nil, 0)
-			path := filepath.Join(dir, sanitize(s.Name+"-"+ref.String())+".json")
-			if err := a.WriteFile(path); err != nil {
+			if rec.Digest == 0 || rec.Digest == replay.EmptyDigest {
+				t.Errorf("%s cell %d %s: digest %016x folded nothing", s.Name, i, ref, rec.Digest)
+			}
+			path, err := a.Save(dir)
+			if err != nil {
 				t.Fatal(err)
 			}
 			b, err := replay.Load(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := ReplayCell(b)
+			c, err := CellFor(b)
 			if err != nil {
-				t.Fatalf("%s cell %s: %v", s.Name, ref, err)
+				t.Fatal(err)
 			}
-			if rep.Digest != rec.Digest {
-				t.Errorf("%s cell %d %s: replayed digest %016x, recorded %016x",
-					s.Name, i, ref, rep.Digest, rec.Digest)
+			o, got, err := replay.Replay(c, b)
+			if err != nil {
+				t.Errorf("%s cell %d %s: %v", s.Name, i, ref, err)
+				continue
 			}
-			if rep.DecisionCount != rec.DecisionCount {
+			if got.DecisionCount != rec.DecisionCount {
 				t.Errorf("%s cell %s: replayed %d decisions, recorded %d",
-					s.Name, ref, rep.DecisionCount, rec.DecisionCount)
+					s.Name, ref, got.DecisionCount, rec.DecisionCount)
 			}
-			if len(rep.Findings) != len(rec.Findings) {
+			if len(o.Findings()) != len(rec.Findings) {
 				t.Errorf("%s cell %s: replayed findings %v, recorded %v",
-					s.Name, ref, rep.Findings, rec.Findings)
+					s.Name, ref, o.Findings(), rec.Findings)
 			}
 		}
 	}
@@ -77,16 +81,16 @@ func TestRecordingDoesNotChangeDigest(t *testing.T) {
 // decision totals, and findings on every run — and at any jobs level.
 func TestExploreDeterministic(t *testing.T) {
 	s, _ := ScheduleByName("daemon-crash")
-	opts := Options{Tests: QuickTests(), ArtifactDir: t.TempDir()}
-	a := Explore(s, opts, 2)
-	b := Explore(s, opts, 2)
-	opts.Jobs = 4
-	c := Explore(s, opts, 2)
-	for _, r := range []*ExploreResult{b, c} {
+	suite := Suite(s, Options{Tests: QuickTests()})
+	dir := t.TempDir()
+	a := replay.Explore(suite, 2, 1, dir)
+	b := replay.Explore(suite, 2, 1, dir)
+	c := replay.Explore(suite, 2, 4, dir)
+	for _, r := range []*replay.Report{b, c} {
 		if r.Digest != a.Digest {
 			t.Errorf("explore digest diverged: %016x vs %016x", r.Digest, a.Digest)
 		}
-		if r.Decisions != a.Decisions || r.Perturbed != a.Perturbed || r.CellRuns != a.CellRuns {
+		if r.Decisions != a.Decisions || r.Perturbed != a.Perturbed || r.Runs != a.Runs {
 			t.Errorf("explore totals diverged: %+v vs %+v", r, a)
 		}
 		if len(r.Findings) != len(a.Findings) {
@@ -117,12 +121,12 @@ func TestExploredRunReplaysBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := ReplayCell(b)
+	c, err := CellFor(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Digest != rec.Digest {
-		t.Fatalf("explored replay digest %016x, recorded %016x", rep.Digest, rec.Digest)
+	if _, _, err := replay.Replay(c, b); err != nil {
+		t.Fatalf("explored replay of %016x: %v", rec.Digest, err)
 	}
 }
 
@@ -143,12 +147,13 @@ func TestCheckedInArtifactReplays(t *testing.T) {
 	if len(a.Decisions) == 0 {
 		t.Fatal("fixture has no non-canonical choices; it no longer perturbs anything")
 	}
-	rep, err := ReplayCell(a)
+	c, err := CellFor(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Findings) > 0 {
-		t.Fatalf("perturbed schedule regressed:\n%s", rep.Findings)
+	o, rep := replay.Record(c, a.ExploreSeed, replay.NewReplayer(a.Decisions))
+	if len(o.Findings()) > 0 {
+		t.Fatalf("perturbed schedule regressed:\n%s", o.Findings())
 	}
 	if rep.DecisionCount == 0 {
 		t.Fatal("replay consulted no decisions; recording is dead")
@@ -157,10 +162,10 @@ func TestCheckedInArtifactReplays(t *testing.T) {
 
 // TestReplayCellValidation pins artifact validation.
 func TestReplayCellValidation(t *testing.T) {
-	if _, err := ReplayCell(&replay.Artifact{Version: replay.ArtifactVersion, Kind: replay.KindDiffcheck}); err == nil {
+	if _, err := CellFor(&replay.Artifact{Version: replay.ArtifactVersion, Kind: replay.KindDiffcheck}); err == nil {
 		t.Error("diffcheck artifact accepted by soak replay")
 	}
-	if _, err := ReplayCell(&replay.Artifact{Version: replay.ArtifactVersion, Kind: replay.KindSoak}); err == nil {
+	if _, err := CellFor(&replay.Artifact{Version: replay.ArtifactVersion, Kind: replay.KindSoak}); err == nil {
 		t.Error("artifact without cell/plan accepted")
 	}
 }

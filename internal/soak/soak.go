@@ -17,6 +17,7 @@ package soak
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/fault"
@@ -185,12 +186,7 @@ func Schedules() []Schedule {
 
 // ScheduleByName finds a schedule in the matrix.
 func ScheduleByName(name string) (Schedule, bool) {
-	for _, s := range Schedules() {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return Schedule{}, false
+	return byName(Schedules(), name, func(s Schedule) string { return s.Name })
 }
 
 // QuickTests is the reduced battery the verify smoke runs: the syscall
@@ -269,18 +265,7 @@ func (r *Result) Err() error {
 	if len(r.Findings) == 0 {
 		return nil
 	}
-	return fmt.Errorf("soak: %s: %d finding(s):\n  %s", r.Schedule, len(r.Findings), joinIndent(r.Findings))
-}
-
-func joinIndent(ss []string) string {
-	out := ""
-	for i, s := range ss {
-		if i > 0 {
-			out += "\n  "
-		}
-		out += s
-	}
-	return out
+	return fmt.Errorf("soak: %s: %d finding(s):\n  %s", r.Schedule, len(r.Findings), strings.Join(r.Findings, "\n  "))
 }
 
 // RunSchedule runs one schedule's battery set and audits the invariants.
@@ -294,38 +279,27 @@ func joinIndent(ss []string) string {
 // records its scheduler decisions, and any cell with findings emits a
 // replay artifact whose path is appended to the findings.
 func RunSchedule(s Schedule, opts Options) *Result {
-	tests := opts.Tests
-	if tests == nil {
-		tests = lmbench.AllTests()
-	}
-	res := &Result{Schedule: s.Name}
-	refs := CellRefs(tests, opts.Full)
-	outcomes, _ := runner.Map(len(refs), opts.Jobs, func(i int) (cellOutcome, error) {
+	refs := CellRefs(opts.Tests, opts.Full)
+	outcomes, _ := runner.Map(len(refs), opts.Jobs, func(i int) (*cellOutcome, error) {
+		c := cell{s: s, ref: refs[i]}
 		if opts.NoRecord {
-			return runCellRef(s, refs[i], nil), nil
+			return c.run(nil), nil
 		}
-		rec := replay.NewRecorder(nil)
-		o := runCellRef(s, refs[i], rec)
-		o.fromRecorder(rec)
-		return o, nil
+		o, a := replay.Record(c, 0)
+		co := o.(*cellOutcome)
+		co.art = a
+		return co, nil
 	})
-	res.merge(s, refs, outcomes, opts, 0)
-	return res
-}
-
-// merge folds per-cell outcomes (in canonical order) into the Result
-// and emits replay artifacts for failing cells.
-func (r *Result) merge(s Schedule, refs []replay.CellRef, outcomes []cellOutcome, opts Options, exploreSeed uint64) {
-	d := newDigest()
-	d.str(s.Name)
-	d.u64(s.Plan.Seed)
-	ld := newDigest()
-	for i := range outcomes {
-		o := &outcomes[i]
-		d.u64(uint64(i))
-		d.u64(o.digest)
+	r := &Result{Schedule: s.Name}
+	d := replay.NewDigest()
+	d.Str(s.Name)
+	d.U64(s.Plan.Seed)
+	ld := replay.NewDigest()
+	for i, o := range outcomes {
+		d.U64(uint64(i))
+		d.U64(o.digest)
 		if o.latPresent {
-			ld.u64(o.latPart)
+			ld.U64(o.latPart)
 		}
 		r.Cells++
 		r.FailedCells += o.failed
@@ -338,18 +312,14 @@ func (r *Result) merge(s Schedule, refs []replay.CellRef, outcomes []cellOutcome
 				r.Counters[k] += v
 			}
 		}
-		if len(o.findings) > 0 {
-			r.Findings = append(r.Findings, o.findings...)
-			if !opts.NoRecord {
-				a := artifactForOutcome(s, o, exploreSeed)
-				path := artifactPath(opts.ArtifactDir, s.Name, o.ref, exploreSeed)
-				if werr := a.WriteFile(path); werr != nil {
-					r.Findings = append(r.Findings, fmt.Sprintf("cell %s: artifact write failed: %v", o.ref, werr))
-				} else {
-					r.Findings = append(r.Findings, fmt.Sprintf(
-						"cell %s: reproduce with: cider replay %s", o.ref, path))
-					r.Artifacts = append(r.Artifacts, path)
-				}
+		for _, f := range o.findings {
+			r.Findings = append(r.Findings, f.Detail)
+		}
+		if len(o.findings) > 0 && o.art != nil {
+			line, path := replay.Emit(o.art, opts.ArtifactDir)
+			r.Findings = append(r.Findings, line)
+			if path != "" {
+				r.Artifacts = append(r.Artifacts, path)
 			}
 		}
 	}
@@ -367,52 +337,46 @@ func (r *Result) merge(s Schedule, refs []replay.CellRef, outcomes []cellOutcome
 			"schedule %s: descriptor hogs never hit RLIMIT_NOFILE (no %s across %d cells)",
 			s.Name, trace.CounterRlimitHits, r.Cells))
 	}
-	r.Digest = d.sum()
-	r.LatencyDigest = ld.sum()
+	r.Digest = d.Sum()
+	r.LatencyDigest = ld.Sum()
+	return r
 }
 
-// supervisionCounters reads one cell's launchd KeepAlive counters.
-func supervisionCounters(tr *trace.Session) (crashes, respawns, throttled uint64) {
-	if tr == nil {
-		return 0, 0, 0
+// Suite is the schedule's cell set for replay.Explore; its fingerprint
+// opens with the schedule name and fault-plan seed.
+func Suite(s Schedule, opts Options) replay.Suite {
+	refs := CellRefs(opts.Tests, opts.Full)
+	cells := make([]replay.Cell, len(refs))
+	for i, ref := range refs {
+		cells[i] = cell{s: s, ref: ref}
 	}
-	for _, c := range tr.Counters() {
-		switch c.Name {
-		case trace.CounterLaunchdCrashes:
-			crashes = c.Value
-		case trace.CounterLaunchdRespawns:
-			respawns = c.Value
-		case trace.CounterLaunchdThrottled:
-			throttled = c.Value
-		}
-	}
-	return crashes, respawns, throttled
+	return replay.Suite{Name: s.Name, Seed: s.Plan.Seed, Cells: cells}
 }
 
 // digestSession folds a trace session's event stream and counters into
 // the digest. The event ring is bounded, so this sees the tail of long
 // runs — still a deterministic function of the simulation.
-func digestSession(d *digest, tr *trace.Session) {
+func digestSession(d *replay.Digest, tr *trace.Session) {
 	if tr == nil {
-		d.str("no-trace")
+		d.Str("no-trace")
 		return
 	}
 	tr.Walk(func(ev *trace.Event) {
-		d.u64(ev.Seq)
-		d.u64(uint64(ev.At))
-		d.u64(uint64(ev.Kind))
-		d.str(ev.Proc)
-		d.u64(uint64(ev.ProcID))
-		d.u64(uint64(ev.Sched))
-		d.u64(uint64(ev.Persona))
-		d.u64(uint64(ev.Sysno))
-		d.str(ev.Name)
-		d.u64(uint64(int64(ev.Errno)))
-		d.str(ev.Detail)
+		d.U64(ev.Seq)
+		d.U64(uint64(ev.At))
+		d.U64(uint64(ev.Kind))
+		d.Str(ev.Proc)
+		d.U64(uint64(ev.ProcID))
+		d.U64(uint64(ev.Sched))
+		d.U64(uint64(ev.Persona))
+		d.U64(uint64(ev.Sysno))
+		d.Str(ev.Name)
+		d.U64(uint64(int64(ev.Errno)))
+		d.Str(ev.Detail)
 	})
 	for _, c := range tr.Counters() {
-		d.str(c.Name)
-		d.u64(c.Value)
+		d.Str(c.Name)
+		d.U64(c.Value)
 	}
 }
 
@@ -445,15 +409,6 @@ func GovernanceCounters(jobs int) (map[string]uint64, error) {
 	return merged, nil
 }
 
-// Run executes every schedule in the matrix.
-func Run(schedules []Schedule, opts Options) []*Result {
-	out := make([]*Result, 0, len(schedules))
-	for _, s := range schedules {
-		out = append(out, RunSchedule(s, opts))
-	}
-	return out
-}
-
 // VerifyDeterminism runs one schedule sequentially and at jobs host
 // workers and compares digests — the jobs=1 vs jobs=N bit-identity
 // criterion.
@@ -469,25 +424,3 @@ func VerifyDeterminism(s Schedule, jobs int, opts Options) error {
 	}
 	return nil
 }
-
-// digest is FNV-1a 64, built up incrementally over mixed-type records.
-type digest struct{ h uint64 }
-
-func newDigest() *digest { return &digest{h: 0xcbf29ce484222325} }
-
-func (d *digest) u64(v uint64) {
-	for i := 0; i < 8; i++ {
-		d.h ^= uint64(byte(v >> (8 * i)))
-		d.h *= 0x100000001b3
-	}
-}
-
-func (d *digest) str(s string) {
-	for i := 0; i < len(s); i++ {
-		d.h ^= uint64(s[i])
-		d.h *= 0x100000001b3
-	}
-	d.u64(uint64(len(s)))
-}
-
-func (d *digest) sum() uint64 { return d.h }
