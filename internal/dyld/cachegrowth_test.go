@@ -13,6 +13,20 @@ import (
 // of every iOS configuration, each running one iOS binary, must hit it.
 // A manifest built per boot adds one entry per shared-cache boot.
 func TestManifestCacheStopsGrowing(t *testing.T) {
+	assertSettles(t, "manifest cache", dyld.ManifestCacheLen)
+}
+
+// TestLinkPlansStopGrowing is the same gate on linkPlans, which pins the
+// dylib arrays of every plan it holds: a plan keyed per boot (or per
+// filesystem clone) instead of per root set adds one entry per boot.
+func TestLinkPlansStopGrowing(t *testing.T) {
+	assertSettles(t, "link-plan cache", dyld.LinkPlansLen)
+}
+
+// assertSettles boots every iOS configuration for three rounds, running
+// one iOS binary in each, and fails if size grows after the first round.
+func assertSettles(t *testing.T, what string, size func() int) {
+	t.Helper()
 	on := true
 	boots := []struct {
 		cfg  core.Config
@@ -41,9 +55,9 @@ func TestManifestCacheStopsGrowing(t *testing.T) {
 			sys.Close()
 		}
 		if round == 0 {
-			settled = dyld.ManifestCacheLen()
-		} else if got := dyld.ManifestCacheLen(); got != settled {
-			t.Fatalf("round %d: manifest cache grew %d -> %d entries", round, settled, got)
+			settled = size()
+		} else if got := size(); got != settled {
+			t.Fatalf("round %d: %s grew %d -> %d entries", round, what, settled, got)
 		}
 	}
 }

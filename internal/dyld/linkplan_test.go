@@ -1,0 +1,211 @@
+package dyld_test
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/dyld"
+	"repro/internal/fault"
+	"repro/internal/kernel"
+	"repro/internal/libsystem"
+	"repro/internal/prog"
+	"repro/internal/trace"
+)
+
+// Link-plan tests: an exec that replays a recorded plan must be
+// indistinguishable from one that walks the filesystem, including when the
+// filesystem has changed since the plan was recorded and when a fault
+// fails a mapping part-way through. Each comparison runs the same
+// scenario on two fresh Systems: once with a plan recorded from the
+// pristine image, once after clearing the plan cache.
+
+// execObs is everything one exec's dyld run can show.
+type execObs struct {
+	Status   int
+	Ran      bool
+	ProbeAt  time.Duration
+	ExitAt   time.Duration
+	Maps     string
+	MapCalls []string
+	Images   []string
+	Handlers [4]int
+	Counters []trace.NamedCounter
+	Events   string
+}
+
+// observeExec boots a traced Cider system, lets prepare change it, runs
+// one iOS exec and records what the exec left behind.
+func observeExec(t *testing.T, prepare func(*core.System)) execObs {
+	t.Helper()
+	sys, err := core.NewSystem(core.ConfigCider, core.Options{Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	var obs execObs
+	if err := sys.InstallIOSBinary("/bin/plan-probe", "linkplan-probe", nil, func(c *prog.Call) uint64 {
+		th := c.Ctx.(*kernel.Thread)
+		obs.Ran = true
+		obs.ProbeAt = th.Now()
+		obs.Maps = th.Task().Mem().Maps()
+		return 0
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if prepare != nil {
+		prepare(sys)
+	}
+	tk, err := sys.Start("/bin/plan-probe", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hook := tk.Mem().MapHook
+	tk.Mem().MapHook = func(size uint64, name string) error {
+		err := hook(size, name)
+		obs.MapCalls = append(obs.MapCalls, fmt.Sprintf("%v %s %d %v", sys.Sim.Current().Now(), name, size, err))
+		return err
+	}
+	sys.Kernel.OnTaskExit(func(th *kernel.Thread) {
+		if th.Task() == tk {
+			obs.ExitAt = th.Now()
+		}
+	})
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	obs.Status = tk.ExitStatus()
+	if im, ok := dyld.ImagesFor(tk); ok {
+		for _, img := range im.List() {
+			obs.Images = append(obs.Images, img.Path)
+		}
+	}
+	obs.Handlers[0], obs.Handlers[1], obs.Handlers[2], obs.Handlers[3] = libsystem.ForTask(tk).Counts()
+	obs.Counters = sys.Trace.Counters()
+	obs.Events = sys.Trace.EventsText()
+	return obs
+}
+
+// compareObs fails t on the first field where the replayed exec differs
+// from the walked one.
+func compareObs(t *testing.T, replayed, walked execObs) {
+	t.Helper()
+	rv, wv := reflect.ValueOf(replayed), reflect.ValueOf(walked)
+	for i := 0; i < rv.NumField(); i++ {
+		if !reflect.DeepEqual(rv.Field(i).Interface(), wv.Field(i).Interface()) {
+			t.Errorf("%s differs:\nreplayed: %v\nwalked:   %v", rv.Type().Field(i).Name,
+				rv.Field(i).Interface(), wv.Field(i).Interface())
+		}
+	}
+}
+
+// replayVsWalk runs prepare's scenario with a plan recorded from the
+// pristine image and again with no plan at all.
+func replayVsWalk(t *testing.T, prepare func(*core.System)) (replayed, walked execObs) {
+	t.Helper()
+	t.Cleanup(dyld.ResetLinkPlans)
+	dyld.ResetLinkPlans()
+	observeExec(t, nil)
+	if n := dyld.LinkPlansLen(); n != 1 {
+		t.Fatalf("a pristine exec recorded %d link plans, want 1", n)
+	}
+	replayed = observeExec(t, prepare)
+	dyld.ResetLinkPlans()
+	walked = observeExec(t, prepare)
+	compareObs(t, replayed, walked)
+	return replayed, walked
+}
+
+func TestLinkPlanReplayMatchesWalk(t *testing.T) {
+	replayed, _ := replayVsWalk(t, nil)
+	if !replayed.Ran || len(replayed.Images) != len(core.IOSDylibs()) {
+		t.Fatalf("replayed exec: ran=%v with %d images, want %d", replayed.Ran, len(replayed.Images), len(core.IOSDylibs()))
+	}
+	if replayed.Handlers != [4]int{115, 115, 115, 115} {
+		t.Fatalf("handlers = %v, want one atexit and one atfork triple per image", replayed.Handlers)
+	}
+}
+
+// midLib is a dylib the walk loads about halfway through.
+func midLib() string { return core.IOSDylibs()[57] }
+
+func TestLinkPlanInvalidation(t *testing.T) {
+	pristine := observeExec(t, nil)
+	cases := []struct {
+		name    string
+		prepare func(*core.System)
+		check   func(execObs) error
+	}{
+		{"removed dylib", func(sys *core.System) {
+			if err := sys.IOSFS.Remove(midLib()); err != nil {
+				t.Fatal(err)
+			}
+		}, func(o execObs) error {
+			if o.Ran || o.Status != 255 || len(o.Images) != 57 {
+				return fmt.Errorf("ran=%v status=%d images=%d, want a failed launch after 57 images", o.Ran, o.Status, len(o.Images))
+			}
+			return nil
+		}},
+		{"rewritten dylib", func(sys *core.System) {
+			bin, err := prog.MachODylib(midLib(), []string{core.LibSystemPath}, []string{"_a", "_b", "_c"}, 64<<10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := sys.IOSFS.Lookup(midLib())
+			if err != nil {
+				t.Fatal(err)
+			}
+			n.SetData(bin)
+		}, func(o execObs) error {
+			if !o.Ran || o.Maps == pristine.Maps || reflect.DeepEqual(o.Counters, pristine.Counters) {
+				return fmt.Errorf("ran=%v; the rewritten image changed neither the region list nor the counters", o.Ran)
+			}
+			return nil
+		}},
+		{"new dependency", func(sys *core.System) {
+			const extra = "/usr/lib/libExtra.dylib"
+			bin, err := prog.MachODylib(midLib(), []string{core.LibSystemPath, extra}, []string{"_mid"}, 64<<10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.IOSFS.WriteFile(midLib(), bin); err != nil {
+				t.Fatal(err)
+			}
+			if bin, err = prog.MachODylib(extra, []string{core.UIKitPath}, []string{"_extra"}, 32<<10); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.IOSFS.WriteFile(extra, bin); err != nil {
+				t.Fatal(err)
+			}
+		}, func(o execObs) error {
+			if !o.Ran || len(o.Images) != len(pristine.Images)+1 || o.Images[len(o.Images)-1] != "/usr/lib/libExtra.dylib" {
+				return fmt.Errorf("ran=%v images=%d, want the new dependency loaded last", o.Ran, len(o.Images))
+			}
+			return nil
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			replayed, _ := replayVsWalk(t, c.prepare)
+			if err := c.check(replayed); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestLinkPlanMapFaultMatchesWalk fails one dylib's mmap part-way through
+// the load: with or without a plan, the exec must fail at the same
+// segment, at the same virtual time, with the same partial image table.
+func TestLinkPlanMapFaultMatchesWalk(t *testing.T) {
+	replayed, _ := replayVsWalk(t, func(sys *core.System) {
+		sys.EnableFaults(fault.Plan{Name: "dyld-map", Rules: []fault.Rule{
+			{Op: fault.OpMemMap, Match: midLib(), Nth: 1, Errno: int(kernel.ENOMEM)},
+		}})
+	})
+	if replayed.Ran || replayed.Status != 255 || len(replayed.Images) != 57 {
+		t.Fatalf("ran=%v status=%d images=%d, want a failed launch after 57 images", replayed.Ran, replayed.Status, len(replayed.Images))
+	}
+}

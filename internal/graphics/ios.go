@@ -2,7 +2,9 @@ package graphics
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/diplomat"
 	"repro/internal/dyld"
@@ -127,31 +129,9 @@ var iosurfaceToGralloc = map[string]string{
 func InstallCiderIOSGraphics(k *kernel.Kernel, eng *diplomat.Engine, iosFS *vfs.FS, androidFS *vfs.FS, openGLESPath, iosurfacePath string) ([]diplomat.Spec, error) {
 	reg := k.Registry()
 
-	foreign, err := parseMachO(iosFS, openGLESPath)
+	specs, err := glDiplomatSpecs(iosFS, androidFS, openGLESPath)
 	if err != nil {
 		return nil, err
-	}
-	var domestic []*elfx.File
-	for _, so := range []string{"/system/lib/libGLESv2.so", "/system/lib/libEGLbridge.so"} {
-		f, err := parseELF(androidFS, so)
-		if err != nil {
-			return nil, err
-		}
-		domestic = append(domestic, f)
-	}
-	specs, unmatched := diplomat.Generate(foreign, domestic)
-	if len(unmatched) > 0 {
-		return nil, fmt.Errorf("graphics: unmatched iOS GL exports need hand-written diplomats: %v", unmatched)
-	}
-	// libEGLbridge lives under /system/lib in the registry keyspace.
-	for i := range specs {
-		if specs[i].DomesticLib == "libEGLbridge.so" {
-			// Registered under EGLBridgePath, not /system/lib/<soname>;
-			// they are the same path, so nothing to fix — assert it.
-			if "/system/lib/"+specs[i].DomesticLib != EGLBridgePath {
-				return nil, fmt.Errorf("graphics: bridge path mismatch")
-			}
-		}
 	}
 	if err := eng.Install(reg, openGLESPath, specs); err != nil {
 		return nil, err
@@ -270,18 +250,68 @@ func (g *GL) Call(sym string, args ...uint64) uint64 {
 	return fn(&prog.Call{Ctx: g.t, Args: args})
 }
 
-func parseMachO(fs *vfs.FS, path string) (*macho.File, error) {
-	data, err := fs.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return macho.Parse(data)
+// glSpecs memoizes the generated GL diplomat specs by the byte identity of
+// the three libraries they are generated from. Every Cider boot clones the
+// same frozen filesystem images, so every boot finds the same three
+// arrays; keying on them (not on copies) pins arrays the templates hold
+// anyway, and a library rewritten in one System misses and regenerates.
+var glSpecs sync.Map // [3]fileID -> []diplomat.Spec
+
+// fileID identifies file contents as macho.ParseShared does: the backing
+// array's first byte and the length.
+type fileID struct {
+	p *byte
+	n int
 }
 
-func parseELF(fs *vfs.FS, path string) (*elfx.File, error) {
-	data, err := fs.ReadFile(path)
+// glDiplomatSpecs runs the diplomat generator over the iOS OpenGL ES
+// framework against libGLESv2.so and libEGLbridge.so, or returns the specs
+// an earlier boot generated from the same bytes. The caller gets its own
+// copy of the list.
+func glDiplomatSpecs(iosFS, androidFS *vfs.FS, openGLESPath string) ([]diplomat.Spec, error) {
+	var key [3]fileID
+	var data [3][]byte
+	for i, f := range []struct {
+		fs   *vfs.FS
+		path string
+	}{{iosFS, openGLESPath}, {androidFS, "/system/lib/libGLESv2.so"}, {androidFS, "/system/lib/libEGLbridge.so"}} {
+		n, err := f.fs.Lookup(f.path)
+		if err != nil {
+			return nil, err
+		}
+		if data[i] = n.Data(); len(data[i]) > 0 {
+			key[i] = fileID{&data[i][0], len(data[i])}
+		}
+	}
+	if v, ok := glSpecs.Load(key); ok {
+		return slices.Clone(v.([]diplomat.Spec)), nil
+	}
+	foreign, err := macho.Parse(data[0])
 	if err != nil {
 		return nil, err
 	}
-	return elfx.Parse(data)
+	var domestic []*elfx.File
+	for _, b := range data[1:] {
+		f, err := elfx.Parse(b)
+		if err != nil {
+			return nil, err
+		}
+		domestic = append(domestic, f)
+	}
+	specs, unmatched := diplomat.Generate(foreign, domestic)
+	if len(unmatched) > 0 {
+		return nil, fmt.Errorf("graphics: unmatched iOS GL exports need hand-written diplomats: %v", unmatched)
+	}
+	// libEGLbridge lives under /system/lib in the registry keyspace.
+	for i := range specs {
+		if specs[i].DomesticLib == "libEGLbridge.so" {
+			// Registered under EGLBridgePath, not /system/lib/<soname>;
+			// they are the same path, so nothing to fix — assert it.
+			if "/system/lib/"+specs[i].DomesticLib != EGLBridgePath {
+				return nil, fmt.Errorf("graphics: bridge path mismatch")
+			}
+		}
+	}
+	v, _ := glSpecs.LoadOrStore(key, specs)
+	return slices.Clone(v.([]diplomat.Spec)), nil
 }

@@ -115,12 +115,12 @@ func NewSyscallTable(name string) *SyscallTable {
 func (tb *SyscallTable) Register(num int, name string, h SyscallHandler) {
 	if num >= 0 && num < maxDense {
 		if num >= len(tb.dense) {
-			dense := make([]SyscallHandler, num+1)
-			copy(dense, tb.dense)
-			tb.dense = dense
-			names := make([]string, num+1)
-			copy(names, tb.denseNames)
-			tb.denseNames = names
+			// Grow by append, geometrically: handlers register in
+			// ascending order, and exact-size growth would copy both
+			// arrays once per handler.
+			grow := num + 1 - len(tb.dense)
+			tb.dense = append(tb.dense, make([]SyscallHandler, grow)...)
+			tb.denseNames = append(tb.denseNames, make([]string, grow)...)
 		}
 		tb.dense[num] = h
 		tb.denseNames[num] = name

@@ -9,6 +9,7 @@ package mem
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -65,10 +66,28 @@ type Backing struct {
 	// data stays nil until materialize; untouched backings read as zeros.
 	data []byte
 	refs int
-	// spaces lists the address spaces holding live footprint accounts for
-	// this backing (deduplicated): when the store materializes, each space
-	// re-attributes its resident share. See AddressSpace.recharge.
-	spaces []*AddressSpace
+	// accounts holds one attribution record per address space mapping this
+	// backing, in the order the spaces first mapped it: when the store
+	// materializes, each space re-attributes its resident share (see
+	// AddressSpace.recharge). Almost every backing has one or two.
+	accounts []backingAccount
+}
+
+// privateMapping co-allocates a region with a fresh store and the store's
+// first attribution record. Most mappings — every dyld segment, every
+// private fork copy — get a store of their own that nothing else maps, so
+// this is one allocation where there would be three.
+type privateMapping struct {
+	region  Region
+	backing Backing
+	account [1]backingAccount
+}
+
+// newPrivate returns a zeroed region over a fresh store of size bytes.
+func newPrivate(size uint64) (*Region, *Backing) {
+	m := &privateMapping{backing: Backing{size: size}}
+	m.backing.accounts = m.account[:0]
+	return &m.region, &m.backing
 }
 
 // NewBacking creates a zeroed backing store of size bytes. Host memory is
@@ -88,8 +107,10 @@ func (b *Backing) Size() uint64 { return b.size }
 func (b *Backing) materialize() []byte {
 	if b.data == nil && b.size > 0 {
 		b.data = make([]byte, b.size)
-		for _, as := range b.spaces {
-			as.recharge(b)
+		// Indexed, not ranged: a FootprintHook may attach or detach
+		// spaces on this backing while the loop runs.
+		for i := 0; i < len(b.accounts); i++ {
+			b.accounts[i].as.recharge(b)
 		}
 	}
 	return b.data
@@ -157,10 +178,24 @@ func (e *ErrFault) Error() string {
 
 // backingAccount is one address space's attribution record for a backing:
 // how many mapped window bytes the space holds over it, and how many
-// resident bytes are currently charged to the space for it.
+// resident bytes are currently charged to the space for it. Attribution is
+// per-mapping-window, capped at the backing size: two tasks mapping one
+// Backing each carry their own window, and one task aliasing the same
+// store twice (IOSurface, Mach OOL) is charged the store once, never twice.
 type backingAccount struct {
+	as      *AddressSpace
 	window  uint64
 	charged uint64
+}
+
+// account returns the index of as's attribution record on b, or -1.
+func (b *Backing) account(as *AddressSpace) int {
+	for i := range b.accounts {
+		if b.accounts[i].as == as {
+			return i
+		}
+	}
+	return -1
 }
 
 // AddressSpace is a task's virtual memory map.
@@ -174,15 +209,10 @@ type AddressSpace struct {
 	// (fault injection, rlimit enforcement). Fork propagates the hook to
 	// children.
 	MapHook func(size uint64, name string) error
-	// accounts holds one attribution record per distinct backing mapped by
-	// this space. Attribution is per-mapping-window, capped at the backing
-	// size: two tasks mapping one Backing each carry their own window, and
-	// one task aliasing the same store twice (IOSurface, Mach OOL) is
-	// charged the store once, never twice.
-	accounts map[*Backing]*backingAccount
 	// footprint is the resident bytes currently attributed to this space:
-	// the sum over accounts of charged bytes. Zero-fill backings that were
-	// never touched contribute nothing.
+	// the sum of charged bytes over this space's accounts on the backings
+	// it maps. Zero-fill backings that were never touched contribute
+	// nothing.
 	footprint uint64
 	// FootprintHook, when non-nil, observes every footprint change (delta
 	// in bytes, negative on unmap). The kernel threads memorystatus
@@ -246,10 +276,11 @@ func (as *AddressSpace) Footprint() uint64 { return as.footprint }
 // while it is still zero-fill. The delta is applied to the footprint and
 // reported through FootprintHook.
 func (as *AddressSpace) recharge(b *Backing) {
-	acct := as.accounts[b]
-	if acct == nil {
+	i := b.account(as)
+	if i < 0 {
 		return
 	}
+	acct := &b.accounts[i]
 	var want uint64
 	if b.data != nil {
 		want = acct.window
@@ -271,38 +302,28 @@ func (as *AddressSpace) recharge(b *Backing) {
 // attach opens or grows this space's attribution window over r's backing.
 func (as *AddressSpace) attach(r *Region) {
 	b := r.backing
-	if as.accounts == nil {
-		as.accounts = make(map[*Backing]*backingAccount)
+	i := b.account(as)
+	if i < 0 {
+		i = len(b.accounts)
+		b.accounts = append(b.accounts, backingAccount{as: as})
 	}
-	acct := as.accounts[b]
-	if acct == nil {
-		acct = &backingAccount{}
-		as.accounts[b] = acct
-		b.spaces = append(b.spaces, as)
-	}
-	acct.window += r.Size
+	b.accounts[i].window += r.Size
 	as.recharge(b)
 }
 
 // detach shrinks this space's attribution window over r's backing,
-// releasing the account (and the backing's notification link) when the
-// last window closes.
+// releasing the account when the last window closes. The account is
+// looked up again after recharge, since FootprintHook may run other code.
 func (as *AddressSpace) detach(r *Region) {
 	b := r.backing
-	acct := as.accounts[b]
-	if acct == nil {
+	i := b.account(as)
+	if i < 0 {
 		return
 	}
-	acct.window -= r.Size
+	b.accounts[i].window -= r.Size
 	as.recharge(b)
-	if acct.window == 0 {
-		delete(as.accounts, b)
-		for i, s := range b.spaces {
-			if s == as {
-				b.spaces = append(b.spaces[:i], b.spaces[i+1:]...)
-				break
-			}
-		}
+	if i = b.account(as); i >= 0 && b.accounts[i].window == 0 {
+		b.accounts = slices.Delete(b.accounts, i, i+1)
 	}
 }
 
@@ -330,14 +351,14 @@ func (as *AddressSpace) FindByName(name string) *Region {
 	return nil
 }
 
-// overlaps reports whether [base, base+size) intersects any mapping.
+// overlaps reports whether [base, base+size) intersects any mapping. The
+// regions are sorted and disjoint, so the only candidate is the first one
+// ending above base.
 func (as *AddressSpace) overlaps(base, size uint64) bool {
-	for _, r := range as.regions {
-		if base < r.End() && r.Base < base+size {
-			return true
-		}
-	}
-	return false
+	i := sort.Search(len(as.regions), func(i int) bool {
+		return as.regions[i].End() > base
+	})
+	return i < len(as.regions) && as.regions[i].Base < base+size
 }
 
 // insert adds r keeping address order.
@@ -382,26 +403,31 @@ func (as *AddressSpace) MapBacking(base, size uint64, prot Prot, name string, sh
 	} else if as.overlaps(base, size) {
 		return nil, fmt.Errorf("mem: mapping %q at 0x%x overlaps existing region", name, base)
 	}
+	var r *Region
 	if backing == nil {
-		backing = NewBacking(size)
+		r, backing = newPrivate(size)
 		offset = 0
 	} else if offset+size > backing.size {
 		return nil, fmt.Errorf("mem: mapping %q exceeds backing (%d+%d > %d)", name, offset, size, backing.size)
+	} else {
+		r = new(Region)
 	}
-	r := &Region{Base: base, Size: size, Prot: prot, Name: name, Shared: shared, backing: backing, offset: offset}
+	*r = Region{Base: base, Size: size, Prot: prot, Name: name, Shared: shared, backing: backing, offset: offset}
 	as.insert(r)
 	return r, nil
 }
 
 // Unmap removes the mapping starting exactly at base.
 func (as *AddressSpace) Unmap(base uint64) error {
-	for i, r := range as.regions {
-		if r.Base == base {
-			as.regions = append(as.regions[:i], as.regions[i+1:]...)
-			r.backing.refs--
-			as.detach(r)
-			return nil
-		}
+	i := sort.Search(len(as.regions), func(i int) bool {
+		return as.regions[i].Base >= base
+	})
+	if i < len(as.regions) && as.regions[i].Base == base {
+		r := as.regions[i]
+		as.regions = append(as.regions[:i], as.regions[i+1:]...)
+		r.backing.refs--
+		as.detach(r)
+		return nil
 	}
 	return fmt.Errorf("mem: unmap: no region at 0x%x", base)
 }
@@ -480,25 +506,27 @@ func (as *AddressSpace) Fork() (*AddressSpace, uint64) {
 	child := NewAddressSpace()
 	child.nextAuto = as.nextAuto
 	child.MapHook = as.MapHook
+	child.regions = make([]*Region, 0, len(as.regions))
 	var ptes uint64
 	for _, r := range as.regions {
 		if !r.Submap {
 			ptes += r.Pages()
 		}
-		nr := &Region{Base: r.Base, Size: r.Size, Prot: r.Prot, Name: r.Name, Shared: r.Shared, Submap: r.Submap, offset: r.offset}
+		var nr *Region
+		b := r.backing
 		if r.Shared || r.Submap {
-			nr.backing = r.backing
+			nr = new(Region)
 		} else {
 			// The simulation copies eagerly rather than COW; the PTE count,
 			// which is what the fork latency model charges for, is the same.
 			// An untouched zero-fill parent store stays uncommitted in the
 			// child too — there is nothing to copy.
-			nb := NewBacking(r.backing.size)
+			nr, b = newPrivate(r.backing.size)
 			if r.backing.data != nil {
-				copy(nb.materialize(), r.backing.data)
+				copy(b.materialize(), r.backing.data)
 			}
-			nr.backing = nb
 		}
+		*nr = Region{Base: r.Base, Size: r.Size, Prot: r.Prot, Name: r.Name, Shared: r.Shared, Submap: r.Submap, backing: b, offset: r.offset}
 		child.insert(nr)
 	}
 	return child, ptes

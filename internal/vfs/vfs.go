@@ -126,30 +126,45 @@ func (n *Node) IsDir() bool { return n.kind == KindDir }
 // Size returns the file length in bytes (0 for non-files).
 func (n *Node) Size() int64 { return int64(len(n.data)) }
 
-// Data returns the file contents. The slice is the live store; callers that
-// mutate must go through SetData/WriteData.
-func (n *Node) Data() []byte { return n.data }
+// Data returns the file contents. The slice is the live store, clipped to
+// its length so appending to it cannot reach the file's spare capacity;
+// callers that mutate must go through SetData/WriteData.
+func (n *Node) Data() []byte { return n.data[:len(n.data):len(n.data)] }
 
-// SetData replaces the file contents.
+// SetData replaces the file contents. The file takes ownership of b's
+// bytes up to len(b) only: a later append reallocates rather than write
+// into capacity the caller may still use.
 func (n *Node) SetData(b []byte) {
-	n.data = b
+	n.data = b[:len(b):len(b)]
 	n.shared = false
 }
 
 // WriteData writes b at offset off, growing the file as needed, and returns
 // the new size. Shared (template-owned) contents are copied before the
 // first write, so writes through a cloned tree never reach the template.
+// An owned file doubles its capacity when it outgrows it, so a run of
+// appends copies the file a logarithmic number of times, not once per
+// write; appends land past the old length, so a slice taken from Data()
+// earlier keeps its bytes.
 func (n *Node) WriteData(off int64, b []byte) int64 {
 	need := off + int64(len(b))
-	if need > int64(len(n.data)) || n.shared {
-		size := need
-		if int64(len(n.data)) > size {
-			size = int64(len(n.data))
-		}
-		nd := make([]byte, size)
+	old := int64(len(n.data))
+	switch {
+	case n.shared:
+		nd := make([]byte, max(need, old))
 		copy(nd, n.data)
 		n.data = nd
 		n.shared = false
+	case need > int64(cap(n.data)):
+		// Double: append's ~1.25× growth for large arrays would still
+		// copy a file built from fixed-size chunks several times over.
+		nd := make([]byte, need, max(need, 2*int64(cap(n.data))))
+		copy(nd, n.data)
+		n.data = nd
+	case need > old:
+		// The store never shrinks in place, so its spare capacity is
+		// still zero: a sparse write's gap reads as zeros.
+		n.data = n.data[:need]
 	}
 	copy(n.data[off:], b)
 	return int64(len(n.data))

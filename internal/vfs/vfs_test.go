@@ -96,6 +96,60 @@ func TestWriteDataGrows(t *testing.T) {
 	}
 }
 
+// TestWriteDataAppendKeepsSnapshots appends through two clones of a
+// frozen template, in place and past spare capacity: the template's bytes
+// (spare capacity included) must never be written, so neither clone sees
+// the other's appends, and a slice taken from Data() before an append must
+// keep its length and bytes, whether or not the append reallocated.
+func TestWriteDataAppendKeepsSnapshots(t *testing.T) {
+	// The template's bytes come with spare capacity, which an append in
+	// place would reach.
+	img := make([]byte, 4, 64)
+	copy(img, "head")
+	tmpl := New()
+	if err := tmpl.WriteFileShared("/log", img); err != nil {
+		t.Fatal(err)
+	}
+	tmpl.Freeze()
+	tn, _ := tmpl.Lookup("/log")
+	var nodes [2]*Node
+	want := [2]string{"head", "head"}
+	for i := range nodes {
+		nodes[i], _ = tmpl.Clone().Lookup("/log")
+	}
+	for i := 0; i < 64; i++ {
+		c := i % 2
+		n := nodes[c]
+		before := n.Data()
+		snap := string(before)
+		line := []byte{'a' + byte(i%26), byte('0' + c)}
+		if sz := n.WriteData(n.Size(), line); sz != int64(len(want[c])+2) {
+			t.Fatalf("append %d: size %d, want %d", i, sz, len(want[c])+2)
+		}
+		want[c] += string(line)
+		if len(before) != len(snap) || string(before) != snap {
+			t.Fatalf("append %d changed an earlier Data() slice: %q, was %q", i, before, snap)
+		}
+		// Appending to a snapshot must not reach the file's spare capacity.
+		_ = append(before, 'X')
+		for j, n := range nodes {
+			if string(n.Data()) != want[j] {
+				t.Fatalf("append %d: clone %d holds %q, want %q", i, j, n.Data(), want[j])
+			}
+		}
+	}
+	if string(tn.Data()) != "head" || !bytes.Equal(img[4:cap(img)], make([]byte, cap(img)-4)) {
+		t.Fatalf("appends through a clone reached the template: %q", img[:cap(img)])
+	}
+	// A sparse write past the end of a grown file reads its gap as zeros.
+	n := nodes[0]
+	end := n.Size()
+	n.WriteData(end+3, []byte("z"))
+	if got := n.Data()[end:]; !bytes.Equal(got, []byte{0, 0, 0, 'z'}) {
+		t.Fatalf("sparse append gap = %q", got)
+	}
+}
+
 func TestWriteFileSharedIsCopyOnWrite(t *testing.T) {
 	img := []byte("image")
 	a, b := New(), New()
