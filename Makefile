@@ -31,12 +31,14 @@ race:
 
 # switch-allocs pins the context-switch round (the park/wake handoff
 # the syscall fast path stands on) at zero allocations, and a replayed iOS
-# exec (dyld's link plan, one allocation per mapping) under a fixed bound.
-# The test files are left out of -race builds, whose runtime allocates on
-# its own account, so verify runs them here, without the race detector.
+# exec (dyld's link plan, one allocation per mapping) and a boot of each
+# configuration (one-slab filesystem clone, syscall tables built at
+# their final size) under fixed bounds. The test files are left out of
+# -race builds, whose runtime allocates on its own account, so verify
+# runs them here, without the race detector.
 switch-allocs:
 	$(GO) test -count=1 -run '^TestSwitchRoundAllocs$$' ./internal/sim
-	$(GO) test -count=1 -run '^TestExecIOSAllocs$$' -v ./internal/core
+	$(GO) test -count=1 -run '^(TestExecIOSAllocs|TestBootAllocs)$$' -v ./internal/core
 
 # bench runs the host-time benchmark (hostbench/, declared in
 # BENCHMARK.json) on every workload and prints each run's end-to-end

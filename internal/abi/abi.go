@@ -191,218 +191,212 @@ func InstallNativeXNUTable(k *kernel.Kernel) *kernel.SyscallTable {
 func installXNU(k *kernel.Kernel, native bool) *kernel.SyscallTable {
 	linux := k.SyscallTableFor(persona.Android)
 	costs := k.Costs()
-	tb := kernel.NewSyscallTable("xnu")
-	if !native {
-		tb.EntryExtra = costs.XNUTrapDemux + costs.XNUArgTranslate
-		tb.ExitExtra = costs.XNURetTranslate
-	}
-
 	// wrap forwards an XNU syscall to the Linux implementation of the
 	// same operation, optionally transforming arguments first. This is
 	// Cider's "simple wrapper that maps arguments from XNU structures to
 	// Linux structures and then calls the Linux implementation".
-	wrap := func(xnuNum, linuxNum int, name string, xform func(t *kernel.Thread, a *kernel.SyscallArgs)) {
+	wrap := func(xnuNum, linuxNum int, name string, xform func(t *kernel.Thread, a *kernel.SyscallArgs)) kernel.SyscallDef {
 		h, ok := linux.Lookup(linuxNum)
 		if !ok {
 			panic("abi: linux table missing " + name)
 		}
-		tb.Register(xnuNum, name, func(t *kernel.Thread, a *kernel.SyscallArgs) kernel.SyscallRet {
+		return kernel.SyscallDef{Num: xnuNum, Name: name, H: func(t *kernel.Thread, a *kernel.SyscallArgs) kernel.SyscallRet {
 			if xform != nil {
 				xform(t, a)
 			}
 			return h(t, a)
-		})
+		}}
 	}
 
-	wrap(XNUExit, kernel.SysExit, "exit", nil)
-	wrap(XNUFork, kernel.SysFork, "fork", nil)
-	wrap(XNURead, kernel.SysRead, "read", nil)
-	wrap(XNUWrite, kernel.SysWrite, "write", nil)
-	// open: XNU flag bits are renumbered to Linux's before the Linux
-	// implementation sees them (O_CREAT 0x200 -> 0x40, etc.). Access-mode
-	// bits (O_RDONLY/O_WRONLY/O_RDWR) coincide and pass through; unknown
-	// bits are dropped rather than forwarded as a wrong Linux flag.
-	wrap(XNUOpen, kernel.SysOpen, "open", func(t *kernel.Thread, a *kernel.SyscallArgs) {
-		x := a.I[1]
-		l := x & 0x3 // access mode
-		if x&XNUOCreat != 0 {
-			l |= kernel.OCreat
-		}
-		if x&XNUOTrunc != 0 {
-			l |= 0x200 // Linux O_TRUNC
-		}
-		if x&XNUOExcl != 0 {
-			l |= 0x80 // Linux O_EXCL
-		}
-		a.I[1] = l
-	})
-	wrap(XNUClose, kernel.SysClose, "close", nil)
-	wrap(XNUWait4, kernel.SysWait4, "wait4", nil)
-	wrap(XNUUnlink, kernel.SysUnlink, "unlink", nil)
-	wrap(XNUGetpid, kernel.SysGetpid, "getpid", nil)
-	wrap(XNUGetppid, kernel.SysGetppid, "getppid", nil)
-	wrap(XNUPipe, kernel.SysPipe, "pipe", nil)
-	wrap(XNUIoctl, kernel.SysIoctl, "ioctl", nil)
-	wrap(XNUSelect, kernel.SysSelect, "select", nil)
-	wrap(XNUExecve, kernel.SysExecve, "execve", nil)
-	wrap(XNUSocketpair, kernel.SysSocketpair, "socketpair", nil)
-	wrap(XNUCreat, kernel.SysCreat, "creat", nil)
-	wrap(XNUDup, kernel.SysDup, "dup", nil)
-
-	// kill: the signal number arrives in XNU numbering; renumber to the
-	// canonical (Linux) value before invoking the Linux implementation.
-	wrap(XNUKill, kernel.SysKill, "kill", func(t *kernel.Thread, a *kernel.SyscallArgs) {
-		a.I[1] = uint64(kernel.SignalFromXNU(int(a.I[1])))
-		if tr := t.Kernel().Tracer(); tr != nil {
-			tr.Count(trace.CounterSignalXNUSend, 1)
-		}
-	})
-	// sigaction: same renumbering for the signal being configured. The
-	// handler itself receives XNU numbers at delivery time (the kernel's
-	// signal layer translates based on the thread persona).
-	wrap(XNUSigaction, kernel.SysRtSigaction, "sigaction", func(t *kernel.Thread, a *kernel.SyscallArgs) {
-		a.I[0] = uint64(kernel.SignalFromXNU(int(a.I[0])))
-		if tr := t.Kernel().Tracer(); tr != nil {
-			tr.Count(trace.CounterSignalXNUSend, 1)
-		}
-	})
-
-	// getrlimit/setrlimit: the resource number arrives in XNU numbering;
-	// renumber to the canonical (Linux) value before invoking the Linux
-	// implementation. The limit values themselves are plain byte counts
-	// in both ABIs and pass through.
-	wrap(XNUGetrlimit, kernel.SysGetrlimit, "getrlimit", func(t *kernel.Thread, a *kernel.SyscallArgs) {
-		a.I[0] = uint64(kernel.RlimitFromXNU(int(a.I[0])))
-		if tr := t.Kernel().Tracer(); tr != nil {
-			tr.Count(trace.CounterRlimitXlate, 1)
-		}
-	})
-	wrap(XNUSetrlimit, kernel.SysSetrlimit, "setrlimit", func(t *kernel.Thread, a *kernel.SyscallArgs) {
-		a.I[0] = uint64(kernel.RlimitFromXNU(int(a.I[0])))
-		if tr := t.Kernel().Tracer(); tr != nil {
-			tr.Count(trace.CounterRlimitXlate, 1)
-		}
-	})
-
-	// posix_spawn: built from the Linux fork (clone) and exec
-	// implementations, as the paper describes.
-	tb.Register(XNUPosixSpawn, "posix_spawn", func(t *kernel.Thread, a *kernel.SyscallArgs) kernel.SyscallRet {
-		forkH, _ := linux.Lookup(kernel.SysFork)
-		path, argv := a.Path, a.Argv
-		fa := &kernel.SyscallArgs{ChildFn: func(ct *kernel.Thread) {
-			// The child inherits the caller's persona, so trap with that
-			// persona's syscall numbers.
-			execNum, exitNum := kernel.SysExecve, kernel.SysExit
-			if ct.Persona.Current() == persona.IOS {
-				execNum, exitNum = XNUExecve, XNUExit
+	tb := kernel.NewSyscallTable("xnu", []kernel.SyscallDef{
+		wrap(XNUExit, kernel.SysExit, "exit", nil),
+		wrap(XNUFork, kernel.SysFork, "fork", nil),
+		wrap(XNURead, kernel.SysRead, "read", nil),
+		wrap(XNUWrite, kernel.SysWrite, "write", nil),
+		// open: XNU flag bits are renumbered to Linux's before the Linux
+		// implementation sees them (O_CREAT 0x200 -> 0x40, etc.). Access-mode
+		// bits (O_RDONLY/O_WRONLY/O_RDWR) coincide and pass through; unknown
+		// bits are dropped rather than forwarded as a wrong Linux flag.
+		wrap(XNUOpen, kernel.SysOpen, "open", func(t *kernel.Thread, a *kernel.SyscallArgs) {
+			x := a.I[1]
+			l := x & 0x3 // access mode
+			if x&XNUOCreat != 0 {
+				l |= kernel.OCreat
 			}
-			ct.Syscall(execNum, &kernel.SyscallArgs{Path: path, Argv: argv})
-			// exec only returns on failure.
-			ct.Syscall(exitNum, &kernel.SyscallArgs{I: [6]uint64{127}})
-		}}
-		return forkH(t, fa)
-	})
+			if x&XNUOTrunc != 0 {
+				l |= 0x200 // Linux O_TRUNC
+			}
+			if x&XNUOExcl != 0 {
+				l |= 0x80 // Linux O_EXCL
+			}
+			a.I[1] = l
+		}),
+		wrap(XNUClose, kernel.SysClose, "close", nil),
+		wrap(XNUWait4, kernel.SysWait4, "wait4", nil),
+		wrap(XNUUnlink, kernel.SysUnlink, "unlink", nil),
+		wrap(XNUGetpid, kernel.SysGetpid, "getpid", nil),
+		wrap(XNUGetppid, kernel.SysGetppid, "getppid", nil),
+		wrap(XNUPipe, kernel.SysPipe, "pipe", nil),
+		wrap(XNUIoctl, kernel.SysIoctl, "ioctl", nil),
+		wrap(XNUSelect, kernel.SysSelect, "select", nil),
+		wrap(XNUExecve, kernel.SysExecve, "execve", nil),
+		wrap(XNUSocketpair, kernel.SysSocketpair, "socketpair", nil),
+		wrap(XNUCreat, kernel.SysCreat, "creat", nil),
+		wrap(XNUDup, kernel.SysDup, "dup", nil),
 
-	// Mach traps -------------------------------------------------------
-	tb.Register(MachMsgTrap, "mach_msg", func(t *kernel.Thread, a *kernel.SyscallArgs) kernel.SyscallRet {
-		ipc, ok := xnu.FromKernel(t.Kernel())
-		if !ok {
-			return kernel.SyscallRet{Errno: kernel.ENOSYS}
-		}
-		cv, ok := t.Task().UserData(carrierKey(t))
-		if !ok {
-			return kernel.SyscallRet{Errno: kernel.EINVAL}
-		}
-		c := cv.(*MsgCarrier)
-		name := xnu.PortName(a.I[0])
-		opts := a.I[1]
-		var kr xnu.KernReturn
-		switch {
-		case opts&MachSendMsg != 0:
-			kr = ipc.Send(t, name, c.Msg, c.Timeout)
-		case opts&MachRcvMsg != 0:
-			c.Result, kr = ipc.Receive(t, name, c.Timeout)
-		default:
-			return kernel.SyscallRet{Errno: kernel.EINVAL}
-		}
-		return kernel.SyscallRet{R0: uint64(kr)}
-	})
-	tb.Register(MachReplyPort, "mach_reply_port", func(t *kernel.Thread, a *kernel.SyscallArgs) kernel.SyscallRet {
-		ipc, ok := xnu.FromKernel(t.Kernel())
-		if !ok {
-			return kernel.SyscallRet{Errno: kernel.ENOSYS}
-		}
-		name, kr := ipc.PortAllocate(t)
-		if kr != xnu.KernSuccess {
-			return kernel.SyscallRet{R0: uint64(xnu.PortNull)}
-		}
-		return kernel.SyscallRet{R0: uint64(name)}
-	})
-	tb.Register(TaskSelfTrap, "task_self", func(t *kernel.Thread, a *kernel.SyscallArgs) kernel.SyscallRet {
-		// The task self port name is modeled as pid-tagged.
-		//lint:allow chargecheck: task_self returns a cached name, modeled at trap entry/exit cost only
-		return kernel.SyscallRet{R0: uint64(0x900 + t.Task().PID())}
-	})
-	tb.Register(SemaphoreWaitTrap, "semaphore_wait", func(t *kernel.Thread, a *kernel.SyscallArgs) kernel.SyscallRet {
-		ps, ok := xnu.PsynchFromKernel(t.Kernel())
-		if !ok {
-			return kernel.SyscallRet{Errno: kernel.ENOSYS}
-		}
-		return kernel.SyscallRet{R0: uint64(ps.SemWait(t, a.I[0]))}
-	})
-	tb.Register(SemaphoreSignalTrap, "semaphore_signal", func(t *kernel.Thread, a *kernel.SyscallArgs) kernel.SyscallRet {
-		ps, ok := xnu.PsynchFromKernel(t.Kernel())
-		if !ok {
-			return kernel.SyscallRet{Errno: kernel.ENOSYS}
-		}
-		return kernel.SyscallRet{R0: uint64(ps.SemSignal(t, a.I[0]))}
-	})
+		// kill: the signal number arrives in XNU numbering; renumber to the
+		// canonical (Linux) value before invoking the Linux implementation.
+		wrap(XNUKill, kernel.SysKill, "kill", func(t *kernel.Thread, a *kernel.SyscallArgs) {
+			a.I[1] = uint64(kernel.SignalFromXNU(int(a.I[1])))
+			if tr := t.Kernel().Tracer(); tr != nil {
+				tr.Count(trace.CounterSignalXNUSend, 1)
+			}
+		}),
+		// sigaction: same renumbering for the signal being configured. The
+		// handler itself receives XNU numbers at delivery time (the kernel's
+		// signal layer translates based on the thread persona).
+		wrap(XNUSigaction, kernel.SysRtSigaction, "sigaction", func(t *kernel.Thread, a *kernel.SyscallArgs) {
+			a.I[0] = uint64(kernel.SignalFromXNU(int(a.I[0])))
+			if tr := t.Kernel().Tracer(); tr != nil {
+				tr.Count(trace.CounterSignalXNUSend, 1)
+			}
+		}),
 
-	// psynch BSD syscalls ----------------------------------------------
-	tb.Register(XNUPsynchMutexWait, "psynch_mutexwait", func(t *kernel.Thread, a *kernel.SyscallArgs) kernel.SyscallRet {
-		ps, ok := xnu.PsynchFromKernel(t.Kernel())
-		if !ok {
-			return kernel.SyscallRet{Errno: kernel.ENOSYS}
-		}
-		return kernel.SyscallRet{R0: uint64(ps.MutexWait(t, a.I[0]))}
-	})
-	tb.Register(XNUPsynchMutexDrop, "psynch_mutexdrop", func(t *kernel.Thread, a *kernel.SyscallArgs) kernel.SyscallRet {
-		ps, ok := xnu.PsynchFromKernel(t.Kernel())
-		if !ok {
-			return kernel.SyscallRet{Errno: kernel.ENOSYS}
-		}
-		return kernel.SyscallRet{R0: uint64(ps.MutexDrop(t, a.I[0]))}
-	})
-	tb.Register(XNUPsynchCVWait, "psynch_cvwait", func(t *kernel.Thread, a *kernel.SyscallArgs) kernel.SyscallRet {
-		ps, ok := xnu.PsynchFromKernel(t.Kernel())
-		if !ok {
-			return kernel.SyscallRet{Errno: kernel.ENOSYS}
-		}
-		timedOut, kr := ps.CVWait(t, a.I[0], a.I[1], time.Duration(a.I[2]))
-		r1 := uint64(0)
-		if timedOut {
-			r1 = 1
-		}
-		return kernel.SyscallRet{R0: uint64(kr), R1: r1}
-	})
-	tb.Register(XNUPsynchCVSignal, "psynch_cvsignal", func(t *kernel.Thread, a *kernel.SyscallArgs) kernel.SyscallRet {
-		ps, ok := xnu.PsynchFromKernel(t.Kernel())
-		if !ok {
-			return kernel.SyscallRet{Errno: kernel.ENOSYS}
-		}
-		return kernel.SyscallRet{R0: uint64(ps.CVSignal(t, a.I[0]))}
-	})
-	tb.Register(XNUPsynchCVBroad, "psynch_cvbroad", func(t *kernel.Thread, a *kernel.SyscallArgs) kernel.SyscallRet {
-		ps, ok := xnu.PsynchFromKernel(t.Kernel())
-		if !ok {
-			return kernel.SyscallRet{Errno: kernel.ENOSYS}
-		}
-		return kernel.SyscallRet{R0: uint64(ps.CVBroadcast(t, a.I[0]))}
-	})
+		// getrlimit/setrlimit: the resource number arrives in XNU numbering;
+		// renumber to the canonical (Linux) value before invoking the Linux
+		// implementation. The limit values themselves are plain byte counts
+		// in both ABIs and pass through.
+		wrap(XNUGetrlimit, kernel.SysGetrlimit, "getrlimit", func(t *kernel.Thread, a *kernel.SyscallArgs) {
+			a.I[0] = uint64(kernel.RlimitFromXNU(int(a.I[0])))
+			if tr := t.Kernel().Tracer(); tr != nil {
+				tr.Count(trace.CounterRlimitXlate, 1)
+			}
+		}),
+		wrap(XNUSetrlimit, kernel.SysSetrlimit, "setrlimit", func(t *kernel.Thread, a *kernel.SyscallArgs) {
+			a.I[0] = uint64(kernel.RlimitFromXNU(int(a.I[0])))
+			if tr := t.Kernel().Tracer(); tr != nil {
+				tr.Count(trace.CounterRlimitXlate, 1)
+			}
+		}),
 
-	// I/O Kit MIG surface ----------------------------------------------
-	tb.Register(IOServiceMatchingTrap, "io_service_get_matching_services",
-		func(t *kernel.Thread, a *kernel.SyscallArgs) kernel.SyscallRet {
+		// posix_spawn: built from the Linux fork (clone) and exec
+		// implementations, as the paper describes.
+		{Num: XNUPosixSpawn, Name: "posix_spawn", H: func(t *kernel.Thread, a *kernel.SyscallArgs) kernel.SyscallRet {
+			forkH, _ := linux.Lookup(kernel.SysFork)
+			path, argv := a.Path, a.Argv
+			fa := &kernel.SyscallArgs{ChildFn: func(ct *kernel.Thread) {
+				// The child inherits the caller's persona, so trap with that
+				// persona's syscall numbers.
+				execNum, exitNum := kernel.SysExecve, kernel.SysExit
+				if ct.Persona.Current() == persona.IOS {
+					execNum, exitNum = XNUExecve, XNUExit
+				}
+				ct.Syscall(execNum, &kernel.SyscallArgs{Path: path, Argv: argv})
+				// exec only returns on failure.
+				ct.Syscall(exitNum, &kernel.SyscallArgs{I: [6]uint64{127}})
+			}}
+			return forkH(t, fa)
+		}},
+
+		// Mach traps -------------------------------------------------------
+		{Num: MachMsgTrap, Name: "mach_msg", H: func(t *kernel.Thread, a *kernel.SyscallArgs) kernel.SyscallRet {
+			ipc, ok := xnu.FromKernel(t.Kernel())
+			if !ok {
+				return kernel.SyscallRet{Errno: kernel.ENOSYS}
+			}
+			cv, ok := t.Task().UserData(carrierKey(t))
+			if !ok {
+				return kernel.SyscallRet{Errno: kernel.EINVAL}
+			}
+			c := cv.(*MsgCarrier)
+			name := xnu.PortName(a.I[0])
+			opts := a.I[1]
+			var kr xnu.KernReturn
+			switch {
+			case opts&MachSendMsg != 0:
+				kr = ipc.Send(t, name, c.Msg, c.Timeout)
+			case opts&MachRcvMsg != 0:
+				c.Result, kr = ipc.Receive(t, name, c.Timeout)
+			default:
+				return kernel.SyscallRet{Errno: kernel.EINVAL}
+			}
+			return kernel.SyscallRet{R0: uint64(kr)}
+		}},
+		{Num: MachReplyPort, Name: "mach_reply_port", H: func(t *kernel.Thread, a *kernel.SyscallArgs) kernel.SyscallRet {
+			ipc, ok := xnu.FromKernel(t.Kernel())
+			if !ok {
+				return kernel.SyscallRet{Errno: kernel.ENOSYS}
+			}
+			name, kr := ipc.PortAllocate(t)
+			if kr != xnu.KernSuccess {
+				return kernel.SyscallRet{R0: uint64(xnu.PortNull)}
+			}
+			return kernel.SyscallRet{R0: uint64(name)}
+		}},
+		{Num: TaskSelfTrap, Name: "task_self", H: func(t *kernel.Thread, a *kernel.SyscallArgs) kernel.SyscallRet {
+			// The task self port name is modeled as pid-tagged.
+			//lint:allow chargecheck: task_self returns a cached name, modeled at trap entry/exit cost only
+			return kernel.SyscallRet{R0: uint64(0x900 + t.Task().PID())}
+		}},
+		{Num: SemaphoreWaitTrap, Name: "semaphore_wait", H: func(t *kernel.Thread, a *kernel.SyscallArgs) kernel.SyscallRet {
+			ps, ok := xnu.PsynchFromKernel(t.Kernel())
+			if !ok {
+				return kernel.SyscallRet{Errno: kernel.ENOSYS}
+			}
+			return kernel.SyscallRet{R0: uint64(ps.SemWait(t, a.I[0]))}
+		}},
+		{Num: SemaphoreSignalTrap, Name: "semaphore_signal", H: func(t *kernel.Thread, a *kernel.SyscallArgs) kernel.SyscallRet {
+			ps, ok := xnu.PsynchFromKernel(t.Kernel())
+			if !ok {
+				return kernel.SyscallRet{Errno: kernel.ENOSYS}
+			}
+			return kernel.SyscallRet{R0: uint64(ps.SemSignal(t, a.I[0]))}
+		}},
+
+		// psynch BSD syscalls ----------------------------------------------
+		{Num: XNUPsynchMutexWait, Name: "psynch_mutexwait", H: func(t *kernel.Thread, a *kernel.SyscallArgs) kernel.SyscallRet {
+			ps, ok := xnu.PsynchFromKernel(t.Kernel())
+			if !ok {
+				return kernel.SyscallRet{Errno: kernel.ENOSYS}
+			}
+			return kernel.SyscallRet{R0: uint64(ps.MutexWait(t, a.I[0]))}
+		}},
+		{Num: XNUPsynchMutexDrop, Name: "psynch_mutexdrop", H: func(t *kernel.Thread, a *kernel.SyscallArgs) kernel.SyscallRet {
+			ps, ok := xnu.PsynchFromKernel(t.Kernel())
+			if !ok {
+				return kernel.SyscallRet{Errno: kernel.ENOSYS}
+			}
+			return kernel.SyscallRet{R0: uint64(ps.MutexDrop(t, a.I[0]))}
+		}},
+		{Num: XNUPsynchCVWait, Name: "psynch_cvwait", H: func(t *kernel.Thread, a *kernel.SyscallArgs) kernel.SyscallRet {
+			ps, ok := xnu.PsynchFromKernel(t.Kernel())
+			if !ok {
+				return kernel.SyscallRet{Errno: kernel.ENOSYS}
+			}
+			timedOut, kr := ps.CVWait(t, a.I[0], a.I[1], time.Duration(a.I[2]))
+			r1 := uint64(0)
+			if timedOut {
+				r1 = 1
+			}
+			return kernel.SyscallRet{R0: uint64(kr), R1: r1}
+		}},
+		{Num: XNUPsynchCVSignal, Name: "psynch_cvsignal", H: func(t *kernel.Thread, a *kernel.SyscallArgs) kernel.SyscallRet {
+			ps, ok := xnu.PsynchFromKernel(t.Kernel())
+			if !ok {
+				return kernel.SyscallRet{Errno: kernel.ENOSYS}
+			}
+			return kernel.SyscallRet{R0: uint64(ps.CVSignal(t, a.I[0]))}
+		}},
+		{Num: XNUPsynchCVBroad, Name: "psynch_cvbroad", H: func(t *kernel.Thread, a *kernel.SyscallArgs) kernel.SyscallRet {
+			ps, ok := xnu.PsynchFromKernel(t.Kernel())
+			if !ok {
+				return kernel.SyscallRet{Errno: kernel.ENOSYS}
+			}
+			return kernel.SyscallRet{R0: uint64(ps.CVBroadcast(t, a.I[0]))}
+		}},
+
+		// I/O Kit MIG surface ----------------------------------------------
+		{Num: IOServiceMatchingTrap, Name: "io_service_get_matching_services", H: func(t *kernel.Thread, a *kernel.SyscallArgs) kernel.SyscallRet {
 			reg, ok := iokit.FromKernel(t.Kernel())
 			if !ok {
 				return kernel.SyscallRet{Errno: kernel.ENOSYS}
@@ -413,9 +407,8 @@ func installXNU(k *kernel.Kernel, native bool) *kernel.SyscallTable {
 				return kernel.SyscallRet{R0: 0}
 			}
 			return kernel.SyscallRet{R0: matches[0].ID, R1: uint64(len(matches))}
-		})
-	tb.Register(IOConnectCallTrap, "io_connect_method",
-		func(t *kernel.Thread, a *kernel.SyscallArgs) kernel.SyscallRet {
+		}},
+		{Num: IOConnectCallTrap, Name: "io_connect_method", H: func(t *kernel.Thread, a *kernel.SyscallArgs) kernel.SyscallRet {
 			reg, ok := iokit.FromKernel(t.Kernel())
 			if !ok {
 				return kernel.SyscallRet{Errno: kernel.ENOSYS}
@@ -432,7 +425,12 @@ func installXNU(k *kernel.Kernel, native bool) *kernel.SyscallTable {
 				ret.R1 = out[1]
 			}
 			return ret
-		})
+		}},
+	}...)
+	if !native {
+		tb.EntryExtra = costs.XNUTrapDemux + costs.XNUArgTranslate
+		tb.ExitExtra = costs.XNURetTranslate
+	}
 
 	// set_persona is reachable from all personas (Section 4.3).
 	if k.PersonaAware() {

@@ -276,6 +276,42 @@ func RecvTypeName(fn *types.Func) string {
 	return ""
 }
 
+// SyscallDefFields returns the number and handler of a syscall-table
+// definition entry: a composite literal of a struct type named SyscallDef,
+// positional {num, name, handler} or keyed {Num:, Name:, H:}. Tables built
+// from a definition list register through these literals, not through
+// SyscallTable.Register calls.
+func SyscallDefFields(pkg *Package, cl *ast.CompositeLit) (num, handler ast.Expr, ok bool) {
+	tv, found := pkg.Info.Types[cl]
+	if !found {
+		return nil, nil, false
+	}
+	named, isNamed := tv.Type.(*types.Named)
+	if !isNamed || named.Obj().Name() != "SyscallDef" {
+		return nil, nil, false
+	}
+	for i, el := range cl.Elts {
+		if kv, isKV := el.(*ast.KeyValueExpr); isKV {
+			if key, isID := kv.Key.(*ast.Ident); isID {
+				switch key.Name {
+				case "Num":
+					num = kv.Value
+				case "H":
+					handler = kv.Value
+				}
+			}
+			continue
+		}
+		switch i {
+		case 0:
+			num = el
+		case 2:
+			handler = el
+		}
+	}
+	return num, handler, true
+}
+
 // directive is one parsed //lint:allow annotation.
 type directive struct {
 	file     string

@@ -6,7 +6,8 @@ import (
 )
 
 // ChargeCheck verifies the paper's cost model is actually applied: every
-// handler registered in a kernel.SyscallTable must accrue virtual-time cost
+// handler registered in a kernel.SyscallTable (by Register or as a
+// SyscallDef definition entry) must accrue virtual-time cost
 // (charge/Charge/Advance, or a blocking primitive) on every return path,
 // and every diplomat/dyld hop must accrue cost somewhere in its body. A
 // handler path that produces a SyscallRet without charging silently skews
@@ -196,6 +197,10 @@ func runChargeCheck(pass *Pass) error {
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch node := n.(type) {
+			case *ast.CompositeLit:
+				if _, h, ok := SyscallDefFields(pass.Pkg, node); ok && h != nil {
+					checkHandler(h)
+				}
 			case *ast.CallExpr:
 				fn := Callee(pass.Pkg, node)
 				if fn == nil {

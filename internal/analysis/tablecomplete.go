@@ -12,8 +12,9 @@ import (
 // TableComplete verifies the declared ABI surface is actually provisioned:
 //
 //  1. Syscall-table coverage. A const block that contributes any syscall
-//     number to a table registration (SyscallTable.Register, or the abi
-//     package's wrap closure) must contribute every member: declaring
+//     number to a table registration (SyscallTable.Register, a SyscallDef
+//     definition entry, or the abi package's wrap closure) must
+//     contribute every member: declaring
 //     XNUDup without registering it is exactly how every iOS-persona dup
 //     returned ENOSYS while the Android persona's worked (the first
 //     divergence the PR 6 differential oracle flagged). Blocks that
@@ -90,7 +91,8 @@ func checkTableBlocks(pass *Pass) {
 	pkg := pass.Pkg
 
 	// Collect every const object used as the number argument of a table
-	// registration: arg 0 of SyscallTable.Register, and arg 0 of any call
+	// registration: arg 0 of SyscallTable.Register, the number of a
+	// SyscallDef definition entry, and arg 0 of any call
 	// to a local function value named "wrap" (the abi package's forwarding
 	// closure; Callee cannot resolve closure variables, so the name is the
 	// convention).
@@ -109,6 +111,12 @@ func checkTableBlocks(pass *Pass) {
 	}
 	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
+			if cl, ok := n.(*ast.CompositeLit); ok {
+				if num, _, ok := SyscallDefFields(pkg, cl); ok && num != nil {
+					markConsts(num)
+				}
+				return true
+			}
 			call, ok := n.(*ast.CallExpr)
 			if !ok || len(call.Args) == 0 {
 				return true

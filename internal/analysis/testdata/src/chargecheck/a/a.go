@@ -160,3 +160,16 @@ func InstallBridges(k *kernel.Kernel) {
 		return sig == 11
 	})
 }
+
+// A table built from a definition list registers through SyscallDef
+// literals: their handlers are checked the same way, positional or keyed.
+var defTable = kernel.NewSyscallTable([]kernel.SyscallDef{
+	{Num: 20, Name: "def-charged", H: func(t *kernel.Thread) kernel.SyscallRet {
+		t.Charge(1)
+		return kernel.SyscallRet{R0: 1}
+	}},
+	{Num: 21, Name: "def-free", H: func(t *kernel.Thread) kernel.SyscallRet {
+		return kernel.SyscallRet{R0: pidOf(t)} // want `chargecheck: return path accrues no virtual-time cost`
+	}},
+	{Num: 22, Name: "def-named", H: getpidFree},
+}...)

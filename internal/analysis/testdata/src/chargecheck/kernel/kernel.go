@@ -26,6 +26,21 @@ func (tb *SyscallTable) Register(num int, name string, h SyscallHandler) {
 	tb.h[num] = h
 }
 
+// SyscallDef is a definition-list entry; NewSyscallTable registers each.
+type SyscallDef struct {
+	Num  int
+	Name string
+	H    SyscallHandler
+}
+
+func NewSyscallTable(defs ...SyscallDef) *SyscallTable {
+	tb := &SyscallTable{h: map[int]SyscallHandler{}}
+	for _, d := range defs {
+		tb.Register(d.Num, d.Name, d.H)
+	}
+	return tb
+}
+
 // Hooks mimics the dyld atexit/atfork registration points.
 type Hooks struct{ exit []func(*Thread) }
 

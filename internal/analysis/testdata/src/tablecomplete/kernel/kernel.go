@@ -43,6 +43,36 @@ func (t *SyscallTable) Register(num int, name string, h func()) {
 	t.names[num] = name
 }
 
+// SyscallDef is a definition-list entry: a table built from a list
+// registers through these literals.
+type SyscallDef struct {
+	Num  int
+	Name string
+	H    func()
+}
+
+// NewSyscallTable builds a table from its definition list.
+func NewSyscallTable(defs ...SyscallDef) *SyscallTable {
+	tb := &SyscallTable{}
+	for _, d := range defs {
+		tb.Register(d.Num, d.Name, d.H)
+	}
+	return tb
+}
+
+// This block registers only through definition entries (one positional,
+// one keyed); SysMachMsg is missing from the list.
+const (
+	SysMachReplyPort = -26
+	SysTaskSelf      = -28
+	SysMachMsg       = -31 // want `tablecomplete: syscall number SysMachMsg is declared in a registered table's const block but never registered`
+)
+
+var machTable = NewSyscallTable([]SyscallDef{
+	{SysMachReplyPort, "mach_reply_port", func() {}},
+	{Num: SysTaskSelf, Name: "task_self", H: func() {}},
+}...)
+
 // This block contributes numbers to a registered table, so every member
 // must be registered: SysDup is the missing-dup divergence shape.
 const (

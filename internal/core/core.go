@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/abi"
@@ -227,6 +228,13 @@ type GfxStack struct {
 	Bridge  *graphics.EAGLBridge
 }
 
+// registrySize holds, per Config, how many keys the registry of that
+// Config's last finished boot held. The next boot sizes its map from it
+// once instead of regrowing it from empty. It is only a capacity hint:
+// the first boot of a Config starts from an empty map, and Keys sorts, so
+// capacity is never observable.
+var registrySize [ConfigIPad + 1]atomic.Int32
+
 // NewSystem boots a system in the given configuration.
 func NewSystem(cfg Config, opts ...Options) (*System, error) {
 	var o Options
@@ -234,8 +242,7 @@ func NewSystem(cfg Config, opts ...Options) (*System, error) {
 		o = opts[0]
 	}
 	s := sim.New()
-	reg := prog.NewRegistry()
-	sys := &System{Config: cfg, Sim: s, Registry: reg, opts: o}
+	sys := &System{Config: cfg, Sim: s, opts: o}
 
 	device := o.Device
 	sharedCache := cfg == ConfigIPad
@@ -281,6 +288,8 @@ func NewSystem(cfg Config, opts ...Options) (*System, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown config %d", cfg)
 	}
+	reg := prog.NewRegistrySize(int(registrySize[cfg].Load()))
+	sys.Registry = reg
 
 	k, err := kernel.New(s, kernel.Config{
 		Profile: profile, Device: device, Root: root, Registry: reg,
@@ -360,6 +369,7 @@ func NewSystem(cfg Config, opts ...Options) (*System, error) {
 	if o.Trace {
 		sys.EnableTrace()
 	}
+	registrySize[cfg].Store(int32(reg.Len()))
 	return sys, nil
 }
 

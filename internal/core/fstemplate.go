@@ -12,11 +12,13 @@ import (
 // to be regenerated from scratch for every booted System, which profiling
 // showed was the single largest share of benchmark wall time (~45% of a
 // Fig. 5 battery, ~90MB of Mach-O bytes re-synthesized per cell). Each
-// image is now built once per process, frozen, and cloned per System:
-// Clone copies only the directory skeleton and shares file bytes
-// copy-on-write, so per-boot cost drops to a tree copy. Freezing makes
-// in-place writes through any clone safe (they copy first), and the
-// templates themselves are never handed out, so nothing can mutate them.
+// image is now built once per process, frozen, and cloned per System.
+// Clone copies every node into one slab and every directory entry into
+// another, and shares file bytes copy-on-write, so a boot's image costs
+// two allocations whatever its size (the iOS image is ~220 nodes).
+// Freezing makes in-place writes through any clone safe (they copy
+// first), and the templates themselves are never handed out, so nothing
+// can mutate them.
 //
 // The templates hold:
 //

@@ -89,45 +89,64 @@ type SyscallTable struct {
 	ExitExtra  time.Duration
 	// dense is the dispatch array for the contiguous low syscall-number
 	// range: dispatch is an index and a nil check, no hashing. ABI numbers
-	// cluster near zero; the only outlier is Cider's set_persona
-	// (983045), which lives in the fallback maps.
-	dense        []SyscallHandler
-	denseNames   []string
-	outliers     map[int]SyscallHandler
-	outlierNames map[int]string
+	// cluster near zero; the only outliers are Cider's set_persona
+	// (983045) and the negative Mach traps, which live in the fallback map.
+	dense    []syscallEntry
+	outliers map[int]syscallEntry
+}
+
+// syscallEntry is one registered handler and its name.
+type syscallEntry struct {
+	h    SyscallHandler
+	name string
+}
+
+// SyscallDef is one entry of a table's definition list.
+type SyscallDef struct {
+	Num  int
+	Name string
+	H    SyscallHandler
 }
 
 // maxDense bounds the dense array: numbers at or above this (set_persona's
-// unused-slot encoding) go to the outlier maps rather than growing a
+// unused-slot encoding) go to the outlier map rather than growing a
 // megabyte of nil handler slots.
 const maxDense = 4096
 
-// NewSyscallTable creates an empty table.
-func NewSyscallTable(name string) *SyscallTable {
-	return &SyscallTable{
-		Name:         name,
-		outliers:     make(map[int]SyscallHandler),
-		outlierNames: make(map[int]string),
+// NewSyscallTable creates a table holding defs. The dense array is sized
+// once, to the largest dense number in defs plus one, so building a
+// table copies no handler array; Register adds later entries.
+func NewSyscallTable(name string, defs ...SyscallDef) *SyscallTable {
+	tb := &SyscallTable{Name: name}
+	size := 0
+	for _, d := range defs {
+		if isDense(d.Num) {
+			size = max(size, d.Num+1)
+		}
 	}
+	tb.dense = make([]syscallEntry, size)
+	for _, d := range defs {
+		tb.Register(d.Num, d.Name, d.H)
+	}
+	return tb
 }
+
+func isDense(num int) bool { return num >= 0 && num < maxDense }
 
 // Register installs a handler for a syscall number.
 func (tb *SyscallTable) Register(num int, name string, h SyscallHandler) {
-	if num >= 0 && num < maxDense {
-		if num >= len(tb.dense) {
-			// Grow by append, geometrically: handlers register in
-			// ascending order, and exact-size growth would copy both
-			// arrays once per handler.
-			grow := num + 1 - len(tb.dense)
-			tb.dense = append(tb.dense, make([]SyscallHandler, grow)...)
-			tb.denseNames = append(tb.denseNames, make([]string, grow)...)
+	e := syscallEntry{h: h, name: name}
+	if !isDense(num) {
+		if tb.outliers == nil {
+			tb.outliers = make(map[int]syscallEntry)
 		}
-		tb.dense[num] = h
-		tb.denseNames[num] = name
+		tb.outliers[num] = e
 		return
 	}
-	tb.outliers[num] = h
-	tb.outlierNames[num] = name
+	if num >= len(tb.dense) {
+		tb.dense = append(tb.dense, make([]syscallEntry, num+1-len(tb.dense))...)
+	}
+	tb.dense[num] = e
 }
 
 // Lookup returns the handler for num.
@@ -135,20 +154,20 @@ func (tb *SyscallTable) Register(num int, name string, h SyscallHandler) {
 //hot:noalloc
 func (tb *SyscallTable) Lookup(num int) (SyscallHandler, bool) {
 	if uint(num) < uint(len(tb.dense)) {
-		h := tb.dense[num]
+		h := tb.dense[num].h
 		return h, h != nil
 	}
-	h, ok := tb.outliers[num]
-	return h, ok
+	e, ok := tb.outliers[num]
+	return e.h, ok
 }
 
 // NameOf returns the registered name of a syscall number.
 func (tb *SyscallTable) NameOf(num int) string {
-	if uint(num) < uint(len(tb.denseNames)) && tb.dense[num] != nil {
-		return tb.denseNames[num]
+	if uint(num) < uint(len(tb.dense)) && tb.dense[num].h != nil {
+		return tb.dense[num].name
 	}
-	if n, ok := tb.outlierNames[num]; ok {
-		return n
+	if e, ok := tb.outliers[num]; ok {
+		return e.name
 	}
 	return fmt.Sprintf("sys_%d", num)
 }
@@ -156,8 +175,8 @@ func (tb *SyscallTable) NameOf(num int) string {
 // Len returns the number of registered handlers.
 func (tb *SyscallTable) Len() int {
 	n := len(tb.outliers)
-	for _, h := range tb.dense {
-		if h != nil {
+	for _, e := range tb.dense {
+		if e.h != nil {
 			n++
 		}
 	}
@@ -299,115 +318,116 @@ func (t *Thread) Syscall(num int, a *SyscallArgs) SyscallRet {
 // InstallLinuxTable builds and installs the native Linux syscall table for
 // the Android persona. Vanilla kernels install only this table.
 func (k *Kernel) InstallLinuxTable() *SyscallTable {
-	tb := NewSyscallTable("linux")
-	tb.Register(SysExit, "exit", func(t *Thread, a *SyscallArgs) SyscallRet {
-		t.exitTask(int(a.I[0]))
-		return SyscallRet{}
-	})
-	tb.Register(SysFork, "fork", func(t *Thread, a *SyscallArgs) SyscallRet {
-		if a.ChildFn == nil {
-			return SyscallRet{Errno: EINVAL}
-		}
-		pid, errno := t.forkInternal(a.ChildFn)
-		return SyscallRet{R0: uint64(pid), Errno: errno}
-	})
-	tb.Register(SysRead, "read", func(t *Thread, a *SyscallArgs) SyscallRet {
-		f, errno := t.task.fds.Get(int(a.I[0]))
-		if errno != OK {
-			return SyscallRet{Errno: errno}
-		}
-		t.charge(t.k.costs.ReadBase)
-		n, errno := f.Read(t, a.Buf)
-		return SyscallRet{R0: uint64(n), Errno: errno}
-	})
-	tb.Register(SysWrite, "write", func(t *Thread, a *SyscallArgs) SyscallRet {
-		f, errno := t.task.fds.Get(int(a.I[0]))
-		if errno != OK {
-			return SyscallRet{Errno: errno}
-		}
-		t.charge(t.k.costs.WriteBase)
-		n, errno := f.Write(t, a.Buf)
-		return SyscallRet{R0: uint64(n), Errno: errno}
-	})
-	tb.Register(SysOpen, "open", func(t *Thread, a *SyscallArgs) SyscallRet {
-		fd, errno := t.openInternal(a.Path, int(a.I[1]))
-		return SyscallRet{R0: uint64(fd), Errno: errno}
-	})
-	tb.Register(SysClose, "close", func(t *Thread, a *SyscallArgs) SyscallRet {
-		t.charge(t.k.costs.CloseBase)
-		return SyscallRet{Errno: t.task.fds.Close(t, int(a.I[0]))}
-	})
-	tb.Register(SysCreat, "creat", func(t *Thread, a *SyscallArgs) SyscallRet {
-		fd, errno := t.creatInternal(a.Path)
-		return SyscallRet{R0: uint64(fd), Errno: errno}
-	})
-	tb.Register(SysUnlink, "unlink", func(t *Thread, a *SyscallArgs) SyscallRet {
-		return SyscallRet{Errno: t.unlinkInternal(a.Path)}
-	})
-	tb.Register(SysExecve, "execve", func(t *Thread, a *SyscallArgs) SyscallRet {
-		errno := t.execInternal(a.Path, a.Argv)
-		return SyscallRet{Errno: errno} // reached only on failure
-	})
-	tb.Register(SysGetpid, "getpid", func(t *Thread, a *SyscallArgs) SyscallRet {
-		//lint:allow chargecheck: getpid is the null syscall: its cost is exactly the dispatcher entry/exit charges (Fig. 5)
-		return SyscallRet{R0: uint64(t.task.pid)}
-	})
-	tb.Register(SysGetppid, "getppid", func(t *Thread, a *SyscallArgs) SyscallRet {
-		//lint:allow chargecheck: getppid is a null syscall like getpid: dispatcher entry/exit charges only
-		return SyscallRet{R0: uint64(t.task.PPID())}
-	})
-	tb.Register(SysKill, "kill", func(t *Thread, a *SyscallArgs) SyscallRet {
-		return SyscallRet{Errno: t.killInternal(int(a.I[0]), int(a.I[1]))}
-	})
-	tb.Register(SysPipe, "pipe", func(t *Thread, a *SyscallArgs) SyscallRet {
-		r, w, errno := t.pipeInternal()
-		return SyscallRet{R0: uint64(r), R1: uint64(w), Errno: errno}
-	})
-	tb.Register(SysDup, "dup", func(t *Thread, a *SyscallArgs) SyscallRet {
-		fd, errno := t.task.fds.Dup(int(a.I[0]))
-		return SyscallRet{R0: uint64(fd), Errno: errno}
-	})
-	tb.Register(SysIoctl, "ioctl", func(t *Thread, a *SyscallArgs) SyscallRet {
-		f, errno := t.task.fds.Get(int(a.I[0]))
-		if errno != OK {
-			return SyscallRet{Errno: errno}
-		}
-		t.charge(t.k.costs.IoctlBase)
-		r, errno := f.Ioctl(t, a.I[1], a.I[2])
-		return SyscallRet{R0: r, Errno: errno}
-	})
-	tb.Register(SysSelect, "select", func(t *Thread, a *SyscallArgs) SyscallRet {
-		if a.Select == nil {
-			return SyscallRet{Errno: EINVAL}
-		}
-		res, errno := t.selectInternal(a.Select)
-		ret := SyscallRet{Errno: errno, Select: res}
-		if res != nil {
-			ret.R0 = uint64(res.N())
-		}
-		return ret
-	})
-	tb.Register(SysRtSigaction, "rt_sigaction", func(t *Thread, a *SyscallArgs) SyscallRet {
-		return SyscallRet{Errno: t.sigactionInternal(int(a.I[0]), a.Act)}
-	})
-	tb.Register(SysWait4, "wait4", func(t *Thread, a *SyscallArgs) SyscallRet {
-		pid, status, errno := t.waitInternal(int(int64(a.I[0])))
-		return SyscallRet{R0: uint64(pid), R1: uint64(status), Errno: errno}
-	})
-	tb.Register(SysSocketpair, "socketpair", func(t *Thread, a *SyscallArgs) SyscallRet {
-		f1, f2, errno := t.socketpairInternal()
-		return SyscallRet{R0: uint64(f1), R1: uint64(f2), Errno: errno}
-	})
-	tb.Register(SysGetrlimit, "getrlimit", func(t *Thread, a *SyscallArgs) SyscallRet {
-		lim, errno := t.getrlimitInternal(int(a.I[0]))
-		if errno != OK {
-			return SyscallRet{Errno: errno}
-		}
-		return SyscallRet{R0: lim.Cur, R1: lim.Max}
-	})
-	tb.Register(SysSetrlimit, "setrlimit", func(t *Thread, a *SyscallArgs) SyscallRet {
-		return SyscallRet{Errno: t.setrlimitInternal(int(a.I[0]), RLimit{Cur: a.I[1], Max: a.I[2]})}
-	})
+	tb := NewSyscallTable("linux", []SyscallDef{
+		{SysExit, "exit", func(t *Thread, a *SyscallArgs) SyscallRet {
+			t.exitTask(int(a.I[0]))
+			return SyscallRet{}
+		}},
+		{SysFork, "fork", func(t *Thread, a *SyscallArgs) SyscallRet {
+			if a.ChildFn == nil {
+				return SyscallRet{Errno: EINVAL}
+			}
+			pid, errno := t.forkInternal(a.ChildFn)
+			return SyscallRet{R0: uint64(pid), Errno: errno}
+		}},
+		{SysRead, "read", func(t *Thread, a *SyscallArgs) SyscallRet {
+			f, errno := t.task.fds.Get(int(a.I[0]))
+			if errno != OK {
+				return SyscallRet{Errno: errno}
+			}
+			t.charge(t.k.costs.ReadBase)
+			n, errno := f.Read(t, a.Buf)
+			return SyscallRet{R0: uint64(n), Errno: errno}
+		}},
+		{SysWrite, "write", func(t *Thread, a *SyscallArgs) SyscallRet {
+			f, errno := t.task.fds.Get(int(a.I[0]))
+			if errno != OK {
+				return SyscallRet{Errno: errno}
+			}
+			t.charge(t.k.costs.WriteBase)
+			n, errno := f.Write(t, a.Buf)
+			return SyscallRet{R0: uint64(n), Errno: errno}
+		}},
+		{SysOpen, "open", func(t *Thread, a *SyscallArgs) SyscallRet {
+			fd, errno := t.openInternal(a.Path, int(a.I[1]))
+			return SyscallRet{R0: uint64(fd), Errno: errno}
+		}},
+		{SysClose, "close", func(t *Thread, a *SyscallArgs) SyscallRet {
+			t.charge(t.k.costs.CloseBase)
+			return SyscallRet{Errno: t.task.fds.Close(t, int(a.I[0]))}
+		}},
+		{SysCreat, "creat", func(t *Thread, a *SyscallArgs) SyscallRet {
+			fd, errno := t.creatInternal(a.Path)
+			return SyscallRet{R0: uint64(fd), Errno: errno}
+		}},
+		{SysUnlink, "unlink", func(t *Thread, a *SyscallArgs) SyscallRet {
+			return SyscallRet{Errno: t.unlinkInternal(a.Path)}
+		}},
+		{SysExecve, "execve", func(t *Thread, a *SyscallArgs) SyscallRet {
+			errno := t.execInternal(a.Path, a.Argv)
+			return SyscallRet{Errno: errno} // reached only on failure
+		}},
+		{SysGetpid, "getpid", func(t *Thread, a *SyscallArgs) SyscallRet {
+			//lint:allow chargecheck: getpid is the null syscall: its cost is exactly the dispatcher entry/exit charges (Fig. 5)
+			return SyscallRet{R0: uint64(t.task.pid)}
+		}},
+		{SysGetppid, "getppid", func(t *Thread, a *SyscallArgs) SyscallRet {
+			//lint:allow chargecheck: getppid is a null syscall like getpid: dispatcher entry/exit charges only
+			return SyscallRet{R0: uint64(t.task.PPID())}
+		}},
+		{SysKill, "kill", func(t *Thread, a *SyscallArgs) SyscallRet {
+			return SyscallRet{Errno: t.killInternal(int(a.I[0]), int(a.I[1]))}
+		}},
+		{SysPipe, "pipe", func(t *Thread, a *SyscallArgs) SyscallRet {
+			r, w, errno := t.pipeInternal()
+			return SyscallRet{R0: uint64(r), R1: uint64(w), Errno: errno}
+		}},
+		{SysDup, "dup", func(t *Thread, a *SyscallArgs) SyscallRet {
+			fd, errno := t.task.fds.Dup(int(a.I[0]))
+			return SyscallRet{R0: uint64(fd), Errno: errno}
+		}},
+		{SysIoctl, "ioctl", func(t *Thread, a *SyscallArgs) SyscallRet {
+			f, errno := t.task.fds.Get(int(a.I[0]))
+			if errno != OK {
+				return SyscallRet{Errno: errno}
+			}
+			t.charge(t.k.costs.IoctlBase)
+			r, errno := f.Ioctl(t, a.I[1], a.I[2])
+			return SyscallRet{R0: r, Errno: errno}
+		}},
+		{SysSelect, "select", func(t *Thread, a *SyscallArgs) SyscallRet {
+			if a.Select == nil {
+				return SyscallRet{Errno: EINVAL}
+			}
+			res, errno := t.selectInternal(a.Select)
+			ret := SyscallRet{Errno: errno, Select: res}
+			if res != nil {
+				ret.R0 = uint64(res.N())
+			}
+			return ret
+		}},
+		{SysRtSigaction, "rt_sigaction", func(t *Thread, a *SyscallArgs) SyscallRet {
+			return SyscallRet{Errno: t.sigactionInternal(int(a.I[0]), a.Act)}
+		}},
+		{SysWait4, "wait4", func(t *Thread, a *SyscallArgs) SyscallRet {
+			pid, status, errno := t.waitInternal(int(int64(a.I[0])))
+			return SyscallRet{R0: uint64(pid), R1: uint64(status), Errno: errno}
+		}},
+		{SysSocketpair, "socketpair", func(t *Thread, a *SyscallArgs) SyscallRet {
+			f1, f2, errno := t.socketpairInternal()
+			return SyscallRet{R0: uint64(f1), R1: uint64(f2), Errno: errno}
+		}},
+		{SysGetrlimit, "getrlimit", func(t *Thread, a *SyscallArgs) SyscallRet {
+			lim, errno := t.getrlimitInternal(int(a.I[0]))
+			if errno != OK {
+				return SyscallRet{Errno: errno}
+			}
+			return SyscallRet{R0: lim.Cur, R1: lim.Max}
+		}},
+		{SysSetrlimit, "setrlimit", func(t *Thread, a *SyscallArgs) SyscallRet {
+			return SyscallRet{Errno: t.setrlimitInternal(int(a.I[0]), RLimit{Cur: a.I[1], Max: a.I[2]})}
+		}},
+	}...)
 	if k.PersonaAware() {
 		tb.Register(SysSetPersona, "set_persona", sysSetPersona)
 	}

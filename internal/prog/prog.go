@@ -50,6 +50,15 @@ func NewRegistry() *Registry {
 	return &Registry{funcs: make(map[string]Func)}
 }
 
+// NewRegistrySize creates an empty registry with room for n keys, so
+// registering up to n of them never regrows its map.
+func NewRegistrySize(n int) *Registry {
+	return &Registry{funcs: make(map[string]Func, n)}
+}
+
+// Len returns the number of registered keys.
+func (r *Registry) Len() int { return len(r.funcs) }
+
 // Register binds key to fn, failing on duplicates (two different pieces of
 // machine code cannot share an identity).
 func (r *Registry) Register(key string, fn Func) error {

@@ -3,8 +3,8 @@ package vfs
 import "testing"
 
 // BenchmarkVFSLookupInterned times the clean-path fast walk: component
-// iteration by substring (the map probes on string slices compile to
-// allocation-free lookups), no Clean, no split slice. Every simulated
+// iteration by substring, binary-searched in each directory's sorted
+// entries, no Clean, no split slice. Every simulated
 // open/exec pays this path, so allocs/op here must report 0.
 func BenchmarkVFSLookupInterned(b *testing.B) {
 	fs := New()

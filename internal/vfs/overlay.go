@@ -95,26 +95,32 @@ func (o *Overlay) Remove(p string) error {
 }
 
 // ReadDir unions the listings of both layers; upper entries shadow lower
-// entries of the same name.
+// entries of the same name. Both listings arrive in name order, so one
+// merge pass produces the union in name order.
 func (o *Overlay) ReadDir(p string) ([]*Node, error) {
 	up, upErr := o.upper.ReadDir(p)
 	low, lowErr := o.lower.ReadDir(p)
 	if upErr != nil && lowErr != nil {
 		return nil, upErr
 	}
-	seen := map[string]bool{}
-	var out []*Node
-	for _, n := range up {
-		seen[n.Name()] = true
-		out = append(out, n)
-	}
-	for _, n := range low {
-		if !seen[n.Name()] {
-			out = append(out, n)
+	out := make([]*Node, 0, len(up)+len(low))
+	i, j := 0, 0
+	for i < len(up) && j < len(low) {
+		switch u, l := up[i].name, low[j].name; {
+		case u < l:
+			out = append(out, up[i])
+			i++
+		case l < u:
+			out = append(out, low[j])
+			j++
+		default:
+			out = append(out, up[i])
+			i++
+			j++
 		}
 	}
-	sortNodes(out)
-	return out, nil
+	out = append(out, up[i:]...)
+	return append(out, low[j:]...), nil
 }
 
 // Rename operates within the upper layer, copying the source up from the
@@ -151,12 +157,4 @@ func (o *Overlay) ReadFile(p string) ([]byte, error) {
 		return nil, &ErrIsDir{Path: Clean(p)}
 	}
 	return append([]byte(nil), n.Data()...), nil
-}
-
-func sortNodes(ns []*Node) {
-	for i := 1; i < len(ns); i++ {
-		for j := i; j > 0 && ns[j].Name() < ns[j-1].Name(); j-- {
-			ns[j], ns[j-1] = ns[j-1], ns[j]
-		}
-	}
 }

@@ -12,7 +12,7 @@ package vfs
 import (
 	"fmt"
 	"path"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -100,9 +100,13 @@ func (e *ErrNoSpace) Error() string {
 
 // Node is one filesystem object.
 type Node struct {
-	name     string
-	kind     Kind
-	children map[string]*Node
+	name string
+	kind Kind
+	// children holds a directory's entries sorted by name; lookups
+	// binary-search it. A cloned tree carves it from the clone's edge
+	// slab with its capacity clipped, so growing it reallocates rather
+	// than overwrite the next directory's entries.
+	children []*Node
 	data     []byte
 	// shared marks data as copy-on-write: the slice is owned by a frozen
 	// template tree (see FS.Freeze/Clone) or by a WriteFileShared caller
@@ -211,7 +215,7 @@ type FS struct {
 
 // New creates an empty filesystem with a root directory.
 func New() *FS {
-	return &FS{root: &Node{name: "/", kind: KindDir, children: map[string]*Node{}}}
+	return &FS{root: &Node{name: "/", kind: KindDir}}
 }
 
 // Clean canonicalizes a path to an absolute, /-separated form.
@@ -229,6 +233,34 @@ func Split(p string) (dir, leaf string) {
 }
 
 const maxSymlinks = 16
+
+// search returns the index of the child named name in the directory's
+// sorted entries, or the index where it would be inserted, and whether it
+// is present. It is a plain binary search: no func literal, no allocation.
+//
+//hot:noalloc
+func (n *Node) search(name string) (int, bool) {
+	lo, hi := 0, len(n.children)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if n.children[mid].name < name {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(n.children) && n.children[lo].name == name
+}
+
+// child returns the entry named name, or nil.
+//
+//hot:noalloc
+func (n *Node) child(name string) *Node {
+	if i, ok := n.search(name); ok {
+		return n.children[i]
+	}
+	return nil
+}
 
 // pathIsClean reports whether p is already in Clean form: absolute, no
 // empty, ".", or ".." components, no trailing slash. Such paths can be
@@ -254,8 +286,8 @@ func pathIsClean(p string) bool {
 }
 
 // fastWalk resolves an already-clean path through plain directories with no
-// allocations: components are substrings of p (a Go map lookup with a
-// substring key does not allocate). The moment resolution needs anything
+// allocations: components are substrings of p, binary-searched in each
+// directory's sorted entries. The moment resolution needs anything
 // structural — a symlink, a mount point, or the exact ErrNotDir error text —
 // it reports ok=false and the caller retries on the general path. Lookups on
 // a booted system are overwhelmingly clean absolute paths to plain files,
@@ -276,8 +308,8 @@ func (fs *FS) fastWalk(p string, followLast bool) (n *Node, err error, ok bool) 
 		if cur.kind != KindDir {
 			return nil, nil, false
 		}
-		next, found := cur.children[p[i:j]]
-		if !found {
+		next := cur.child(p[i:j])
+		if next == nil {
 			//lint:allow hotalloc: miss path — the error carries the path
 			return nil, &ErrNotFound{Path: p}, true
 		}
@@ -310,8 +342,8 @@ func (fs *FS) walk(p string, followLast bool, depth int) (*Node, error) {
 		if cur.kind != KindDir {
 			return nil, &ErrNotDir{Path: strings.Join(parts[:i], "/")}
 		}
-		next, ok := cur.children[part]
-		if !ok {
+		next := cur.child(part)
+		if next == nil {
 			return nil, &ErrNotFound{Path: p}
 		}
 		last := i == len(parts)-1
@@ -378,11 +410,12 @@ func (fs *FS) addChild(p string, n *Node) error {
 	if err != nil {
 		return err
 	}
-	if _, ok := d.children[leaf]; ok {
+	i, ok := d.search(leaf)
+	if ok {
 		return &ErrExists{Path: Clean(p)}
 	}
 	n.name = leaf
-	d.children[leaf] = n
+	d.children = slices.Insert(d.children, i, n)
 	return nil
 }
 
@@ -402,12 +435,17 @@ func (fs *FS) Create(p string) (*Node, error) {
 
 // Mkdir creates a directory.
 func (fs *FS) Mkdir(p string) error {
-	return fs.addChild(p, &Node{kind: KindDir, children: map[string]*Node{}})
+	return fs.addChild(p, &Node{kind: KindDir})
 }
 
 // MkdirAll creates a directory and all missing parents.
 func (fs *FS) MkdirAll(p string) error {
 	p = Clean(p)
+	// Fast path: the directory already exists (every AddDevice after the
+	// first asks for /dev again).
+	if n, err, ok := fs.fastWalk(p, true); ok && err == nil && n.kind == KindDir {
+		return nil
+	}
 	if p == "/" {
 		return nil
 	}
@@ -463,14 +501,14 @@ func (fs *FS) Remove(p string) error {
 	if err != nil {
 		return err
 	}
-	n, ok := d.children[leaf]
+	i, ok := d.search(leaf)
 	if !ok {
 		return &ErrNotFound{Path: Clean(p)}
 	}
-	if n.IsDir() && len(n.children) > 0 {
+	if n := d.children[i]; n.IsDir() && len(n.children) > 0 {
 		return &ErrNotEmpty{Path: Clean(p)}
 	}
-	delete(d.children, leaf)
+	d.children = slices.Delete(d.children, i, i+1)
 	return nil
 }
 
@@ -486,11 +524,8 @@ func (fs *FS) ReadDir(p string) ([]*Node, error) {
 	if !n.IsDir() {
 		return nil, &ErrNotDir{Path: Clean(p)}
 	}
-	out := make([]*Node, 0, len(n.children))
-	for _, c := range n.children {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	out := make([]*Node, len(n.children))
+	copy(out, n.children)
 	return out, nil
 }
 
@@ -500,17 +535,22 @@ func (fs *FS) Rename(oldp, newp string) error {
 	if err != nil {
 		return err
 	}
-	n, ok := od.children[oleaf]
+	oi, ok := od.search(oleaf)
 	if !ok {
 		return &ErrNotFound{Path: Clean(oldp)}
 	}
+	n := od.children[oi]
 	nd, nleaf, err := fs.parentOf(newp)
 	if err != nil {
 		return err
 	}
-	delete(od.children, oleaf)
+	od.children = slices.Delete(od.children, oi, oi+1)
 	n.name = nleaf
-	nd.children[nleaf] = n
+	if ni, exists := nd.search(nleaf); exists {
+		nd.children[ni] = n
+	} else {
+		nd.children = slices.Insert(nd.children, ni, n)
+	}
 	return nil
 }
 
@@ -578,32 +618,59 @@ func (n *Node) freeze() {
 	}
 }
 
-// Clone returns an independent copy of the tree. Node structure (directories,
-// names, symlinks) is deep-copied; file contents are shared copy-on-write
-// with the source, so cloning a frozen multi-megabyte image costs only the
-// directory skeleton. Mount points and the FaultHook are not carried over:
-// templates are cloned before mounts and hooks are attached.
+// Clone returns an independent copy of the tree. Every node is copied, so
+// node-level writes through one tree (WriteData, SetData) never reach
+// another; file contents are shared copy-on-write with the source, so
+// cloning a frozen multi-megabyte image costs only the skeleton. The copy
+// takes two allocations whatever the tree's size: one slab holds every
+// node and one every directory entry. Mount points and the FaultHook are
+// not carried over: templates are cloned before mounts and hooks are
+// attached.
 func (fs *FS) Clone() *FS {
-	return &FS{root: fs.root.clone()}
+	n := fs.root.count()
+	c := cloner{nodes: make([]Node, n), edges: make([]*Node, n-1)}
+	return &FS{root: c.copy(fs.root)}
 }
 
-func (n *Node) clone() *Node {
-	c := &Node{name: n.name, kind: n.kind, target: n.target, dev: n.dev}
-	if n.data != nil {
-		c.data = n.data
+// count returns the number of nodes in the subtree rooted at n.
+func (n *Node) count() int {
+	total := 1
+	for _, c := range n.children {
+		total += c.count()
+	}
+	return total
+}
+
+// cloner hands out the unused tails of a Clone's node and edge slabs.
+type cloner struct {
+	nodes []Node
+	edges []*Node
+}
+
+// copy copies src and its subtree into the slabs and returns the copy.
+func (c *cloner) copy(src *Node) *Node {
+	dst := &c.nodes[0]
+	c.nodes = c.nodes[1:]
+	*dst = Node{name: src.name, kind: src.kind, target: src.target, dev: src.dev}
+	if src.data != nil {
+		dst.data = src.data
 		// The copy always treats the bytes as shared, even when the source
 		// was never frozen: writes through the clone must not reach the
 		// source. (Writes through an unfrozen source remain visible to
 		// clones — Freeze first.)
-		c.shared = true
+		dst.shared = true
 	}
-	if n.children != nil {
-		c.children = make(map[string]*Node, len(n.children))
-		for name, child := range n.children {
-			c.children[name] = child.clone()
+	if k := len(src.children); k > 0 {
+		// Clip the capacity: an insert into this directory must
+		// reallocate, not write into the next directory's entries.
+		kids := c.edges[:k:k]
+		c.edges = c.edges[k:]
+		for i, child := range src.children {
+			kids[i] = c.copy(child)
 		}
+		dst.children = kids
 	}
-	return c
+	return dst
 }
 
 // ReadFile returns a copy of the file contents at p.

@@ -2,6 +2,7 @@ package vfs
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -370,6 +371,30 @@ func TestOverlayReadDirUnion(t *testing.T) {
 		if e.Name() == "libc.so" && string(e.Data()) != "shadow" {
 			t.Fatal("lower libc.so not shadowed")
 		}
+	}
+}
+
+// TestOverlayReadDirMergeOrder interleaves the two layers' names: the
+// union must come out in name order, each shadowed name once, from upper.
+func TestOverlayReadDirMergeOrder(t *testing.T) {
+	lower, upper := New(), New()
+	for _, n := range []string{"a", "b", "c", "e", "f"} {
+		lower.WriteFile("/d/"+n, []byte("lower"))
+	}
+	for _, n := range []string{"b", "d", "e"} {
+		upper.WriteFile("/d/"+n, []byte("upper"))
+	}
+	ents, err := NewOverlay(upper, lower).ReadDir("/d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range ents {
+		got = append(got, e.Name()+"="+string(e.Data()))
+	}
+	want := "a=lower b=upper c=lower d=upper e=upper f=lower"
+	if g := strings.Join(got, " "); g != want {
+		t.Fatalf("union = %s, want %s", g, want)
 	}
 }
 
