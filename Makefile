@@ -69,7 +69,8 @@ soak:
 	$(GO) run ./cmd/cider soak -full -verify
 
 # soak-smoke is the version wired into verify: three schedules over the
-# reduced battery, each with the jobs=1 vs jobs=N digest comparison.
+# reduced battery, each run once at jobs=1 (the reported row) and once
+# at jobs=N, with the two digests compared.
 # eintr-storm proves injection, leak checking and determinism end to
 # end; daemon-crash kills service daemons mid-battery, so launchd must
 # respawn them and crash reports must land; mem-pressure-storm drives
@@ -94,13 +95,14 @@ diffcheck:
 diffcheck-smoke:
 	$(GO) run ./cmd/cider diffcheck --seeds 60
 
-# replay-smoke is the record/replay round trip wired into verify: record
-# two soak cells (the decision-heavy mach cell and one lmbench cell),
-# write each artifact through the canonical encoder, reload, re-execute
-# in isolation, and assert the replayed digest is bit-identical to the
-# recorded one (see DESIGN.md "Record/replay and schedule exploration").
+# replay-smoke is the replay subcommand's CLI smoke wired into verify:
+# load the checked-in explored artifact, re-execute its cell, and exit
+# nonzero unless the digest is bit-identical to the recorded one. The
+# record/encode/decode/replay round trip of every quick cell of every
+# schedule is internal/soak's TestRecordReplayBitIdentical (see
+# DESIGN.md "Record/replay and schedule exploration").
 replay-smoke:
-	$(GO) run ./cmd/cider replay -smoke
+	$(GO) run ./cmd/cider replay internal/soak/testdata/explored-daemon-crash-mach-x5.json
 
 # explore is the bounded DPOR-lite run: every soak schedule's cells and
 # every diffcheck persona pair re-execute under seeded perturbations of
@@ -117,5 +119,5 @@ explore:
 # ciderlint, pass the full test suite under the race detector, keep the
 # context-switch round allocation-free, check the host-time benchmark
 # against its golden digests, run the soak and diffcheck harnesses once
-# end to end, and prove the record/replay round trip is bit-identical.
+# end to end, and replay a recorded artifact through the CLI.
 verify: build vet lint lint-fixtures race switch-allocs bench-golden soak-smoke diffcheck-smoke replay-smoke

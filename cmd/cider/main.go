@@ -26,18 +26,17 @@
 //	                       error-path invariants: identical digests at any
 //	                       jobs level, leak-free kernels, no deadlocks, and
 //	                       no simulated process left running afterwards;
-//	                       --verify re-runs each schedule at jobs=1 and
-//	                       jobs=N and compares digests; --explore N runs N
+//	                       --verify runs each schedule once at jobs=1 (the
+//	                       report) and once at jobs=N, and compares
+//	                       digests; --explore N runs N
 //	                       seeded perturbations of every ambiguous scheduler
 //	                       decision per schedule (DPOR-lite) and writes a
 //	                       minimized replay artifact per failure
-//	cider replay [--smoke] <artifact.json>
+//	cider replay <artifact.json>
 //	                       re-execute a recorded soak/diffcheck cell from a
 //	                       replay artifact, bit-identically and in
 //	                       isolation, and assert digest equality against
-//	                       the recorded run; --smoke records one cell,
-//	                       replays it, and asserts round-trip digest
-//	                       equality (the verify gate)
+//	                       the recorded run
 //	cider crashes          boot the service tree, crash two iOS apps with
 //	                       fatal faults, and print the crash reports
 //	                       crashreporterd wrote to /var/log/crashes plus
@@ -121,18 +120,13 @@ func main() {
 		}
 	case len(args) > 0 && args[0] == "replay":
 		fs := flag.NewFlagSet("replay", flag.ExitOnError)
-		smoke := fs.Bool("smoke", false, "record one cell, replay it, assert digest equality")
 		if err := fs.Parse(args[1:]); err != nil {
 			os.Exit(2)
 		}
-		if *smoke {
-			err = runReplaySmoke()
+		if fs.NArg() != 1 {
+			err = fmt.Errorf("replay: usage: cider replay <artifact.json>")
 		} else {
-			if fs.NArg() != 1 {
-				err = fmt.Errorf("replay: usage: cider replay [--smoke] <artifact.json>")
-			} else {
-				err = runReplay(fs.Arg(0))
-			}
+			err = runReplay(fs.Arg(0))
 		}
 	case len(args) > 0 && args[0] == "crashes":
 		err = runCrashes()
@@ -430,24 +424,30 @@ func runSoak(jobs int, quick, full bool, schedule string, verify bool, rounds in
 	fmt.Printf("== soak: %d schedule(s), battery: %s ==\n", len(scheds), battery)
 	fmt.Printf("%-14s %-18s %6s %7s %9s  %s\n", "schedule", "digest", "cells", "failed", "injected", "verdict")
 
+	// With verify, the jobs=1 run is both the report and the reference
+	// the jobs=N run must reproduce.
+	seq, par := opts, opts
+	if verify {
+		seq.Jobs = 1
+		par.Jobs = jobs
+		if jobs <= 1 {
+			par.Jobs = 4
+		}
+	}
 	bad := false
 	for _, s := range scheds {
-		r := soak.RunSchedule(s, opts)
+		r := soak.RunSchedule(s, seq)
 		verdict := "ok"
 		if len(r.Findings) > 0 {
 			verdict = fmt.Sprintf("%d FINDING(S)", len(r.Findings))
 			bad = true
 		}
 		if verify {
-			n := jobs
-			if n <= 1 {
-				n = 4
-			}
-			if err := soak.VerifyDeterminism(s, n, opts); err != nil {
+			if err := soak.VerifyDeterminism(r, soak.RunSchedule(s, par)); err != nil {
 				verdict += "  NONDETERMINISTIC"
 				bad = true
 			} else {
-				verdict += fmt.Sprintf("  deterministic@jobs=%d", n)
+				verdict += fmt.Sprintf("  deterministic@jobs=%d", par.Jobs)
 			}
 		}
 		fmt.Printf("%-14s %016x %6d %7d %9d  %s\n",
@@ -527,47 +527,6 @@ func runReplay(path string) error {
 		return err
 	}
 	fmt.Printf("  digest: %s == recorded (bit-identical)\n", got.Digest)
-	return nil
-}
-
-// runReplaySmoke is the verify-gate round trip: record one soak cell,
-// write the artifact through the encoder, reload it, replay the cell,
-// and assert the digests match bit for bit. It exercises the same
-// record/encode/decode/replay path a real failure repro uses.
-func runReplaySmoke() error {
-	s, ok := soak.ScheduleByName("eintr-storm")
-	if !ok {
-		return fmt.Errorf("replay: eintr-storm schedule missing")
-	}
-	cells := []replay.CellRef{
-		{Bench: "mach"},
-		{Bench: "lmbench", Config: lmbench.ConfigCiderIOS, Test: "null syscall"},
-	}
-	dir, err := os.MkdirTemp("", "cider-replay-smoke")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	for _, ref := range cells {
-		a, rec := soak.RecordCell(s, ref, nil, 0)
-		path, err := a.Save(dir)
-		if err != nil {
-			return err
-		}
-		b, err := replay.Load(path)
-		if err != nil {
-			return err
-		}
-		c, err := soak.CellFor(b)
-		if err != nil {
-			return err
-		}
-		if _, _, err := replay.Replay(c, b); err != nil {
-			return fmt.Errorf("replay smoke: %s: %w", ref, err)
-		}
-		fmt.Printf("replay smoke: %s under %s: %d decisions, digest %016x == replayed (bit-identical)\n",
-			ref, s.Name, rec.DecisionCount, rec.Digest)
-	}
 	return nil
 }
 

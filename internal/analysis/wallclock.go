@@ -18,7 +18,7 @@ import (
 var simPackageNames = map[string]bool{
 	"sim": true, "kernel": true, "xnu": true, "hw": true,
 	"lmbench": true, "passmark": true, "gpu": true, "diplomat": true,
-	"dyld": true, "services": true, "libsystem": true, "libkqueue": true,
+	"dyld": true, "services": true, "libsystem": true,
 	"graphics": true, "uikit": true, "devices": true, "input": true,
 	"bionic": true, "dalvik": true, "core": true, "mem": true,
 	"prog": true, "iokit": true, "abi": true, "persona": true,

@@ -113,8 +113,7 @@ func BenchmarkWaitQueueChurn(b *testing.B) {
 // BenchmarkTimerWheel measures the sleep structure on its dominant
 // operation mix: arm a timeout, cancel it before expiry (the pipe/IPC/select
 // shape where the wake almost always beats the timer), occasionally letting
-// one expire. BenchmarkSleepHeap runs the identical mix against the old
-// binary heap for comparison.
+// one expire.
 func BenchmarkTimerWheel(b *testing.B) {
 	b.ReportAllocs()
 	procs := makeBenchSleepers(64)
@@ -137,30 +136,6 @@ func BenchmarkTimerWheel(b *testing.B) {
 		}
 		p.wakeAt = w.floor + time.Duration(1+(i%1000))*time.Microsecond
 		w.push(p)
-	}
-}
-
-func BenchmarkSleepHeap(b *testing.B) {
-	b.ReportAllocs()
-	procs := makeBenchSleepers(64)
-	h := &procHeap{bySleep: true}
-	for i, p := range procs {
-		p.wakeAt = time.Duration(i+1) * time.Microsecond
-		h.push(p)
-	}
-	var floor time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var p *Proc
-		if i%16 == 15 {
-			p = h.pop()
-			floor = p.wakeAt
-		} else {
-			p = procs[(uint64(i)*0x9e3779b97f4a7c15>>32)%uint64(len(procs))]
-			h.remove(p)
-		}
-		p.wakeAt = floor + time.Duration(1+(i%1000))*time.Microsecond
-		h.push(p)
 	}
 }
 

@@ -189,14 +189,14 @@ func (s *Sim) preempt(p *Proc) {
 	s.yieldAndWait(p)
 }
 
-// appendEqual appends every heap entry whose key equals t. A linear
+// appendEqual appends every heap entry whose clock equals t. A linear
 // scan: it only runs under a Decider, and the ready set is bounded by
 // live threads.
 //
 //hot:noalloc
 func (h *procHeap) appendEqual(t time.Duration, out []*Proc) []*Proc {
 	for i := 0; i < len(h.procs); i++ {
-		if h.key(h.procs[i]) == t {
+		if h.procs[i].now == t {
 			out = append(out, h.procs[i])
 		}
 	}

@@ -329,28 +329,16 @@ func (p *Proc) OnExit(fn func(*Proc)) {
 // interface boxing and indirect Less/Swap calls of the generic one.
 type procHeap struct {
 	procs []*Proc
-	// bySleep keys the heap on wakeAt instead of now.
-	bySleep bool
-}
-
-//
-//hot:noalloc
-func (h *procHeap) key(p *Proc) time.Duration {
-	if h.bySleep {
-		return p.wakeAt
-	}
-	return p.now
 }
 
 func (h *procHeap) Len() int { return len(h.procs) }
 
-// less orders by (key, id); the id tiebreak makes scheduling deterministic.
+// less orders by (now, id); the id tiebreak makes scheduling deterministic.
 //
 //hot:noalloc
 func (h *procHeap) less(a, b *Proc) bool {
-	ka, kb := h.key(a), h.key(b)
-	if ka != kb {
-		return ka < kb
+	if a.now != b.now {
+		return a.now < b.now
 	}
 	return a.id < b.id
 }

@@ -19,7 +19,7 @@ import "time"
 // scanning the occupied slots (per-level occupancy bitmaps make the scan
 // proportional to live entries) whenever the current minimum leaves. The
 // scheduler's (wakeAt, id) tie-break order is preserved exactly — the
-// determinism tests pin wheel-vs-heap wake-order equivalence.
+// equivalence test pins the wheel's wake order against a sorted model.
 //
 // The floor (the last dispatched deadline) only grows: the discrete-event
 // invariant guarantees every push happens from a Proc whose clock is at or

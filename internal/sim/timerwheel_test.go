@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sort"
 	"testing"
 	"time"
 )
@@ -20,23 +21,58 @@ func (r *twRand) next() uint64 {
 	return x
 }
 
-// TestTimerWheelEquivalence drives the wheel and the old sleepers heap with
-// an identical randomized sequence of arms, cancels, and expiries, and
-// asserts they agree on the minimum at every step and pop in the same
-// (wakeAt, id) order. This pins the scheduler's wake order across the
-// heap-to-wheel swap.
+// sleepModel is the reference the timer wheel is checked against: a
+// slice kept sorted by (wakeAt, id), the wake order the scheduler
+// promises. It shares no code with the wheel.
+type sleepModel []*Proc
+
+func sleepsBefore(a, b *Proc) bool {
+	if a.wakeAt != b.wakeAt {
+		return a.wakeAt < b.wakeAt
+	}
+	return a.id < b.id
+}
+
+func (m *sleepModel) Len() int { return len(*m) }
+
+func (m *sleepModel) push(p *Proc) {
+	i := sort.Search(len(*m), func(i int) bool { return sleepsBefore(p, (*m)[i]) })
+	*m = append(*m, nil)
+	copy((*m)[i+1:], (*m)[i:])
+	(*m)[i] = p
+}
+
+func (m *sleepModel) remove(p *Proc) {
+	for i, q := range *m {
+		if q == p {
+			*m = append((*m)[:i], (*m)[i+1:]...)
+			return
+		}
+	}
+}
+
+func (m *sleepModel) pop() *Proc {
+	p := (*m)[0]
+	*m = (*m)[1:]
+	return p
+}
+
+func (m *sleepModel) peek() *Proc { return (*m)[0] }
+
+// TestTimerWheelEquivalence drives the wheel and the sorted-slice model
+// with an identical randomized sequence of arms, cancels, and expiries,
+// and asserts they agree on the minimum at every step and pop in the
+// same (wakeAt, id) order.
 func TestTimerWheelEquivalence(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 0xdead} {
 		wheel := newTimerWheel()
-		heap := &procHeap{bySleep: true}
+		model := &sleepModel{}
 		rng := twRand(seed)
 
 		var live []*Proc
 		nextID := 0
 		floor := time.Duration(0)
 
-		// The same Proc sits in both structures at once: the heap uses
-		// heapIndex, the wheel its tw* fields, and the two never collide.
 		arm := func() {
 			// Deadlines span all wheel levels plus the overflow list, and
 			// occasionally land exactly on the floor (ties + below-floor
@@ -57,7 +93,7 @@ func TestTimerWheelEquivalence(t *testing.T) {
 			p := &Proc{id: nextID, wakeAt: floor + d, heapIndex: -1, twLevel: -1}
 			nextID++
 			wheel.push(p)
-			heap.push(p)
+			model.push(p)
 			live = append(live, p)
 		}
 		cancel := func() {
@@ -69,16 +105,16 @@ func TestTimerWheelEquivalence(t *testing.T) {
 			live[i] = live[len(live)-1]
 			live = live[:len(live)-1]
 			wheel.remove(p)
-			heap.remove(p)
+			model.remove(p)
 		}
 		expire := func() {
-			if heap.Len() == 0 {
+			if model.Len() == 0 {
 				return
 			}
-			want := heap.pop()
+			want := model.pop()
 			got := wheel.popMin()
 			if got != want {
-				t.Fatalf("seed %d: popMin = proc %d @%v, heap says proc %d @%v",
+				t.Fatalf("seed %d: popMin = proc %d @%v, model says proc %d @%v",
 					seed, got.id, got.wakeAt, want.id, want.wakeAt)
 			}
 			if want.wakeAt < floor {
@@ -103,19 +139,19 @@ func TestTimerWheelEquivalence(t *testing.T) {
 			case 3:
 				expire()
 			}
-			if wheel.Len() != heap.Len() {
-				t.Fatalf("seed %d step %d: wheel Len %d != heap Len %d", seed, step, wheel.Len(), heap.Len())
+			if wheel.Len() != model.Len() {
+				t.Fatalf("seed %d step %d: wheel Len %d != model Len %d", seed, step, wheel.Len(), model.Len())
 			}
 			wantMin := (*Proc)(nil)
-			if heap.Len() > 0 {
-				wantMin = heap.peek()
+			if model.Len() > 0 {
+				wantMin = model.peek()
 			}
 			if got := wheel.peek(); got != wantMin {
 				t.Fatalf("seed %d step %d: peek mismatch", seed, step)
 			}
 		}
 		// Drain: the full remaining population must pop in identical order.
-		for heap.Len() > 0 {
+		for model.Len() > 0 {
 			expire()
 		}
 		if wheel.Len() != 0 || wheel.peek() != nil {

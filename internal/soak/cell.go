@@ -60,6 +60,8 @@ type CellReport struct {
 	Failed int
 	// Injected counts fault-rule fires.
 	Injected uint64
+	// Artifact is the cell's recording: its one-command replay.
+	Artifact *replay.Artifact
 }
 
 // cellOutcome is everything one cell contributes to a schedule Result;
@@ -75,8 +77,8 @@ type cellOutcome struct {
 	// (lmbench cells only; latPresent gates it).
 	latPart    uint64
 	latPresent bool
-	// art is the cell's recording (recording runs only).
-	art *replay.Artifact
+	// rec is the cell's report and recording (recording runs only).
+	rec *CellReport
 }
 
 func (o *cellOutcome) Digest() uint64             { return o.digest }
@@ -484,12 +486,16 @@ func runMachCell(s Schedule, dec sim.Decider) (o *cellOutcome) {
 // and returns the replay artifact plus the cell report.
 func RecordCell(s Schedule, ref replay.CellRef, inner sim.Decider, exploreSeed uint64) (*replay.Artifact, *CellReport) {
 	out, a := replay.Record(cell{s: s, ref: ref}, exploreSeed, inner)
-	o := out.(*cellOutcome)
-	r := &CellReport{Ref: ref, Digest: o.digest, DecisionCount: a.DecisionCount, Failed: o.failed, Injected: o.injected}
+	return a, out.(*cellOutcome).report(a)
+}
+
+// report summarizes the outcome of a run recorded as a.
+func (o *cellOutcome) report(a *replay.Artifact) *CellReport {
+	r := &CellReport{Ref: o.ref, Digest: o.digest, DecisionCount: a.DecisionCount, Failed: o.failed, Injected: o.injected, Artifact: a}
 	for _, f := range o.findings {
 		r.Findings = append(r.Findings, f.Detail)
 	}
-	return a, r
+	return r
 }
 
 // CellFor rebuilds the cell a soak artifact recorded, for replay.Replay.

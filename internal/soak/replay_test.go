@@ -7,21 +7,28 @@ import (
 )
 
 // TestRecordReplayBitIdentical is the tentpole criterion: for every
-// schedule in the soak matrix, every quick-battery cell records to an
-// artifact that — after a full encode/decode round trip through the
-// file format — replays to the exact same digest, decision count, and
-// findings in isolation. No cell digest may be zero or the empty fold:
-// a digest that folded nothing cannot tell two runs apart.
+// schedule in the soak matrix, every quick-battery cell's recording
+// from the shared jobs=1 pass — after a full encode/decode round trip
+// through the file format — replays to the exact same digest, decision
+// count, and findings in isolation. No cell digest may be zero or the
+// empty fold: a digest that folded nothing cannot tell two runs apart.
 func TestRecordReplayBitIdentical(t *testing.T) {
 	dir := t.TempDir()
+	refs := CellRefs(QuickTests(), false)
 	for _, s := range Schedules() {
-		refs := CellRefs(QuickTests(), false)
-		for i, ref := range refs {
-			a, rec := RecordCell(s, ref, nil, 0)
+		r := sharedPass(t, s.Name, 1)
+		if len(r.Recordings) != len(refs) {
+			t.Fatalf("%s: %d recordings for %d cells", s.Name, len(r.Recordings), len(refs))
+		}
+		for i, rec := range r.Recordings {
+			ref := rec.Ref
+			if ref != refs[i] {
+				t.Fatalf("%s cell %d: recorded %s, want %s", s.Name, i, ref, refs[i])
+			}
 			if rec.Digest == 0 || rec.Digest == replay.EmptyDigest {
 				t.Errorf("%s cell %d %s: digest %016x folded nothing", s.Name, i, ref, rec.Digest)
 			}
-			path, err := a.Save(dir)
+			path, err := rec.Artifact.Save(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -51,20 +58,21 @@ func TestRecordReplayBitIdentical(t *testing.T) {
 }
 
 // TestRecordingDoesNotChangeDigest pins the canonical-equivalence
-// property recording-by-default rests on: a recorded run and an
-// unrecorded run of the same schedule produce identical digests. The
-// decision-heavy daemon-crash schedule is the interesting case; clean
-// is the control.
+// property recording-by-default rests on: a recorded run (the shared
+// pass) and an unrecorded run of the same schedule produce identical
+// digests. The decision-heavy daemon-crash schedule is the interesting
+// case; clean is the control.
 func TestRecordingDoesNotChangeDigest(t *testing.T) {
 	for _, name := range []string{"clean", "daemon-crash"} {
 		s, ok := ScheduleByName(name)
 		if !ok {
 			t.Fatalf("schedule %s missing", name)
 		}
-		opts := Options{Tests: QuickTests()}
-		recorded := RunSchedule(s, opts)
-		opts.NoRecord = true
-		bare := RunSchedule(s, opts)
+		recorded := sharedPass(t, name, 1)
+		bare := RunSchedule(s, Options{Tests: QuickTests(), NoRecord: true})
+		if bare.Recordings != nil {
+			t.Errorf("%s: unrecorded run kept %d recordings", name, len(bare.Recordings))
+		}
 		if recorded.Digest != bare.Digest {
 			t.Errorf("%s: recorded digest %016x != unrecorded %016x",
 				name, recorded.Digest, bare.Digest)

@@ -216,9 +216,10 @@ type Options struct {
 	Tests []lmbench.Test
 	// NoRecord disables per-cell scheduler-decision recording. Recording
 	// is on by default so every failing cell arrives with a one-command
-	// replay artifact; the canonical run's choice log is empty (the
-	// Recorder takes every canonical choice), so recording cannot change
-	// results — only failure diagnostics.
+	// replay artifact and Result.Recordings holds every cell's; the
+	// canonical run's choice log is empty (the Recorder takes every
+	// canonical choice), so recording cannot change results — only
+	// failure diagnostics.
 	NoRecord bool
 	// ArtifactDir is where failing cells' replay artifacts are written;
 	// "" means the host temp dir.
@@ -255,9 +256,9 @@ type Result struct {
 	// (the default), each failing cell's findings are followed by a
 	// "reproduce with: cider replay <path>" line naming its artifact.
 	Findings []string
-	// Artifacts lists the replay artifact files written for failing
-	// cells, in cell order.
-	Artifacts []string
+	// Recordings holds every cell's report and replay artifact, in cell
+	// order; nil when NoRecord is set.
+	Recordings []*CellReport
 }
 
 // Err folds findings into an error (nil when the schedule passed).
@@ -287,7 +288,7 @@ func RunSchedule(s Schedule, opts Options) *Result {
 		}
 		o, a := replay.Record(c, 0)
 		co := o.(*cellOutcome)
-		co.art = a
+		co.rec = co.report(a)
 		return co, nil
 	})
 	r := &Result{Schedule: s.Name}
@@ -315,12 +316,13 @@ func RunSchedule(s Schedule, opts Options) *Result {
 		for _, f := range o.findings {
 			r.Findings = append(r.Findings, f.Detail)
 		}
-		if len(o.findings) > 0 && o.art != nil {
-			line, path := replay.Emit(o.art, opts.ArtifactDir)
+		if o.rec == nil {
+			continue
+		}
+		r.Recordings = append(r.Recordings, o.rec)
+		if len(o.findings) > 0 {
+			line, _ := replay.Emit(o.rec.Artifact, opts.ArtifactDir)
 			r.Findings = append(r.Findings, line)
-			if path != "" {
-				r.Artifacts = append(r.Artifacts, path)
-			}
 		}
 	}
 	// Schedule-level effectiveness audits: a pressure schedule that reaps
@@ -409,18 +411,12 @@ func GovernanceCounters(jobs int) (map[string]uint64, error) {
 	return merged, nil
 }
 
-// VerifyDeterminism runs one schedule sequentially and at jobs host
-// workers and compares digests — the jobs=1 vs jobs=N bit-identity
-// criterion.
-func VerifyDeterminism(s Schedule, jobs int, opts Options) error {
-	seq := opts
-	seq.Jobs = 1
-	par := opts
-	par.Jobs = jobs
-	a := RunSchedule(s, seq)
-	b := RunSchedule(s, par)
-	if a.Digest != b.Digest {
-		return fmt.Errorf("soak: %s: digest diverged: jobs=1 %016x vs jobs=%d %016x", s.Name, a.Digest, jobs, b.Digest)
+// VerifyDeterminism compares a run of one schedule at N host workers
+// against the jobs=1 reference run of the same schedule and options —
+// the jobs=1 vs jobs=N bit-identity criterion.
+func VerifyDeterminism(ref, par *Result) error {
+	if ref.Digest != par.Digest {
+		return fmt.Errorf("soak: %s: digest diverged: jobs=1 %016x vs jobs=N %016x", ref.Schedule, ref.Digest, par.Digest)
 	}
 	return nil
 }

@@ -1,20 +1,77 @@
 package soak
 
 import (
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/runner"
 	"repro/internal/trace"
 )
+
+// passKey names one shared soak pass: a schedule at a jobs level.
+type passKey struct {
+	schedule string
+	jobs     int
+}
+
+// sharedRun is one shared pass and its goroutine check.
+type sharedRun struct {
+	r    *Result
+	leak error
+}
+
+// passes holds the recorded quick-battery runs every test in the
+// binary reads: each (schedule, jobs) pass runs once, on first use.
+var passes = struct {
+	sync.Mutex
+	m map[passKey]sharedRun
+}{m: map[passKey]sharedRun{}}
+
+// sharedPass returns the recorded quick-battery run of the named
+// schedule at jobs host workers. Building a pass also checks that no
+// simulated goroutine outlives it, the way `cider soak` does after
+// its run: every cell must close its System once the audit is done.
+// A pass that left goroutines behind fails every test that reads it.
+func sharedPass(t *testing.T, name string, jobs int) *Result {
+	t.Helper()
+	passes.Lock()
+	defer passes.Unlock()
+	k := passKey{name, jobs}
+	p, ok := passes.m[k]
+	if !ok {
+		s, found := ScheduleByName(name)
+		if !found {
+			t.Fatalf("schedule %q missing from matrix", name)
+		}
+		base := runtime.NumGoroutine()
+		p.r = RunSchedule(s, Options{Jobs: jobs, Tests: QuickTests()})
+		p.leak = runner.AwaitGoroutines(base, 5*time.Second)
+		passes.m[k] = p
+	}
+	if p.leak != nil {
+		t.Fatalf("%s at jobs=%d: %v", name, jobs, p.leak)
+	}
+	return p.r
+}
+
+// verifyDeterministic compares the shared jobs=1 and jobs=4 passes of
+// each named schedule.
+func verifyDeterministic(t *testing.T, names ...string) {
+	t.Helper()
+	for _, name := range names {
+		if err := VerifyDeterminism(sharedPass(t, name, 1), sharedPass(t, name, 4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
 
 // TestCleanScheduleLeakFree is the control: the quick battery with no
 // faults armed must finish with zero findings — every cell's kernel
 // passes LeakCheck after a clean run.
 func TestCleanScheduleLeakFree(t *testing.T) {
-	s, ok := ScheduleByName("clean")
-	if !ok {
-		t.Fatal("clean schedule missing from matrix")
-	}
-	r := RunSchedule(s, Options{Jobs: 1, Tests: QuickTests()})
+	r := sharedPass(t, "clean", 1)
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +87,7 @@ func TestFaultSchedulesSurvivable(t *testing.T) {
 	for _, s := range Schedules() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
-			r := RunSchedule(s, Options{Jobs: 1, Tests: QuickTests()})
+			r := sharedPass(t, s.Name, 1)
 			if err := r.Err(); err != nil {
 				t.Fatal(err)
 			}
@@ -54,15 +111,7 @@ func TestFaultSchedulesSurvivable(t *testing.T) {
 // results, every cell's trace event stream, counters, and injection
 // counts, so host scheduling leaking into the simulation shows up here.
 func TestDeterminismAcrossJobs(t *testing.T) {
-	for _, name := range []string{"eintr-storm", "mach-pressure"} {
-		s, ok := ScheduleByName(name)
-		if !ok {
-			t.Fatalf("schedule %q missing", name)
-		}
-		if err := VerifyDeterminism(s, 4, Options{Tests: QuickTests()}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	verifyDeterministic(t, "eintr-storm", "mach-pressure")
 }
 
 // TestCrashSchedulesDeterministic is the crash-storm half of the
@@ -71,15 +120,7 @@ func TestDeterminismAcrossJobs(t *testing.T) {
 // respawns in the mix — must still produce bit-identical digests at
 // jobs=1 and jobs=4.
 func TestCrashSchedulesDeterministic(t *testing.T) {
-	for _, name := range []string{"daemon-crash", "app-crash-storm"} {
-		s, ok := ScheduleByName(name)
-		if !ok {
-			t.Fatalf("schedule %q missing", name)
-		}
-		if err := VerifyDeterminism(s, 4, Options{Tests: QuickTests()}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	verifyDeterministic(t, "daemon-crash", "app-crash-storm")
 }
 
 // TestDaemonCrashKeepsFig5Latencies is the paper-fidelity criterion:
@@ -89,13 +130,8 @@ func TestCrashSchedulesDeterministic(t *testing.T) {
 // demonstrably fired, services were respawned, and crash reports were
 // written.
 func TestDaemonCrashKeepsFig5Latencies(t *testing.T) {
-	clean, _ := ScheduleByName("clean")
-	dc, ok := ScheduleByName("daemon-crash")
-	if !ok {
-		t.Fatal("daemon-crash schedule missing")
-	}
-	a := RunSchedule(clean, Options{Jobs: 1, Tests: QuickTests()})
-	b := RunSchedule(dc, Options{Jobs: 1, Tests: QuickTests()})
+	a := sharedPass(t, "clean", 1)
+	b := sharedPass(t, "daemon-crash", 1)
 	if err := b.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -126,15 +162,7 @@ func TestDaemonCrashKeepsFig5Latencies(t *testing.T) {
 // respawn) and descriptor exhaustion must still produce bit-identical
 // digests at jobs=1 and jobs=4.
 func TestGovernanceSchedulesDeterministic(t *testing.T) {
-	for _, name := range []string{"mem-pressure-storm", "fd-exhaustion"} {
-		s, ok := ScheduleByName(name)
-		if !ok {
-			t.Fatalf("schedule %q missing", name)
-		}
-		if err := VerifyDeterminism(s, 4, Options{Tests: QuickTests()}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	verifyDeterministic(t, "mem-pressure-storm", "fd-exhaustion")
 }
 
 // TestPressureStormSparesForeground is the governance counterpart of the
@@ -145,13 +173,8 @@ func TestGovernanceSchedulesDeterministic(t *testing.T) {
 // jetsam rather than a crash, and (c) leave the Fig. 5 latency digest
 // bit-identical to the clean schedule's.
 func TestPressureStormSparesForeground(t *testing.T) {
-	clean, _ := ScheduleByName("clean")
-	ps, ok := ScheduleByName("mem-pressure-storm")
-	if !ok {
-		t.Fatal("mem-pressure-storm schedule missing")
-	}
-	a := RunSchedule(clean, Options{Jobs: 1, Tests: QuickTests()})
-	b := RunSchedule(ps, Options{Jobs: 1, Tests: QuickTests()})
+	a := sharedPass(t, "clean", 1)
+	b := sharedPass(t, "mem-pressure-storm", 1)
 	if err := b.Err(); err != nil {
 		t.Fatal(err)
 	}
