@@ -45,7 +45,7 @@ func TestTraceZeroCost(t *testing.T) {
 				sessions[cell.Index] = s
 			}
 		}
-		rep, err := lmbench.RunFigure5Opts(tests, opts)
+		rep, err := lmbench.RunFigure5(tests, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +96,7 @@ func reportFig5(b *testing.B, group string) {
 	}
 	var rep *lmbench.Report
 	for i := 0; i < b.N; i++ {
-		r, err := lmbench.RunFigure5Tests(tests)
+		r, err := lmbench.RunFigure5(tests, lmbench.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func reportFig6(b *testing.B, group string) {
 	}
 	var rep *passmark.Report
 	for i := 0; i < b.N; i++ {
-		r, err := passmark.RunFigure6Tests(tests)
+		r, err := passmark.RunFigure6(tests, passmark.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -13,17 +13,32 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/lmbench"
 )
 
 func main() {
-	group := flag.String("group", "", "run only one Fig. 5 group (basic, syscall, proc, comm)")
-	jobs := flag.Int("jobs", 0, "max parallel host workers (<=0: GOMAXPROCS)")
-	flag.Parse()
+	err := run(os.Args[1:], os.Stdout)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintf(os.Stderr, "lmbench: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, runs the selected battery and writes the Fig. 5
+// table to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("lmbench", flag.ContinueOnError)
+	group := fs.String("group", "", "run only one Fig. 5 group (basic, syscall, proc, comm)")
+	jobs := fs.Int("jobs", 0, "max parallel host workers (<=0: GOMAXPROCS)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	tests := lmbench.AllTests()
 	if *group != "" {
@@ -34,16 +49,15 @@ func main() {
 			}
 		}
 		if len(filtered) == 0 {
-			fmt.Fprintf(os.Stderr, "lmbench: unknown group %q\n", *group)
-			os.Exit(2)
+			return fmt.Errorf("unknown group %q", *group)
 		}
 		tests = filtered
 	}
 
-	rep, err := lmbench.RunFigure5Opts(tests, lmbench.Options{Jobs: *jobs})
+	rep, err := lmbench.RunFigure5(tests, lmbench.Options{Jobs: *jobs})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "lmbench: %v\n", err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Print(rep.Render())
+	_, err = io.WriteString(stdout, rep.Render())
+	return err
 }

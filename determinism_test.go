@@ -60,7 +60,7 @@ func TestFigure5Deterministic(t *testing.T) {
 	run := func(jobs int) (*lmbench.Report, []*trace.Session) {
 		t.Helper()
 		sessions := make([]*trace.Session, len(lmbench.Cells(tests)))
-		rep, err := lmbench.RunFigure5Opts(tests, lmbench.Options{
+		rep, err := lmbench.RunFigure5(tests, lmbench.Options{
 			Jobs: jobs,
 			OnSystem: func(cell lmbench.Cell, sys *core.System) {
 				s := sys.EnableTrace()
@@ -100,7 +100,7 @@ func TestFigure6Deterministic(t *testing.T) {
 	run := func(jobs int) (*passmark.Report, []*trace.Session) {
 		t.Helper()
 		sessions := make([]*trace.Session, len(confs))
-		rep, err := passmark.RunFigure6Opts(tests, passmark.Options{
+		rep, err := passmark.RunFigure6(tests, passmark.Options{
 			Jobs: jobs,
 			OnSystem: func(cell passmark.Cell, sys *core.System) {
 				s := sys.EnableTrace()

@@ -22,8 +22,9 @@ var simPackageNames = map[string]bool{
 	"graphics": true, "uikit": true, "devices": true, "input": true,
 	"bionic": true, "dalvik": true, "core": true, "mem": true,
 	"prog": true, "iokit": true, "abi": true, "persona": true,
-	"vfs": true, "trace": true, "ducttape": true, "ciderpress": true,
-	"fault": true, "soak": true, "diffcheck": true, "replay": true,
+	"posix": true, "vfs": true, "trace": true, "ducttape": true,
+	"ciderpress": true, "fault": true, "soak": true, "diffcheck": true,
+	"replay": true,
 }
 
 // IsSimPackage reports whether an import path denotes a simulation package

@@ -14,6 +14,7 @@ import (
 	"repro/internal/libsystem"
 	"repro/internal/mem"
 	"repro/internal/persona"
+	"repro/internal/posix"
 	"repro/internal/prog"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -25,64 +26,15 @@ import (
 // injected queue stall can delay but never wedge a program.
 const machTick = 200 * time.Microsecond
 
-// libc is the persona-generic system interface a generated program runs
-// against. Adapters canonicalize everything persona-specific at the
-// boundary — errnos to Linux numbering, signal numbers to canonical —
-// so the executor's log is directly comparable across cells. Anything
-// that still differs after canonicalization is, by construction, a
-// behavioral divergence.
-type libc interface {
-	GetPID() int
-	GetPPID() int
-	Pipe() (int, int, kernel.Errno)
-	Socketpair() (int, int, kernel.Errno)
-	Open(path string) (int, kernel.Errno)
-	OpenCreate(path string) (int, kernel.Errno)
-	Creat(path string) (int, kernel.Errno)
-	Dup(fd int) (int, kernel.Errno)
-	Close(fd int) kernel.Errno
-	Read(fd int, buf []byte) (int, kernel.Errno)
-	Write(fd int, buf []byte) (int, kernel.Errno)
-	Unlink(path string) kernel.Errno
-	Select(req *kernel.SelectRequest) (*kernel.SelectResult, kernel.Errno)
-	// Kill sends a canonical-numbered signal to pid.
-	Kill(pid, sig int) kernel.Errno
-	// Sigaction installs a handler for a canonical-numbered signal; fn
-	// receives the delivered number converted back to canonical.
-	Sigaction(sig int, fn func(canonical int)) kernel.Errno
-	// Getrlimit reads a canonical-numbered resource limit; adapters
-	// renumber at the boundary (XNU says RLIMIT_NOFILE is 8, Linux 7).
-	Getrlimit(res int) (cur, max uint64, errno kernel.Errno)
-	// Setrlimit sets a canonical-numbered resource limit.
-	Setrlimit(res int, cur, max uint64) kernel.Errno
-	// OnPressure registers a memory-pressure listener; the persona level
-	// vocabulary (dispatch-source flags, onTrimMemory levels) is
-	// canonicalized to "warn"/"critical".
-	OnPressure(fn func(level string))
-	// CacheInflate maps and touches n bytes of anonymous cache ballast —
-	// the footprint growth pressure rules key on.
-	CacheInflate(n uint64) bool
-	// CacheShed unmaps the oldest ballast chunk, if any remains.
-	CacheShed() bool
-	// Errno reads the persona TLS errno, canonicalized.
-	Errno() int
-	Fork(child func(libc)) int
-	Wait(pid int) (int, int, kernel.Errno)
-	Exit(status int)
-	// MachPingPong allocates a reply port, self-sends one message, and
-	// receives it back (the generator's Mach IPC pattern).
-	MachPingPong(id int32) (allocOK bool, sendKR, recvKR int, gotID int32)
-}
-
-// memState is the per-process cache-ballast ledger the pressure ops
+// memState is the program's cache-ballast ledger the pressure ops
 // operate on: inflated chunk bases in inflation order, shed oldest-first
 // (the cache-eviction shape both personas' shedding callbacks model).
 type memState struct{ bases []uint64 }
 
-// cacheInflate maps and touches one anonymous ballast chunk; the
+// inflate maps and touches one anonymous ballast chunk of n bytes; the
 // zero-fill materialization is the footprint-charge point OpMemPressure
 // rules count.
-func cacheInflate(th *kernel.Thread, st *memState, n uint64) bool {
+func (st *memState) inflate(th *kernel.Thread, n uint64) bool {
 	r, err := th.Task().Mem().Map(0, n, mem.ProtRead|mem.ProtWrite, "[dc-cache]", false)
 	if err != nil {
 		return false
@@ -92,8 +44,8 @@ func cacheInflate(th *kernel.Thread, st *memState, n uint64) bool {
 	return true
 }
 
-// cacheShed releases the oldest ballast chunk.
-func cacheShed(th *kernel.Thread, st *memState) bool {
+// shed releases the oldest ballast chunk, if any remains.
+func (st *memState) shed(th *kernel.Thread) bool {
 	if len(st.bases) == 0 {
 		return false
 	}
@@ -102,153 +54,29 @@ func cacheShed(th *kernel.Thread, st *memState) bool {
 	return th.Task().Mem().Unmap(base) == nil
 }
 
-// androidLibc adapts bionic: results are already canonical; Mach traps
-// exist only in the XNU table, so the adapter brackets them with the
+// machPingPong allocates a reply port, self-sends one message, and
+// receives it back (the generator's Mach IPC pattern). Mach traps exist
+// only in the XNU table, so an Android program brackets them with the
 // set_persona diplomat hop (normalization strips those events).
-type androidLibc struct {
-	c  *bionic.C
-	ms *memState
-}
-
-func (a androidLibc) GetPID() int                          { return a.c.GetPID() }
-func (a androidLibc) GetPPID() int                         { return a.c.GetPPID() }
-func (a androidLibc) Pipe() (int, int, kernel.Errno)       { return a.c.Pipe() }
-func (a androidLibc) Socketpair() (int, int, kernel.Errno) { return a.c.Socketpair() }
-func (a androidLibc) Open(path string) (int, kernel.Errno) { return a.c.Open(path) }
-func (a androidLibc) OpenCreate(path string) (int, kernel.Errno) {
-	return a.c.OpenCreate(path)
-}
-func (a androidLibc) Creat(path string) (int, kernel.Errno) { return a.c.Creat(path) }
-func (a androidLibc) Dup(fd int) (int, kernel.Errno)        { return a.c.Dup(fd) }
-func (a androidLibc) Close(fd int) kernel.Errno             { return a.c.Close(fd) }
-func (a androidLibc) Read(fd int, buf []byte) (int, kernel.Errno) {
-	return a.c.Read(fd, buf)
-}
-func (a androidLibc) Write(fd int, buf []byte) (int, kernel.Errno) {
-	return a.c.Write(fd, buf)
-}
-func (a androidLibc) Unlink(path string) kernel.Errno { return a.c.Unlink(path) }
-func (a androidLibc) Select(req *kernel.SelectRequest) (*kernel.SelectResult, kernel.Errno) {
-	return a.c.Select(req)
-}
-func (a androidLibc) Kill(pid, sig int) kernel.Errno { return a.c.Kill(pid, sig) }
-func (a androidLibc) Sigaction(sig int, fn func(int)) kernel.Errno {
-	return a.c.Sigaction(sig, func(_ *kernel.Thread, got int) { fn(got) })
-}
-func (a androidLibc) Getrlimit(res int) (uint64, uint64, kernel.Errno) {
-	return a.c.Getrlimit(res)
-}
-func (a androidLibc) Setrlimit(res int, cur, max uint64) kernel.Errno {
-	return a.c.Setrlimit(res, cur, max)
-}
-func (a androidLibc) OnPressure(fn func(string)) {
-	a.c.OnTrimMemory(func(level int) {
-		lvl := "warn"
-		if level == bionic.TrimMemoryRunningCritical {
-			lvl = "critical"
-		}
-		fn(lvl)
-	})
-}
-func (a androidLibc) CacheInflate(n uint64) bool { return cacheInflate(a.c.T, a.ms, n) }
-func (a androidLibc) CacheShed() bool            { return cacheShed(a.c.T, a.ms) }
-func (a androidLibc) Errno() int                 { return a.c.Errno() }
-func (a androidLibc) Fork(child func(libc)) int {
-	return a.c.Fork(func(cc *bionic.C) { child(androidLibc{c: cc, ms: &memState{}}) })
-}
-func (a androidLibc) Wait(pid int) (int, int, kernel.Errno) { return a.c.Wait(pid) }
-func (a androidLibc) Exit(status int)                       { a.c.Exit(status) }
-func (a androidLibc) MachPingPong(id int32) (bool, int, int, int32) {
-	a.c.SetPersona(persona.IOS)
-	res := machPingPong(libsystem.Sys(a.c.T), id)
-	a.c.SetPersona(persona.Android)
-	return res.ok, res.sendKR, res.recvKR, res.gotID
-}
-
-// iosLibc adapts libSystem: BSD errnos, XNU signal numbers, and XNU
-// rlimit resource numbers are converted at this boundary, mirroring what
-// a comparison harness on real hardware does to a ktrace stream.
-type iosLibc struct {
-	c  *libsystem.C
-	ms *memState
-}
-
-func (a iosLibc) GetPID() int                          { return a.c.GetPID() }
-func (a iosLibc) GetPPID() int                         { return a.c.GetPPID() }
-func (a iosLibc) Pipe() (int, int, kernel.Errno)       { return a.c.Pipe() }
-func (a iosLibc) Socketpair() (int, int, kernel.Errno) { return a.c.Socketpair() }
-func (a iosLibc) Open(path string) (int, kernel.Errno) { return a.c.Open(path) }
-func (a iosLibc) OpenCreate(path string) (int, kernel.Errno) {
-	return a.c.OpenCreate(path)
-}
-func (a iosLibc) Creat(path string) (int, kernel.Errno) { return a.c.Creat(path) }
-func (a iosLibc) Dup(fd int) (int, kernel.Errno)        { return a.c.Dup(fd) }
-func (a iosLibc) Close(fd int) kernel.Errno             { return a.c.Close(fd) }
-func (a iosLibc) Read(fd int, buf []byte) (int, kernel.Errno) {
-	return a.c.Read(fd, buf)
-}
-func (a iosLibc) Write(fd int, buf []byte) (int, kernel.Errno) {
-	return a.c.Write(fd, buf)
-}
-func (a iosLibc) Unlink(path string) kernel.Errno { return a.c.Unlink(path) }
-func (a iosLibc) Select(req *kernel.SelectRequest) (*kernel.SelectResult, kernel.Errno) {
-	return a.c.Select(req)
-}
-func (a iosLibc) Kill(pid, sig int) kernel.Errno {
-	return a.c.Kill(pid, kernel.SignalToXNU(sig))
-}
-func (a iosLibc) Sigaction(sig int, fn func(int)) kernel.Errno {
-	return a.c.Sigaction(kernel.SignalToXNU(sig), func(_ *kernel.Thread, got int) {
-		fn(kernel.SignalFromXNU(got))
-	})
-}
-func (a iosLibc) Getrlimit(res int) (uint64, uint64, kernel.Errno) {
-	return a.c.Getrlimit(kernel.RlimitToXNU(res))
-}
-func (a iosLibc) Setrlimit(res int, cur, max uint64) kernel.Errno {
-	return a.c.Setrlimit(kernel.RlimitToXNU(res), cur, max)
-}
-func (a iosLibc) OnPressure(fn func(string)) {
-	a.c.DispatchSourceMemoryPressure(func(flags int) {
-		lvl := "warn"
-		if flags == libsystem.DispatchMemoryPressureCritical {
-			lvl = "critical"
-		}
-		fn(lvl)
-	})
-}
-func (a iosLibc) CacheInflate(n uint64) bool { return cacheInflate(a.c.T, a.ms, n) }
-func (a iosLibc) CacheShed() bool            { return cacheShed(a.c.T, a.ms) }
-func (a iosLibc) Errno() int                 { return int(kernel.ErrnoFromXNU(a.c.Errno())) }
-func (a iosLibc) Fork(child func(libc)) int {
-	return a.c.Fork(func(cc *libsystem.C) { child(iosLibc{c: cc, ms: &memState{}}) })
-}
-func (a iosLibc) Wait(pid int) (int, int, kernel.Errno) { return a.c.Wait(pid) }
-func (a iosLibc) Exit(status int)                       { a.c.Exit(status) }
-func (a iosLibc) MachPingPong(id int32) (bool, int, int, int32) {
-	res := machPingPong(a.c, id)
-	return res.ok, res.sendKR, res.recvKR, res.gotID
-}
-
-type machResult struct {
-	ok             bool
-	sendKR, recvKR int
-	gotID          int32
-}
-
-func machPingPong(ls *libsystem.C, id int32) machResult {
-	port := ls.MachReplyPort()
-	if port == xnu.PortNull {
-		return machResult{gotID: -1}
+func machPingPong(kind persona.Kind, th *kernel.Thread, id int32) (allocOK bool, sendKR, recvKR int, gotID int32) {
+	if kind == persona.Android {
+		bionic.Sys(th).SetPersona(persona.IOS)
 	}
-	res := machResult{ok: true, gotID: -1}
-	res.sendKR = int(ls.MachSend(port, &xnu.Message{ID: id, Body: []byte("dc")}, machTick))
-	msg, rkr := ls.MachReceive(port, machTick)
-	res.recvKR = int(rkr)
-	if msg != nil {
-		res.gotID = msg.ID
+	gotID = -1
+	ls := libsystem.Sys(th)
+	if port := ls.MachReplyPort(); port != xnu.PortNull {
+		allocOK = true
+		sendKR = int(ls.MachSend(port, &xnu.Message{ID: id, Body: []byte("dc")}, machTick))
+		msg, rkr := ls.MachReceive(port, machTick)
+		recvKR = int(rkr)
+		if msg != nil {
+			gotID = msg.ID
+		}
 	}
-	return res
+	if kind == persona.Android {
+		bionic.Sys(th).SetPersona(persona.Android)
+	}
+	return allocOK, sendKR, recvKR, gotID
 }
 
 // sigPool is the canonical signal set the generator draws from: the
@@ -264,11 +92,18 @@ var sigPool = [...]int{
 // paths is the fixed file namespace programs operate in.
 var paths = [...]string{"/f0", "/f1", "/f2", "/f3", "/f4", "/f5", "/f6", "/f7"}
 
-// execProgram interprets p against c, appending one canonical result line
-// per op to log. It must never block unboundedly: reads and writes are
-// poll-guarded, selects and Mach calls carry timeouts, and the only
-// blocking wait (wait4) is on a child guaranteed to exit.
-func execProgram(c libc, p *Program, log *[]string) {
+// execProgram interprets p on th through kind's C library, appending one
+// canonical result line per op to log. posix.Libc canonicalizes everything
+// persona-specific at the library boundary (errnos to Linux numbering,
+// signal and rlimit numbers, pressure levels), so the logs of the two
+// cells are directly comparable: anything that still differs is, by
+// construction, a behavioral divergence. execProgram must never block
+// unboundedly: reads and writes are poll-guarded, selects and Mach calls
+// carry timeouts, and the only blocking wait (wait4) is on a child
+// guaranteed to exit.
+func execProgram(kind persona.Kind, th *kernel.Thread, p *Program, log *[]string) {
+	c := posix.New(kind, th)
+	var cache memState
 	var slots [8]int
 	for i := range slots {
 		slots[i] = -1
@@ -398,7 +233,7 @@ func execProgram(c libc, p *Program, log *[]string) {
 			}
 			payload := []byte(fmt.Sprintf("c%d", op.A%100))
 			status := int(op.A % 32)
-			pid := c.Fork(func(cc libc) {
+			pid := c.Fork(func(cc posix.Libc) {
 				cc.Write(w, payload)
 				cc.Exit(status)
 			})
@@ -421,7 +256,7 @@ func execProgram(c libc, p *Program, log *[]string) {
 				wpid == pid, wstatus, werr, buf[:max(n, 0)])
 		case opMach:
 			id := int32(op.A % 100)
-			ok, skr, rkr, got := c.MachPingPong(id)
+			ok, skr, rkr, got := machPingPong(kind, th, id)
 			emit(i, op, "alloc=%v send=%d recv=%d id=%v", ok, skr, rkr, got == id)
 		case opRlimit:
 			// Canonical NOFILE on both personas; the iOS adapter renumbers
@@ -444,10 +279,10 @@ func execProgram(c libc, p *Program, log *[]string) {
 				pressureArmed = true
 				c.OnPressure(func(level string) {
 					pressureLog = append(pressureLog, level)
-					c.CacheShed()
+					cache.shed(th)
 				})
 			}
-			ok := c.CacheInflate((1 + op.B%4) << 12)
+			ok := cache.inflate(th, (1+op.B%4)<<12)
 			emit(i, op, "inflate=%v levels=%v tls=%d", ok, pressureLog, c.Errno())
 		}
 	}
@@ -522,10 +357,8 @@ func RunCellDecided(p *Program, ios bool, plan fault.Plan, dec sim.Decider) *Cel
 		th := call.Ctx.(*kernel.Thread)
 		if ios {
 			th.Persona.Switch(persona.IOS)
-			execProgram(iosLibc{c: libsystem.Sys(th), ms: &memState{}}, p, &res.Log)
-		} else {
-			execProgram(androidLibc{c: bionic.Sys(th), ms: &memState{}}, p, &res.Log)
 		}
+		execProgram(res.Persona, th, p, &res.Log)
 		return 0
 	})
 	if err := prog.InstallStatic(k.Root().(*vfs.FS), "/bin/"+progKey, progKey); err != nil {

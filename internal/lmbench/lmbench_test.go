@@ -12,7 +12,7 @@ var cachedReport *Report
 func figure5(t *testing.T) *Report {
 	t.Helper()
 	if cachedReport == nil {
-		rep, err := RunFigure5()
+		rep, err := RunFigure5(AllTests(), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

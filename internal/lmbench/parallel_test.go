@@ -52,12 +52,12 @@ func TestPerRunHookIsolation(t *testing.T) {
 func TestParallelCellsMatchBatch(t *testing.T) {
 	tests := AllTests()[:6]     // basic group + first syscalls: enough to cross groups
 	conf := Configurations()[2] // cider-ios: the config with the most machinery
-	batch, err := Run(conf, tests)
+	batch, err := RunWith(conf, tests, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, tt := range tests {
-		solo, err := Run(conf, []Test{tt})
+		solo, err := RunWith(conf, []Test{tt}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

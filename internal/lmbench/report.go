@@ -46,18 +46,6 @@ type Options struct {
 	OnSystem func(Cell, *core.System)
 }
 
-// RunFigure5 runs the full battery on all four configurations across
-// GOMAXPROCS host workers.
-func RunFigure5() (*Report, error) {
-	return RunFigure5Tests(AllTests())
-}
-
-// RunFigure5Tests runs a chosen subset on all four configurations across
-// GOMAXPROCS host workers.
-func RunFigure5Tests(tests []Test) (*Report, error) {
-	return RunFigure5Opts(tests, Options{})
-}
-
 // Cells enumerates the battery's parallel cells in canonical order: one
 // per (configuration, test). lmbench cells can be this fine-grained
 // because every test boots from the same cold-start System state; see
@@ -73,13 +61,13 @@ func Cells(tests []Test) []Cell {
 	return cells
 }
 
-// RunFigure5Opts runs a chosen subset on all four configurations, sharding
-// (configuration, test) cells across opts.Jobs host workers. Each cell is
-// an independent System with its own virtual clock, so the merged report
-// is bit-identical for every Jobs value; only wall-clock time changes. On
-// cell failure every other cell still runs and the error from the lowest-
-// index cell is returned.
-func RunFigure5Opts(tests []Test, opts Options) (*Report, error) {
+// RunFigure5 runs tests (AllTests for the whole figure) on all four
+// configurations, sharding (configuration, test) cells across opts.Jobs
+// host workers. Each cell is an independent System with its own virtual
+// clock, so the merged report is bit-identical for every Jobs value; only
+// wall-clock time changes. On cell failure every other cell still runs
+// and the error from the lowest-index cell is returned.
+func RunFigure5(tests []Test, opts Options) (*Report, error) {
 	cells := Cells(tests)
 	outs, err := runner.Map(len(cells), opts.Jobs, func(i int) ([]Result, error) {
 		cell := cells[i]

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/hw"
 	"repro/internal/kernel"
+	"repro/internal/posix"
 	"repro/internal/prog"
 )
 
@@ -84,11 +85,11 @@ func AllTests() []Test {
 		}},
 		{Name: "signal handler", Group: "syscall", run: func(c *ctx) (time.Duration, bool) {
 			fired := 0
-			if errno := c.lc.Sigaction(c.lc.SigUsr1(), func(*kernel.Thread, int) { fired++ }); errno != kernel.OK {
+			if errno := c.lc.Sigaction(kernel.SIGUSR1, func(int) { fired++ }); errno != kernel.OK {
 				return 0, false
 			}
 			pid := c.lc.GetPID()
-			lat := measure(c, iters, func() { c.lc.Kill(pid, c.lc.SigUsr1()) })
+			lat := measure(c, iters, func() { c.lc.Kill(pid, kernel.SIGUSR1) })
 			if fired == 0 {
 				return 0, false
 			}
@@ -98,14 +99,14 @@ func AllTests() []Test {
 		// ---- Process creation -----------------------------------------
 		{Name: "fork+exit", Group: "proc", run: func(c *ctx) (time.Duration, bool) {
 			return measure(c, 8, func() {
-				pid := c.lc.Fork(func(cc libc) { cc.Exit(0) })
+				pid := c.lc.Fork(func(cc posix.Libc) { cc.Exit(0) })
 				c.lc.Wait(pid)
 			}), true
 		}},
-		forkExec("fork+exec(android)", "", func(c *ctx) string { return c.helloLinux }),
-		forkExec("fork+exec(ios)", "fork+exec(android)", func(c *ctx) string { return c.helloIOS }),
-		forkSh("fork+sh(android)", "", "/system/bin/sh", func(c *ctx) string { return c.helloLinux }),
-		forkSh("fork+sh(ios)", "fork+sh(android)", "/bin/sh", func(c *ctx) string { return c.helloIOS }),
+		forkExec("fork+exec(android)", "", helloLinux),
+		forkExec("fork+exec(ios)", "fork+exec(android)", helloIOS),
+		forkSh("fork+sh(android)", "", "/system/bin/sh", helloLinux),
+		forkSh("fork+sh(ios)", "fork+sh(android)", "/bin/sh", helloIOS),
 
 		// ---- Local communication and file operations ------------------
 		{Name: "pipe", Group: "comm", run: func(c *ctx) (time.Duration, bool) {
@@ -132,12 +133,11 @@ func basicOp(name string, op hw.CPUOp) Test {
 	}}
 }
 
-func forkExec(name, base string, target func(c *ctx) string) Test {
+func forkExec(name, base, path string) Test {
 	return Test{Name: name, Group: "proc", Base: base, run: func(c *ctx) (time.Duration, bool) {
-		path := target(c)
 		ok := true
 		lat := measure(c, 8, func() {
-			pid := c.lc.Fork(func(cc libc) {
+			pid := c.lc.Fork(func(cc posix.Libc) {
 				cc.Exec(path, nil)
 				cc.Exit(127)
 			})
@@ -153,12 +153,11 @@ func forkExec(name, base string, target func(c *ctx) string) Test {
 // forkSh launches the named shell to run the target binary: the (android)
 // variant uses the Android shell and Linux payload, the (ios) variant the
 // iOS shell and Mach-O payload, whichever binary drives the test.
-func forkSh(name, base, sh string, target func(c *ctx) string) Test {
+func forkSh(name, base, sh, path string) Test {
 	return Test{Name: name, Group: "proc", Base: base, run: func(c *ctx) (time.Duration, bool) {
-		path := target(c)
 		ok := true
 		lat := measure(c, 4, func() {
-			pid := c.lc.Fork(func(cc libc) {
+			pid := c.lc.Fork(func(cc posix.Libc) {
 				cc.Exec(sh, []string{"-c", path})
 				cc.Exit(127)
 			})
@@ -187,7 +186,7 @@ func pingPong(c *ctx, unix bool) (time.Duration, bool) {
 		if errno != kernel.OK {
 			return 0, false
 		}
-		pid := c.lc.Fork(func(cc libc) {
+		pid := c.lc.Fork(func(cc posix.Libc) {
 			cc.Close(a) // drop the inherited far end
 			bb := make([]byte, 1)
 			for {
@@ -230,7 +229,7 @@ func pingPong(c *ctx, unix bool) (time.Duration, bool) {
 	if errno != kernel.OK {
 		return 0, false
 	}
-	pid := c.lc.Fork(func(cc libc) {
+	pid := c.lc.Fork(func(cc posix.Libc) {
 		// Close the inherited ends the child does not use, so EOF works.
 		cc.Close(w1)
 		cc.Close(r2)

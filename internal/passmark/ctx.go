@@ -4,21 +4,23 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/bionic"
 	"repro/internal/core"
 	"repro/internal/dalvik"
 	"repro/internal/graphics"
 	"repro/internal/hw"
 	"repro/internal/kernel"
-	"repro/internal/libsystem"
+	"repro/internal/persona"
+	"repro/internal/posix"
 	"repro/internal/prog"
 )
 
 // ctx is the per-run environment.
 type ctx struct {
-	t     *kernel.Thread
-	sys   *core.System
-	build Build
+	t   *kernel.Thread
+	sys *core.System
+	// kind is the app build's persona; lc is its C library.
+	kind persona.Kind
+	lc   posix.Libc
 
 	// Android build: the Dalvik VM and the app's dex.
 	vm  *dalvik.VM
@@ -45,9 +47,9 @@ func wrapDriver(body func(t *kernel.Thread)) prog.Func {
 	}
 }
 
-func newCtx(t *kernel.Thread, sys *core.System, build Build) (*ctx, error) {
-	c := &ctx{t: t, sys: sys, build: build}
-	if build == BuildAndroid {
+func newCtx(t *kernel.Thread, sys *core.System, kind persona.Kind) (*ctx, error) {
+	c := &ctx{t: t, sys: sys, kind: kind, lc: posix.New(kind, t)}
+	if kind == persona.Android {
 		c.toolchain = hw.GCC441()
 		c.vm = dalvik.NewVM(sys.Kernel.Device().CPU)
 		dex, err := buildAppDex()
@@ -104,51 +106,8 @@ func (c *ctx) timed(fn func() error) (time.Duration, error) {
 	return c.t.Now() - start, err
 }
 
-// libc returns file-op wrappers for the build's runtime.
-func (c *ctx) creat(path string) (int, kernel.Errno) {
-	if c.build == BuildIOS {
-		return libsystem.Sys(c.t).Creat(path)
-	}
-	return bionic.Sys(c.t).Creat(path)
-}
-
-func (c *ctx) open(path string) (int, kernel.Errno) {
-	if c.build == BuildIOS {
-		return libsystem.Sys(c.t).Open(path)
-	}
-	return bionic.Sys(c.t).Open(path)
-}
-
-func (c *ctx) write(fd int, b []byte) (int, kernel.Errno) {
-	if c.build == BuildIOS {
-		return libsystem.Sys(c.t).Write(fd, b)
-	}
-	return bionic.Sys(c.t).Write(fd, b)
-}
-
-func (c *ctx) read(fd int, b []byte) (int, kernel.Errno) {
-	if c.build == BuildIOS {
-		return libsystem.Sys(c.t).Read(fd, b)
-	}
-	return bionic.Sys(c.t).Read(fd, b)
-}
-
-func (c *ctx) close(fd int) kernel.Errno {
-	if c.build == BuildIOS {
-		return libsystem.Sys(c.t).Close(fd)
-	}
-	return bionic.Sys(c.t).Close(fd)
-}
-
-func (c *ctx) unlink(path string) kernel.Errno {
-	if c.build == BuildIOS {
-		return libsystem.Sys(c.t).Unlink(path)
-	}
-	return bionic.Sys(c.t).Unlink(path)
-}
-
 func (c *ctx) tmpPath() string {
-	if c.build == BuildIOS {
+	if c.kind == persona.IOS {
 		return "/var/mobile/Documents/pm.dat"
 	}
 	return "/data/local/tmp/pm.dat"
@@ -170,7 +129,7 @@ func (c *ctx) iosGL(name string, args ...uint64) uint64 {
 
 // glCall dispatches per build.
 func (c *ctx) glCall(name string, args ...uint64) uint64 {
-	if c.build == BuildIOS {
+	if c.kind == persona.IOS {
 		return c.iosGL(name, args...)
 	}
 	return c.jniGL(name, args...)
@@ -178,7 +137,7 @@ func (c *ctx) glCall(name string, args ...uint64) uint64 {
 
 // present ends a frame.
 func (c *ctx) present() {
-	if c.build == BuildIOS {
+	if c.kind == persona.IOS {
 		c.gl.Call("_EAGLContextPresentRenderbuffer", c.eaglCtx)
 		return
 	}

@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kernel"
+	"repro/internal/persona"
 )
 
 // Config names (Fig. 6 columns).
@@ -32,30 +33,22 @@ const (
 	ConfigIPad         = "ipad"
 )
 
-// Build selects the app build.
-type Build int
-
-const (
-	// BuildAndroid is the Google Play app (Dalvik bytecode).
-	BuildAndroid Build = iota
-	// BuildIOS is the App Store app (native binary).
-	BuildIOS
-)
-
 // Configuration is one Fig. 6 column.
 type Configuration struct {
 	Name   string
 	System core.Config
-	Build  Build
+	// Persona selects the app build: the Google Play app (Dalvik
+	// bytecode) for Android, the App Store app (native binary) for iOS.
+	Persona persona.Kind
 }
 
 // Configurations returns the four Fig. 6 configurations in paper order.
 func Configurations() []Configuration {
 	return []Configuration{
-		{ConfigAndroid, core.ConfigVanilla, BuildAndroid},
-		{ConfigCiderAndroid, core.ConfigCider, BuildAndroid},
-		{ConfigCiderIOS, core.ConfigCider, BuildIOS},
-		{ConfigIPad, core.ConfigIPad, BuildIOS},
+		{ConfigAndroid, core.ConfigVanilla, persona.Android},
+		{ConfigCiderAndroid, core.ConfigCider, persona.Android},
+		{ConfigCiderIOS, core.ConfigCider, persona.IOS},
+		{ConfigIPad, core.ConfigIPad, persona.IOS},
 	}
 }
 
@@ -82,14 +75,10 @@ type Result struct {
 	Err error
 }
 
-// Run executes the battery in one configuration.
-func Run(conf Configuration, tests []Test) ([]Result, error) {
-	return RunWith(conf, tests, nil)
-}
-
-// RunWith is Run with a per-run system hook: onSystem, when non-nil, is
-// invoked with the freshly booted System before the app starts — the
-// place to attach a trace session. It must not advance virtual time.
+// RunWith executes the battery in one configuration. onSystem, when
+// non-nil, is invoked with the freshly booted System before the app
+// starts — the place to attach a trace session. It must not advance
+// virtual time.
 //
 // RunWith does not close the System: a hook that keeps it owns it and
 // calls System.Close once it has audited the post-run state, as the soak
@@ -104,7 +93,7 @@ func RunWith(conf Configuration, tests []Test, onSystem func(*core.System)) ([]R
 	}
 	var results []Result
 	driver := func(t *kernel.Thread) {
-		c, cerr := newCtx(t, sys, conf.Build)
+		c, cerr := newCtx(t, sys, conf.Persona)
 		if cerr != nil {
 			for _, test := range tests {
 				results = append(results, Result{Test: test.Name, Group: test.Group, Config: conf.Name, Err: cerr})
@@ -113,7 +102,7 @@ func RunWith(conf Configuration, tests []Test, onSystem func(*core.System)) ([]R
 		}
 		for _, test := range tests {
 			run := test.runAndroid
-			if conf.Build == BuildIOS {
+			if conf.Persona == persona.IOS {
 				run = test.runIOS
 			}
 			work, elapsed, rerr := run(c)
@@ -126,7 +115,7 @@ func RunWith(conf Configuration, tests []Test, onSystem func(*core.System)) ([]R
 	}
 	key := "passmark-" + conf.Name
 	var path string
-	if conf.Build == BuildIOS {
+	if conf.Persona == persona.IOS {
 		path = "/Applications/PassMark.app/PassMark"
 		err = sys.InstallIOSBinary(path, key, nil, wrapDriver(driver))
 	} else {

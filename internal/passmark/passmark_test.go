@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kernel"
+	"repro/internal/persona"
 	"repro/internal/prog"
 )
 
@@ -14,7 +15,7 @@ var cachedReport *Report
 func figure6(t *testing.T) *Report {
 	t.Helper()
 	if cachedReport == nil {
-		rep, err := RunFigure6()
+		rep, err := RunFigure6(AllTests(), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +184,7 @@ func TestChecksumEquivalence(t *testing.T) {
 	}
 	sys.InstallStaticAndroidBinary("/bin/eq", "eq", func(pc *prog.Call) uint64 {
 		th := pc.Ctx.(*kernel.Thread)
-		c, cerr := newCtx(th, sys, BuildAndroid)
+		c, cerr := newCtx(th, sys, persona.Android)
 		if cerr != nil {
 			t.Error(cerr)
 			return 1
@@ -214,7 +215,7 @@ func TestPrimesCountIsCorrect(t *testing.T) {
 	}
 	sys.InstallStaticAndroidBinary("/bin/pc", "pc", func(pc *prog.Call) uint64 {
 		th := pc.Ctx.(*kernel.Thread)
-		c, _ := newCtx(th, sys, BuildAndroid)
+		c, _ := newCtx(th, sys, persona.Android)
 		// 25 primes below 100.
 		if got := nativePrimes(c, 100); got != 25 {
 			t.Errorf("primes(100) = %d, want 25", got)
@@ -249,7 +250,7 @@ func TestAblationFenceFix(t *testing.T) {
 		var score float64
 		sys.InstallIOSBinary("/Applications/f.app/f", "fence-app", nil, func(pc *prog.Call) uint64 {
 			th := pc.Ctx.(*kernel.Thread)
-			c, cerr := newCtx(th, sys, BuildIOS)
+			c, cerr := newCtx(th, sys, persona.IOS)
 			if cerr != nil {
 				t.Error(cerr)
 				return 1

@@ -37,23 +37,11 @@ type Options struct {
 	OnSystem func(Cell, *core.System)
 }
 
-// RunFigure6 runs the full battery on all four configurations across
-// GOMAXPROCS host workers.
-func RunFigure6() (*Report, error) {
-	return RunFigure6Tests(AllTests())
-}
-
-// RunFigure6Tests runs a chosen subset on all four configurations across
-// GOMAXPROCS host workers.
-func RunFigure6Tests(tests []Test) (*Report, error) {
-	return RunFigure6Opts(tests, Options{})
-}
-
-// RunFigure6Opts runs a chosen subset, sharding one cell per
-// configuration across opts.Jobs host workers. Each cell is an
-// independent System, so the merged report is bit-identical for every
-// Jobs value.
-func RunFigure6Opts(tests []Test, opts Options) (*Report, error) {
+// RunFigure6 runs tests (AllTests for the whole figure) on all four
+// configurations, sharding one cell per configuration across opts.Jobs
+// host workers. Each cell is an independent System, so the merged report
+// is bit-identical for every Jobs value.
+func RunFigure6(tests []Test, opts Options) (*Report, error) {
 	confs := Configurations()
 	outs, err := runner.Map(len(confs), opts.Jobs, func(i int) ([]Result, error) {
 		cell := Cell{Index: i, Config: confs[i]}

@@ -70,7 +70,7 @@ func diskTest(name string, read bool) Test {
 	run := func(c *ctx) (float64, time.Duration, error) {
 		path := c.tmpPath()
 		payload := make([]byte, diskChunk)
-		fd, errno := c.creat(path)
+		fd, errno := c.lc.Creat(path)
 		if errno != kernel.OK {
 			return 0, 0, fmt.Errorf("passmark: creat: %v", errno)
 		}
@@ -79,7 +79,7 @@ func diskTest(name string, read bool) Test {
 		var elapsed time.Duration
 		writeAll := func() error {
 			for i := 0; i < diskChunks; i++ {
-				if _, errno := c.write(fd, payload); errno != kernel.OK {
+				if _, errno := c.lc.Write(fd, payload); errno != kernel.OK {
 					return fmt.Errorf("passmark: write: %v", errno)
 				}
 			}
@@ -90,15 +90,15 @@ func diskTest(name string, read bool) Test {
 			if err = writeAll(); err != nil {
 				return 0, 0, err
 			}
-			c.close(fd)
-			fd, errno = c.open(path)
+			c.lc.Close(fd)
+			fd, errno = c.lc.Open(path)
 			if errno != kernel.OK {
 				return 0, 0, fmt.Errorf("passmark: open: %v", errno)
 			}
 			buf := make([]byte, diskChunk)
 			elapsed, err = c.timed(func() error {
 				for i := 0; i < diskChunks; i++ {
-					if _, errno := c.read(fd, buf); errno != kernel.OK {
+					if _, errno := c.lc.Read(fd, buf); errno != kernel.OK {
 						return fmt.Errorf("passmark: read: %v", errno)
 					}
 				}
@@ -107,8 +107,8 @@ func diskTest(name string, read bool) Test {
 		} else {
 			elapsed, err = c.timed(writeAll)
 		}
-		c.close(fd)
-		c.unlink(path)
+		c.lc.Close(fd)
+		c.lc.Unlink(path)
 		return float64(diskChunk * diskChunks), elapsed, err
 	}
 	return Test{Name: name, Group: "storage", runAndroid: run, runIOS: run}

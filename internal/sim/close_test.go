@@ -23,13 +23,32 @@ func waitGoroutines(t *testing.T, want int) {
 	}
 }
 
+// settledGoroutines returns the goroutine count once it has held still
+// for ten consecutive milliseconds. A finished Proc hands the run token
+// back before its goroutine exits, so right after an earlier test's Run
+// returns, goroutines of its finished Procs may still be unwinding; a
+// baseline read then counts them, and they are gone by the time it is
+// compared with.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for still := 0; still < 10; {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, still = m, 0
+		} else {
+			still++
+		}
+	}
+	return n
+}
+
 // TestCloseReleasesProcs leaves every kind of unfinished Proc behind —
 // parked and sleeping daemons, a Proc spawned but never scheduled, a
 // daemon whose deferred calls re-enter the simulator, and a non-daemon
 // stuck in an ErrDeadlock — and checks that Close ends all of their
 // goroutines without running exit callbacks or emitting events.
 func TestCloseReleasesProcs(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := settledGoroutines()
 	exits := 0
 	onExit := func(*Proc) { exits++ }
 
