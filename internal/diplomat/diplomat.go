@@ -95,8 +95,9 @@ func (e *Engine) Wrap(domesticKey string) prog.Func {
 		t.Syscall(setPersonaNum, &kernel.SyscallArgs{I: [6]uint64{uint64(persona.Android)}})
 		// Step 4: restore the arguments.
 		t.Charge(e.saveCost)
-		// Step 5: direct invocation through the cached symbol.
-		ret := cached(&prog.Call{Ctx: t, Args: c.Args})
+		// Step 5: direct invocation through the cached symbol, in the
+		// thread's next call frame.
+		ret := t.CallFunc(cached, c.Args)
 		// Step 6: save the return value.
 		t.Charge(e.saveCost)
 		// Step 7: switch back, trapping through the *domestic* table now.

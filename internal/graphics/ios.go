@@ -241,13 +241,14 @@ func BindIOSGL(t *kernel.Thread) (*GL, error) {
 	return g, nil
 }
 
-// Call invokes a bound symbol.
+// Call invokes a bound symbol in the bound thread's call frame
+// (kernel.Thread.CallFunc), so a GL call allocates nothing.
 func (g *GL) Call(sym string, args ...uint64) uint64 {
 	fn, ok := g.fns[sym]
 	if !ok {
 		return ^uint64(0)
 	}
-	return fn(&prog.Call{Ctx: g.t, Args: args})
+	return g.t.CallFunc(fn, args)
 }
 
 // glSpecs memoizes the generated GL diplomat specs by the byte identity of

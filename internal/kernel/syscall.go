@@ -73,7 +73,10 @@ type SyscallRet struct {
 	Select *SelectResult
 }
 
-// SyscallHandler implements one syscall.
+// SyscallHandler implements one syscall. a is the calling thread's
+// argument slot for the trap (see Thread.Syscall): the handler may rewrite
+// the registers a.I in place (the XNU translators renumber there), treats
+// the other fields as read-only, and must not keep a after it returns.
 type SyscallHandler func(t *Thread, a *SyscallArgs) SyscallRet
 
 // SyscallTable is one persona's dispatch table. Cider "maintains one or
@@ -187,15 +190,21 @@ func (tb *SyscallTable) Len() int {
 // through here. It charges entry/exit costs, performs Cider's per-entry
 // persona check, dispatches through the calling thread's persona table, and
 // delivers pending signals on the return path.
-// emptySyscallArgs normalizes nil args without a per-call allocation.
-// Handlers treat their args as read-only (they are the copied-in user
-// registers), so sharing one zero value across all argless traps is safe.
-var emptySyscallArgs = &SyscallArgs{}
-
+//
+// Syscall only reads a (nil means no arguments). It copies a into the
+// thread's argument slot for this nesting level, the simulation's
+// copy_from_user, and the handler gets that slot: a translator that
+// rewrites its arguments in place never reaches the caller's struct, and
+// the caller's struct can live on its stack. The slot is cleared when the
+// trap returns to its caller; an argless trap only zeroes the registers,
+// since no handler writes the other fields (see SyscallHandler).
 func (t *Thread) Syscall(num int, a *SyscallArgs) SyscallRet {
 	k := t.k
-	if a == nil {
-		a = emptySyscallArgs
+	slot := t.sysArgs.push()
+	if a != nil {
+		*slot = *a
+	} else {
+		slot.I = [6]uint64{}
 	}
 	// The persona table is fetched once and reused for trace naming,
 	// dispatch, and fault keying; persona cannot change between here and
@@ -239,6 +248,7 @@ func (t *Thread) Syscall(num int, a *SyscallArgs) SyscallRet {
 			tr.SyscallExit(t.proc.Name(), t.proc.ID(), trPersona, num, trName,
 				int(ENOSYS), trStart, t.proc.Now())
 		}
+		t.releaseArgs(slot, a != nil)
 		return SyscallRet{R0: ^uint64(0), Errno: ENOSYS}
 	}
 	t.charge(entryCost + table.EntryExtra)
@@ -290,7 +300,7 @@ func (t *Thread) Syscall(num int, a *SyscallArgs) SyscallRet {
 		ret = SyscallRet{R0: ^uint64(0), Errno: ENOSYS}
 	default:
 		t.inSyscall = true
-		ret = h(t, a)
+		ret = h(t, slot)
 		t.inSyscall = false
 	}
 	// Exit costs batched the same way as entry costs.
@@ -312,7 +322,19 @@ func (t *Thread) Syscall(num int, a *SyscallArgs) SyscallRet {
 		tr.SyscallExit(t.proc.Name(), t.proc.ID(), trPersona, num, trName,
 			int(ret.Errno), trStart, t.proc.Now())
 	}
+	t.releaseArgs(slot, a != nil)
 	return ret
+}
+
+// releaseArgs releases the innermost argument slot's level. A slot that
+// was copied into is cleared, so it keeps no caller buffer alive; one that
+// carried no arguments holds at most rewritten registers, which the next
+// argless trap at this level zeroes.
+func (t *Thread) releaseArgs(slot *SyscallArgs, copied bool) {
+	if copied {
+		*slot = SyscallArgs{}
+	}
+	t.sysArgs.pop()
 }
 
 // InstallLinuxTable builds and installs the native Linux syscall table for

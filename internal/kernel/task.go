@@ -125,6 +125,12 @@ type Thread struct {
 	sigPending []int
 	// inSyscall marks the thread as blockable-in-kernel for EINTR wakeups.
 	inSyscall bool
+
+	// sysArgs holds the copied-in arguments of the thread's in-flight
+	// traps and frames its in-flight CallFunc frames, one record per
+	// nesting level (see slots).
+	sysArgs slots[SyscallArgs]
+	frames  slots[callFrame]
 }
 
 // TID returns the thread id (unique within the kernel).

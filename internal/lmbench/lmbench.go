@@ -174,9 +174,9 @@ func RunWith(conf Configuration, tests []Test, onSystem func(*core.System)) ([]R
 	const path = "/bin/lmbench"
 	key := "lmbench-" + conf.Name
 	if conf.Persona == persona.IOS {
-		err = sys.InstallIOSBinary(path, key, nil, wrap(driver))
+		err = sys.InstallIOSBinary(path, key, nil, kernel.Entry(driver))
 	} else {
-		err = sys.InstallStaticAndroidBinary(path, key, wrap(driver))
+		err = sys.InstallStaticAndroidBinary(path, key, kernel.Entry(driver))
 	}
 	if err != nil {
 		return nil, err

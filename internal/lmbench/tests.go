@@ -9,14 +9,6 @@ import (
 	"repro/internal/prog"
 )
 
-// wrap turns a driver body into a program entry.
-func wrap(body func(t *kernel.Thread)) prog.Func {
-	return func(c *prog.Call) uint64 {
-		body(c.Ctx.(*kernel.Thread))
-		return 0
-	}
-}
-
 // helloBody is the "hello world" payload of the exec tests.
 func helloBody(c *prog.Call) uint64 {
 	th := c.Ctx.(*kernel.Thread)

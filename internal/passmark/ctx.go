@@ -11,7 +11,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/persona"
 	"repro/internal/posix"
-	"repro/internal/prog"
 )
 
 // ctx is the per-run environment.
@@ -38,13 +37,6 @@ type ctx struct {
 
 	// pending batches native op charges.
 	pending time.Duration
-}
-
-func wrapDriver(body func(t *kernel.Thread)) prog.Func {
-	return func(c *prog.Call) uint64 {
-		body(c.Ctx.(*kernel.Thread))
-		return 0
-	}
 }
 
 func newCtx(t *kernel.Thread, sys *core.System, kind persona.Kind) (*ctx, error) {
@@ -121,18 +113,15 @@ func (c *ctx) jniGL(name string, args ...uint64) uint64 {
 	return c.sys.Gfx.GLES.Invoke(c.t, name, args)
 }
 
-// iosGL issues one GL call from the iOS app — diplomatic on Cider, native
-// on the iPad.
-func (c *ctx) iosGL(name string, args ...uint64) uint64 {
-	return c.gl.Call("_"+name, args...)
-}
-
-// glCall dispatches per build.
-func (c *ctx) glCall(name string, args ...uint64) uint64 {
+// glCall dispatches per build. sym is the iOS (Mach-O) symbol, leading
+// underscore included: the iOS build calls it through dyld, diplomatic on
+// Cider and native on the iPad, and the Android build calls the GLES
+// export of the same name without the underscore.
+func (c *ctx) glCall(sym string, args ...uint64) uint64 {
 	if c.kind == persona.IOS {
-		return c.iosGL(name, args...)
+		return c.gl.Call(sym, args...)
 	}
-	return c.jniGL(name, args...)
+	return c.jniGL(sym[1:], args...)
 }
 
 // present ends a frame.

@@ -117,10 +117,10 @@ func RunWith(conf Configuration, tests []Test, onSystem func(*core.System)) ([]R
 	var path string
 	if conf.Persona == persona.IOS {
 		path = "/Applications/PassMark.app/PassMark"
-		err = sys.InstallIOSBinary(path, key, nil, wrapDriver(driver))
+		err = sys.InstallIOSBinary(path, key, nil, kernel.Entry(driver))
 	} else {
 		path = "/data/app/passmark"
-		err = sys.InstallAndroidBinary(path, key, []string{"libc.so", "libGLESv2.so", "libandroid_runtime.so"}, wrapDriver(driver))
+		err = sys.InstallAndroidBinary(path, key, []string{"libc.so", "libGLESv2.so", "libandroid_runtime.so"}, kernel.Entry(driver))
 	}
 	if err != nil {
 		return nil, err

@@ -193,10 +193,10 @@ func imageRenderTest() Test {
 			for i := 0; i < imageItems; i++ {
 				// Image decode + format conversion on the CPU.
 				c.t.Charge(time.Duration(float64(cpu.Cycles(78000)) * prepScale))
-				c.glCall("glTexImage2D", 0, 0, 0, 128, 128, 0, 0, 0, 0)
-				c.glCall("glDrawArrays", 4, 0, 64)
-				c.glCall("glFenceSync", 0, 0)
-				c.glCall("glClientWaitSync", 0, 0, 0)
+				c.glCall("_glTexImage2D", 0, 0, 0, 128, 128, 0, 0, 0, 0)
+				c.glCall("_glDrawArrays", 4, 0, 64)
+				c.glCall("_glFenceSync", 0, 0)
+				c.glCall("_glClientWaitSync", 0, 0, 0)
 			}
 			return nil
 		})
@@ -223,9 +223,9 @@ func scene3DTest(name string, calls int, verts int64) Test {
 			for f := 0; f < framesPerScene; f++ {
 				for k := 0; k < calls; k++ {
 					if k%8 == 7 {
-						c.glCall("glDrawArrays", 4, 0, uint64(vertsPerDraw))
+						c.glCall("_glDrawArrays", 4, 0, uint64(vertsPerDraw))
 					} else {
-						c.glCall("glUniformMatrix4fv", uint64(k), 1, 0, 0)
+						c.glCall("_glUniformMatrix4fv", uint64(k), 1, 0, 0)
 					}
 				}
 				c.present()

@@ -18,7 +18,10 @@ import (
 	"strings"
 )
 
-// Call carries the arguments of one simulated native call.
+// Call carries the arguments of one simulated native call. The caller
+// may reuse a Call and its Args for its next call (kernel.Thread.CallFunc
+// keeps one per thread and nesting depth), so a callee must not keep c or
+// c.Args after it returns; it copies what it needs to keep.
 type Call struct {
 	// Ctx is the execution context (the kernel thread handle); callees
 	// type-assert it to the concrete context they were written against.
@@ -36,6 +39,7 @@ func (c *Call) Arg(i int) uint64 {
 }
 
 // Func is the body of a simulated program entry point or exported function.
+// It must not keep c or c.Args after it returns (see Call).
 type Func func(c *Call) uint64
 
 // Registry maps code keys to implementations. A Registry represents "the
