@@ -13,7 +13,6 @@
 package abi
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/iokit"
@@ -142,8 +141,10 @@ const (
 	MachRcvMsg = 2
 )
 
-// MsgCarrier passes a Mach message through the generic syscall argument
-// structure (the simulated equivalent of the user-space message buffer).
+// MsgCarrier is mach_msg's user-space message buffer. libSystem passes
+// it in the trap's SyscallArgs.Carrier, the simulated equivalent of the
+// buffer pointer real user space hands the kernel; each trap carries its
+// own, so threads trapping concurrently never share one.
 type MsgCarrier struct {
 	// Msg is the message to send, or the received message on return.
 	Msg *xnu.Message
@@ -151,20 +152,6 @@ type MsgCarrier struct {
 	Timeout time.Duration
 	// Result is the received message.
 	Result *xnu.Message
-}
-
-// The mach traps accept the carrier through a typed side channel: user
-// data keyed per *thread* (each thread has its own message buffer on its
-// own stack, so two threads trapping concurrently must not clobber each
-// other). libsystem sets it before trapping, mirroring how real user space
-// passes a message buffer pointer the kernel copies in.
-func carrierKey(t *kernel.Thread) string {
-	return fmt.Sprintf("mach.carrier.%d", t.TID())
-}
-
-// SetCarrier installs the message buffer for the next MachMsgTrap.
-func SetCarrier(t *kernel.Thread, c *MsgCarrier) {
-	t.Task().SetUserData(carrierKey(t), c)
 }
 
 // InstallXNUTable builds the iOS persona's syscall dispatch table and
@@ -304,11 +291,10 @@ func installXNU(k *kernel.Kernel, native bool) *kernel.SyscallTable {
 			if !ok {
 				return kernel.SyscallRet{Errno: kernel.ENOSYS}
 			}
-			cv, ok := t.Task().UserData(carrierKey(t))
-			if !ok {
+			c, ok := a.Carrier.(*MsgCarrier)
+			if !ok || c == nil {
 				return kernel.SyscallRet{Errno: kernel.EINVAL}
 			}
-			c := cv.(*MsgCarrier)
 			name := xnu.PortName(a.I[0])
 			opts := a.I[1]
 			var kr xnu.KernReturn

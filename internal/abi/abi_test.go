@@ -175,15 +175,16 @@ func TestMachMsgTrapSendReceive(t *testing.T) {
 			t.Error("mach_reply_port returned MACH_PORT_NULL")
 			return
 		}
+		if e := th.Syscall(MachMsgTrap, &kernel.SyscallArgs{I: [6]uint64{port, MachSendMsg}}).Errno; e != kernel.EINVAL {
+			t.Errorf("mach_msg without a carrier: errno %v, want EINVAL", e)
+		}
 		send := &MsgCarrier{Msg: &xnu.Message{ID: 5, Body: []byte("via trap")}, Timeout: -1}
-		SetCarrier(th, send)
-		kr := th.Syscall(MachMsgTrap, &kernel.SyscallArgs{I: [6]uint64{port, MachSendMsg}}).R0
+		kr := th.Syscall(MachMsgTrap, &kernel.SyscallArgs{I: [6]uint64{port, MachSendMsg}, Carrier: send}).R0
 		if xnu.KernReturn(kr) != xnu.KernSuccess {
 			t.Errorf("send kr = %#x", kr)
 		}
 		recv := &MsgCarrier{Timeout: -1}
-		SetCarrier(th, recv)
-		kr = th.Syscall(MachMsgTrap, &kernel.SyscallArgs{I: [6]uint64{port, MachRcvMsg}}).R0
+		kr = th.Syscall(MachMsgTrap, &kernel.SyscallArgs{I: [6]uint64{port, MachRcvMsg}, Carrier: recv}).R0
 		if xnu.KernReturn(kr) != xnu.KernSuccess {
 			t.Errorf("recv kr = %#x", kr)
 			return

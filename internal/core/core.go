@@ -160,8 +160,10 @@ func (s *System) EnableTrace() *trace.Session {
 // the kernel consults it at syscall dispatch, blocking waits, and memory
 // mapping; the Mach IPC subsystem reads it dynamically through the
 // kernel; and the system's filesystems route Lookup/Create/Remove
-// through it. Injections are recorded in the trace session when one is
-// attached. Calling again replaces the plan (injector state resets).
+// through it when the plan has OpVFS rules. Injections are recorded in
+// the trace session when one is attached. Calling again replaces the
+// plan (injector state resets, and a plan without OpVFS rules clears the
+// filesystems' hook).
 //
 // The injector is per-System state keyed only to the plan's seed and
 // virtual time, so two systems armed with the same plan make identical
@@ -181,7 +183,14 @@ func (s *System) EnableFaults(p fault.Plan) *fault.Injector {
 	}
 	s.Fault = in
 	s.Kernel.EnableFaults(in)
-	hook := s.vfsFaultHook(in)
+	// Only a plan with OpVFS rules hooks the filesystems. A hook over a
+	// plan without them would clean each path and build its key for a
+	// Check that returns at once, with no side effect, and would keep
+	// dyld from trusting its link-plan memo (see dyld.replay).
+	var hook func(op, path string) error
+	if in.Has(fault.OpVFS) {
+		hook = s.vfsFaultHook(in)
+	}
 	if s.AndroidFS != nil {
 		s.AndroidFS.FaultHook = hook
 	}

@@ -51,3 +51,26 @@ func TestDiplomatHopAllocs(t *testing.T) {
 		}
 	})
 }
+
+// TestMachRoundTripAllocs pins a libSystem self send+receive on a booted
+// Cider system at its two message buffers: each mach_msg trap passes its
+// MsgCarrier in the argument slot, not under a per-thread user-data key
+// built with Sprintf (10 allocations per round trip before).
+func TestMachRoundTripAllocs(t *testing.T) {
+	const machRoundTripAllocs = 2
+	inProc(t, persona.IOS, func(th *kernel.Thread) {
+		op, err := machRoundTrip(th)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		got := testing.AllocsPerRun(100, func() {
+			if err := op(); err != nil {
+				t.Error(err)
+			}
+		})
+		if got > machRoundTripAllocs {
+			t.Errorf("mach self round trip allocated %v objects, want <= %d", got, machRoundTripAllocs)
+		}
+	})
+}

@@ -6,8 +6,10 @@ import (
 
 	"repro/internal/graphics"
 	"repro/internal/kernel"
+	"repro/internal/libsystem"
 	"repro/internal/persona"
 	"repro/internal/posix"
+	"repro/internal/xnu"
 )
 
 // inProc boots a Cider system, runs body in a process of persona k (an
@@ -126,4 +128,26 @@ func BenchmarkDiplomatHop(b *testing.B) {
 			op()
 		}
 	})
+}
+
+// machRoundTrip allocates a receive right on t's task and returns one
+// libSystem self round trip: a mach_msg send to the port and a receive
+// of the message back.
+func machRoundTrip(t *kernel.Thread) (func() error, error) {
+	lc := libsystem.Sys(t)
+	port := lc.MachReplyPort()
+	if port == xnu.PortNull {
+		return nil, fmt.Errorf("mach_reply_port returned MACH_PORT_NULL")
+	}
+	msg := &xnu.Message{ID: 7, Body: []byte("self")}
+	return func() error {
+		if kr := lc.MachSend(port, msg, -1); kr != xnu.KernSuccess {
+			return fmt.Errorf("send: kr %#x", kr)
+		}
+		got, kr := lc.MachReceive(port, -1)
+		if kr != xnu.KernSuccess || got.ID != 7 {
+			return fmt.Errorf("receive: kr %#x, %+v", kr, got)
+		}
+		return nil
+	}, nil
 }

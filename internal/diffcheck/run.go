@@ -391,5 +391,7 @@ func RunCellDecided(p *Program, ios bool, plan fault.Plan, dec sim.Decider) *Cel
 	for _, nc := range tr.Counters() {
 		res.Counters[nc.Name] = nc.Value
 	}
+	// The result holds copies of everything it needs: recycle the ring.
+	tr.Release()
 	return res
 }

@@ -239,9 +239,11 @@ func (im *Images) add(img *LoadedImage) {
 // the walk's order — so a replayed exec is bit-identical to a walked one.
 //
 // Validation is per step: replay looks each path up at the point the walk
-// would, and if the lookup fails or the node's bytes are not the array the
-// plan was recorded from (the identity macho.ParseShared keys on), it
-// continues as the walk from that step, over the prefix already loaded.
+// would (or takes the node from the kernel's memo of an unchanged tree,
+// see planMemo), and if the lookup fails or the node's bytes are not the
+// array the plan was recorded from (the identity macho.ParseShared keys
+// on), it continues as the walk from that step, over the prefix already
+// loaded.
 type linkPlan struct {
 	// roots is the executable's LC_LOAD_DYLIB list (immutable: the kernel
 	// copies it per exec).
@@ -334,9 +336,10 @@ func walk(t *kernel.Thread, cs costs, images *Images, work []string, rec *linkPl
 func replay(t *kernel.Thread, cs costs, p *linkPlan) (*Images, error) {
 	k := t.Kernel()
 	st := libsystem.ForTask(t.Task())
+	r := newResolver(k, p)
 	for i := range p.steps {
 		s := &p.steps[i]
-		node, err := k.Root().Lookup(s.path)
+		node, err := r.lookup(i, s.path)
 		if err != nil || !s.matches(node) {
 			images := p.prefix(i)
 			ns, err := load(t, cs, st, images, s.path, node, err)
@@ -350,7 +353,111 @@ func replay(t *kernel.Thread, cs costs, p *linkPlan) (*Images, error) {
 			return p.prefix(i), err
 		}
 	}
+	r.finish(k, p)
 	return p.images, nil
+}
+
+// A planMemo is one kernel's memory of where a plan's paths resolve: the
+// node each step's Lookup returned during a complete replay, stamped
+// with the root filesystem's generation. A later replay on the same
+// kernel takes a step's node from the memo instead of walking its path,
+// but only while the root's Stamp still reads that generation and pure
+// (no fault hook), checked before every step, since any charge may run
+// another process that changes the tree. A memo is recorded only when
+// every step's walk was plain (no symlink, no mount point), because
+// those resolutions depend on state the generation does not cover.
+// Without a hook a walk charges nothing and records nothing, so skipping
+// it leaves every virtual-time effect of the replay in place; each step
+// still checks its node's bytes (planStep.matches), which catches a
+// SetData or WriteData rewrite. In every other case replay walks.
+type planMemo struct {
+	gen   uint64
+	nodes []*vfs.Node
+}
+
+// memoExt names the kernel extension holding a kernel's plan memos,
+// a map[*linkPlan]*planMemo. A kernel runs one process at a time, so the
+// map needs no lock.
+const memoExt = "dyld.linkmemo"
+
+// memoOff disables plan memos (tests compare against walked replays).
+var memoOff bool
+
+// stamped is a root filesystem whose resolutions a memo can stand in
+// for (vfs.FS and vfs.Overlay; see vfs.FS.Stamp).
+type stamped interface {
+	Stamp() (gen uint64, pure bool)
+	LookupPlain(p string) (n *vfs.Node, err error, plain bool)
+}
+
+// resolver resolves one replay's step paths.
+type resolver struct {
+	root vfs.FileSystem
+	// st is root when it is stamped; memo and rec need it.
+	st stamped
+	// memo is the kernel's memo of the plan, while it still holds.
+	memo *planMemo
+	// rec, when non-nil, collects this replay's nodes as a new memo of
+	// generation gen; a lookup that was not plain ends the recording.
+	rec []*vfs.Node
+	gen uint64
+}
+
+func newResolver(k *kernel.Kernel, p *linkPlan) (r resolver) {
+	r.root = k.Root()
+	st, ok := r.root.(stamped)
+	if !ok || memoOff {
+		return r
+	}
+	r.st = st
+	gen, pure := st.Stamp()
+	if !pure {
+		return r
+	}
+	if v, ok := k.Extension(memoExt); ok {
+		if m := v.(map[*linkPlan]*planMemo)[p]; m != nil && m.gen == gen {
+			r.memo = m
+			return r
+		}
+	}
+	r.rec, r.gen = make([]*vfs.Node, 0, len(p.steps)), gen
+	return r
+}
+
+// lookup resolves step i's path: from the memo while it holds, else by
+// a walk.
+func (r *resolver) lookup(i int, path string) (*vfs.Node, error) {
+	if r.memo != nil {
+		if gen, pure := r.st.Stamp(); pure && gen == r.memo.gen {
+			return r.memo.nodes[i], nil
+		}
+		r.memo = nil
+	}
+	if r.rec == nil {
+		return r.root.Lookup(path)
+	}
+	n, err, plain := r.st.LookupPlain(path)
+	if plain && err == nil {
+		r.rec = append(r.rec, n)
+	} else {
+		r.rec = nil
+	}
+	return n, err
+}
+
+// finish keeps a complete recording as k's memo of p. It is stamped
+// with the generation the recording started at, so a change made while
+// it was taken leaves it stale from the start.
+func (r *resolver) finish(k *kernel.Kernel, p *linkPlan) {
+	if r.rec == nil {
+		return
+	}
+	v, ok := k.Extension(memoExt)
+	if !ok {
+		v = map[*linkPlan]*planMemo{}
+		k.SetExtension(memoExt, v)
+	}
+	v.(map[*linkPlan]*planMemo)[p] = &planMemo{gen: r.gen, nodes: r.rec}
 }
 
 // prefix returns a fresh table holding the plan's first i images.

@@ -1,5 +1,7 @@
 package dyld
 
+import "repro/internal/kernel"
+
 // ManifestCacheLen reports how many decoded manifests manifestCache holds.
 func ManifestCacheLen() int {
 	n := 0
@@ -18,4 +20,16 @@ func LinkPlansLen() int {
 	n := 0
 	linkPlans.Range(func(_, _ any) bool { n++; return true })
 	return n
+}
+
+// SetLinkMemo turns the per-kernel link-plan memos on or off.
+func SetLinkMemo(on bool) { memoOff = !on }
+
+// LinkMemos reports how many plans k holds a memo of.
+func LinkMemos(k *kernel.Kernel) int {
+	v, ok := k.Extension(memoExt)
+	if !ok {
+		return 0
+	}
+	return len(v.(map[*linkPlan]*planMemo))
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/libsystem"
 	"repro/internal/prog"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -40,12 +41,36 @@ type execObs struct {
 // one iOS exec and records what the exec left behind.
 func observeExec(t *testing.T, prepare func(*core.System)) execObs {
 	t.Helper()
+	sys, obs := probeSystem(t)
+	defer sys.Close()
+	if prepare != nil {
+		prepare(sys)
+	}
+	return runProbe(t, sys, obs)
+}
+
+// observeSecondExec boots a traced Cider system, runs the probe exec
+// once, lets mutate change the system and records what a second exec of
+// the probe in the same system left behind.
+func observeSecondExec(t *testing.T, mutate func(*core.System)) execObs {
+	t.Helper()
+	sys, obs := probeSystem(t)
+	defer sys.Close()
+	runProbe(t, sys, obs)
+	*obs = execObs{}
+	mutate(sys)
+	return runProbe(t, sys, obs)
+}
+
+// probeSystem boots a traced Cider system with the probe binary
+// installed; the probe fills in the returned record when it runs.
+func probeSystem(t *testing.T) (*core.System, *execObs) {
+	t.Helper()
 	sys, err := core.NewSystem(core.ConfigCider, core.Options{Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Close()
-	var obs execObs
+	obs := new(execObs)
 	if err := sys.InstallIOSBinary("/bin/plan-probe", "linkplan-probe", nil, func(c *prog.Call) uint64 {
 		th := c.Ctx.(*kernel.Thread)
 		obs.Ran = true
@@ -53,11 +78,16 @@ func observeExec(t *testing.T, prepare func(*core.System)) execObs {
 		obs.Maps = th.Task().Mem().Maps()
 		return 0
 	}); err != nil {
+		sys.Close()
 		t.Fatal(err)
 	}
-	if prepare != nil {
-		prepare(sys)
-	}
+	return sys, obs
+}
+
+// runProbe execs the probe on sys, runs the system and returns obs
+// completed with what the exec left behind.
+func runProbe(t *testing.T, sys *core.System, obs *execObs) execObs {
+	t.Helper()
 	tk, err := sys.Start("/bin/plan-probe", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +115,7 @@ func observeExec(t *testing.T, prepare func(*core.System)) execObs {
 	obs.Handlers[0], obs.Handlers[1], obs.Handlers[2], obs.Handlers[3] = libsystem.ForTask(tk).Counts()
 	obs.Counters = sys.Trace.Counters()
 	obs.Events = sys.Trace.EventsText()
-	return obs
+	return *obs
 }
 
 // compareObs fails t on the first field where the replayed exec differs
@@ -194,6 +224,110 @@ func TestLinkPlanInvalidation(t *testing.T) {
 			}
 		})
 	}
+
+	// The same kinds of change between two execs in one system: the
+	// first exec leaves the kernel a memo of where the plan's paths
+	// resolve, and the second must see the change exactly as an exec
+	// that walks every path does.
+	lib := midLib()
+	between := []struct {
+		name   string
+		mutate func(*core.System) error
+		check  func(execObs) error
+	}{
+		{"unchanged", func(*core.System) error { return nil }, ranAll},
+		{"rewritten dylib", func(sys *core.System) error {
+			bin, err := prog.MachODylib(lib, []string{core.LibSystemPath}, []string{"_a", "_b", "_c"}, 64<<10)
+			if err != nil {
+				return err
+			}
+			n, err := sys.IOSFS.Lookup(lib)
+			if err != nil {
+				return err
+			}
+			n.SetData(bin)
+			return nil
+		}, ranAll},
+		{"removed dylib", func(sys *core.System) error { return sys.IOSFS.Remove(lib) }, failedAtMid},
+		{"renamed over", func(sys *core.System) error {
+			// A later library moves over lib's path: lib's path now
+			// holds its bytes, and its own path is gone.
+			return sys.IOSFS.Rename(core.IOSDylibs()[100], lib)
+		}, func(o execObs) error {
+			if o.Ran || o.Status != 255 {
+				return fmt.Errorf("ran=%v status=%d, want a failed launch", o.Ran, o.Status)
+			}
+			return nil
+		}},
+		{"symlink in path", func(sys *core.System) error {
+			if err := sys.IOSFS.Rename("/usr/lib", "/usr/lib.real"); err != nil {
+				return err
+			}
+			return sys.IOSFS.Symlink("/usr/lib.real", "/usr/lib")
+		}, ranAll},
+		{"removed mid-exec", func(sys *core.System) error {
+			// A simulated process (no binary, so no filesystem change
+			// before the exec) that wakes a quarter of the way into the
+			// exec's library loads removes the dylib while the replay
+			// runs: the replay must notice at its next step.
+			sys.Sim.Spawn("linkplan-remover", func(p *sim.Proc) {
+				p.Sleep(pristine.ProbeAt / 4)
+				if err := sys.IOSFS.Remove(lib); err != nil {
+					t.Error(err)
+				}
+			})
+			return nil
+		}, failedAtMid},
+		{"vfs fault rule", func(sys *core.System) error {
+			sys.EnableFaults(fault.Plan{Name: "dyld-lookup", Rules: []fault.Rule{
+				{Op: fault.OpVFS, Match: "lookup:" + lib, Nth: 1, Errno: int(kernel.EIO)},
+			}})
+			return nil
+		}, failedAtMid},
+	}
+	for _, c := range between {
+		t.Run("between execs/"+c.name, func(t *testing.T) {
+			t.Cleanup(dyld.ResetLinkPlans)
+			dyld.ResetLinkPlans()
+			observeExec(t, nil)
+			mutate := func(sys *core.System) {
+				if n := dyld.LinkMemos(sys.Kernel); n != 1 {
+					t.Errorf("the first exec left %d link-plan memos, want 1", n)
+				}
+				if err := c.mutate(sys); err != nil {
+					t.Fatal(err)
+				}
+			}
+			memo := observeSecondExec(t, mutate)
+			defer dyld.SetLinkMemo(true)
+			dyld.SetLinkMemo(false)
+			walked := observeSecondExec(t, func(sys *core.System) {
+				if err := c.mutate(sys); err != nil {
+					t.Fatal(err)
+				}
+			})
+			compareObs(t, memo, walked)
+			if err := c.check(memo); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// ranAll checks that an exec ran with every base library loaded.
+func ranAll(o execObs) error {
+	if !o.Ran || o.Status != 0 || len(o.Images) != len(core.IOSDylibs()) {
+		return fmt.Errorf("ran=%v status=%d images=%d, want a launch with all %d", o.Ran, o.Status, len(o.Images), len(core.IOSDylibs()))
+	}
+	return nil
+}
+
+// failedAtMid checks that an exec failed to load midLib.
+func failedAtMid(o execObs) error {
+	if o.Ran || o.Status != 255 || len(o.Images) != 57 {
+		return fmt.Errorf("ran=%v status=%d images=%d, want a failed launch after 57 images", o.Ran, o.Status, len(o.Images))
+	}
+	return nil
 }
 
 // TestLinkPlanMapFaultMatchesWalk fails one dylib's mmap part-way through

@@ -59,6 +59,10 @@ type SyscallArgs struct {
 	ChildFn func(*Thread)
 	// Select is the descriptor-set payload for select(2).
 	Select *SelectRequest
+	// Carrier is a Mach trap's user-space message buffer (mach_msg's
+	// *abi.MsgCarrier). The kernel copies it with the other arguments
+	// and never reads it; the trap handler does.
+	Carrier any
 }
 
 // SyscallRet carries a syscall's results.

@@ -296,16 +296,15 @@ func (c *C) MachReplyPort() xnu.PortName {
 
 // MachSend sends msg to the port named dest.
 func (c *C) MachSend(dest xnu.PortName, msg *xnu.Message, timeout time.Duration) xnu.KernReturn {
-	abi.SetCarrier(c.T, &abi.MsgCarrier{Msg: msg, Timeout: timeout})
-	ret := c.T.Syscall(abi.MachMsgTrap, &kernel.SyscallArgs{I: [6]uint64{uint64(dest), abi.MachSendMsg}})
+	ret := c.T.Syscall(abi.MachMsgTrap, &kernel.SyscallArgs{I: [6]uint64{uint64(dest), abi.MachSendMsg},
+		Carrier: &abi.MsgCarrier{Msg: msg, Timeout: timeout}})
 	return xnu.KernReturn(ret.R0)
 }
 
 // MachReceive receives from the port named recv.
 func (c *C) MachReceive(recv xnu.PortName, timeout time.Duration) (*xnu.Message, xnu.KernReturn) {
 	carrier := &abi.MsgCarrier{Timeout: timeout}
-	abi.SetCarrier(c.T, carrier)
-	ret := c.T.Syscall(abi.MachMsgTrap, &kernel.SyscallArgs{I: [6]uint64{uint64(recv), abi.MachRcvMsg}})
+	ret := c.T.Syscall(abi.MachMsgTrap, &kernel.SyscallArgs{I: [6]uint64{uint64(recv), abi.MachRcvMsg}, Carrier: carrier})
 	return carrier.Result, xnu.KernReturn(ret.R0)
 }
 

@@ -134,6 +134,8 @@ func (o *cellOutcome) auditSystem(d *replay.Digest, s Schedule, sys *core.System
 	}
 	digestSession(d, sys.Trace)
 	o.collectCounters(sys.Trace)
+	// Nothing reads the session after the audit: recycle its ring.
+	sys.Trace.Release()
 	crashes, respawns := o.counters[trace.CounterLaunchdCrashes], o.counters[trace.CounterLaunchdRespawns]
 	if throttled := o.counters[trace.CounterLaunchdThrottled]; crashes > respawns+throttled+1 {
 		o.fail(replay.Supervision,
@@ -475,6 +477,7 @@ func runMachCell(s Schedule, dec sim.Decider) (o *cellOutcome) {
 	d.U64(fired)
 	digestSession(d, tr)
 	o.collectCounters(tr)
+	tr.Release()
 	if lerr := k.LeakCheck(); lerr != nil {
 		o.fail(replay.Leak, "mach cell (%s): %v", s.Name, lerr)
 	}

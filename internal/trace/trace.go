@@ -15,6 +15,7 @@ import (
 	"math/bits"
 	"sort"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/persona"
@@ -266,6 +267,14 @@ const DefaultRingSize = 4096
 // about twice the capacity on the way to filling it).
 const ringChunk = 256
 
+// chunkPool recycles full ring chunks between sessions. A soak or
+// diffcheck cell's session lives for one short run and is then folded
+// and released, so the next cell's ring takes its predecessor's
+// storage instead of a fresh 28 KB chunk per 256 events. Chunks enter
+// the pool zeroed (see Release), so a reused slot never shows a
+// previous session's event.
+var chunkPool = sync.Pool{New: func() any { return new([ringChunk]Event) }}
+
 // Session is one configuration's trace state. It implements sim.Sink and
 // is fed by the kernel's dispatch/signal paths and by library-layer
 // counters. All methods are single-threaded by construction: the sim
@@ -302,8 +311,29 @@ func NewSession(label string) *Session {
 // events are dropped and count toward Dropped. n <= 0 disables event
 // recording but keeps histograms and counters.
 func (s *Session) SetRingCapacity(n int) {
-	s.chunks = nil
+	s.Release()
 	s.limit = max(n, 0)
+}
+
+// Release drops the retained events and recycles the ring's storage:
+// each full chunk is cleared and returned to a package pool that later
+// sessions draw from. The dropped events count toward Dropped, and Walk
+// then sees an empty ring, so a late reader finds nothing rather than
+// another session's events. Histograms, counters and the capacity are
+// kept; a session may go on recording after a release. Call it once
+// nothing will read the events again; no pointer from Walk may outlive
+// it. A nil session has nothing to release.
+func (s *Session) Release() {
+	if s == nil {
+		return
+	}
+	for _, c := range s.chunks {
+		if len(c) == ringChunk {
+			clear(c)
+			chunkPool.Put((*[ringChunk]Event)(c))
+		}
+	}
+	s.chunks = nil
 	s.n = 0
 	s.next = 0
 }
@@ -334,8 +364,16 @@ func (s *Session) slot() *Event {
 	i := s.n
 	if s.n < s.limit {
 		if i%ringChunk == 0 {
-			//lint:allow hotalloc: one chunk per 256 retained events, reused on every wrap
-			s.chunks = append(s.chunks, make([]Event, min(ringChunk, s.limit-s.n)))
+			// A whole chunk comes from the pool; a ring whose capacity
+			// is not a multiple of ringChunk ends in a short chunk.
+			var c []Event
+			if s.limit-s.n >= ringChunk {
+				c = chunkPool.Get().(*[ringChunk]Event)[:]
+			} else {
+				//lint:allow hotalloc: one tail chunk per ring, reused on every wrap
+				c = make([]Event, s.limit-s.n)
+			}
+			s.chunks = append(s.chunks, c)
 		}
 		s.n++
 	} else {

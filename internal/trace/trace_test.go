@@ -191,6 +191,58 @@ func TestResizeCountsDiscarded(t *testing.T) {
 	}
 }
 
+// TestReleaseRecyclesZeroedChunks pins Session.Release: the ring reads
+// empty afterwards (a late Walk sees nothing, the events count as
+// dropped, counters survive), and a recycled chunk carries none of the
+// released session's events into the next session.
+func TestReleaseRecyclesZeroedChunks(t *testing.T) {
+	fill := func() (*Session, *Event) {
+		s := NewSession("release")
+		for i := 0; i < ringChunk+10; i++ {
+			s.SchedEvent(sim.SchedSpawn, "p", i, time.Duration(i), "detail")
+		}
+		s.Count("c", 3)
+		return s, &s.chunks[0][0]
+	}
+	s, _ := fill()
+	s.Release()
+	s.Walk(func(e *Event) { t.Fatalf("Walk after Release saw %+v", *e) })
+	if got := s.Dropped(); got != ringChunk+10 {
+		t.Errorf("dropped = %d after releasing %d events", got, ringChunk+10)
+	}
+	if s.Counter("c") != 3 || s.SchedCount(sim.SchedSpawn) != ringChunk+10 {
+		t.Error("Release dropped counters")
+	}
+	s.SchedEvent(sim.SchedExit, "q", 1, 1, "")
+	if evs := s.Events(); len(evs) != 1 || evs[0].Proc != "q" {
+		t.Errorf("recording after Release retained %+v, want the one new event", evs)
+	}
+
+	// sync.Pool may drop a put chunk (the race detector drops some on
+	// purpose), so fill and release until a chunk comes back.
+	for attempt := 0; attempt < 64; attempt++ {
+		s, first := fill()
+		s.Release()
+		c := chunkPool.Get().(*[ringChunk]Event)
+		if &c[0] != first {
+			continue
+		}
+		for i := range c {
+			if c[i] != (Event{}) {
+				t.Fatalf("recycled chunk slot %d holds %+v, want zero", i, c[i])
+			}
+		}
+		next := NewSession("next")
+		chunkPool.Put(c)
+		next.SchedEvent(sim.SchedSpawn, "r", 0, 0, "")
+		if len(next.chunks[0]) != ringChunk {
+			t.Fatalf("next session's chunk has %d slots", len(next.chunks[0]))
+		}
+		return
+	}
+	t.Fatal("no released chunk came back from the pool in 64 attempts")
+}
+
 // TestRingAllocatesOnDemand guards the ring's storage: a deep capacity
 // is only a bound, so a session that records a few hundred events pays
 // for the chunk it fills (plus the session and its maps), not for the

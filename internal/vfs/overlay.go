@@ -29,6 +29,26 @@ func (o *Overlay) Lookup(p string) (*Node, error) {
 	return o.lower.Lookup(p)
 }
 
+// Stamp is FS.Stamp over both layers: the sum of their generations,
+// which moves whenever either does, and pure only when neither layer is
+// hooked.
+func (o *Overlay) Stamp() (gen uint64, pure bool) {
+	ug, up := o.upper.Stamp()
+	lg, lp := o.lower.Stamp()
+	return ug + lg, up && lp
+}
+
+// LookupPlain is FS.LookupPlain in Lookup's layer order: plain when the
+// resolution was plain in each layer it consulted.
+func (o *Overlay) LookupPlain(p string) (*Node, error, bool) {
+	n, err, plain := o.upper.LookupPlain(p)
+	if err == nil {
+		return n, nil, plain
+	}
+	n, err, lower := o.lower.LookupPlain(p)
+	return n, err, plain && lower
+}
+
 // copyUp ensures p's parents exist in the upper layer.
 func (o *Overlay) copyUp(p string) error {
 	dir, _ := Split(p)

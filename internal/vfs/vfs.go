@@ -206,6 +206,8 @@ type FileSystem interface {
 // FS is a plain in-memory filesystem tree.
 type FS struct {
 	root *Node
+	// gen counts structural changes (see Stamp).
+	gen uint64
 	// FaultHook, when non-nil, is consulted before Lookup, Create, and
 	// Remove with the operation name ("lookup", "create", "remove") and
 	// the cleaned path; a non-nil error fails the operation (fault
@@ -383,6 +385,28 @@ func (fs *FS) Lookup(p string) (*Node, error) {
 	return fs.walk(p, true, 0)
 }
 
+// Stamp returns the tree's generation, which every structural change
+// bumps (create, mkdir, remove, rename, symlink, mknod, mount and
+// WriteFile), and pure=false when a FaultHook is installed: a lookup
+// then has effects of its own. Rewriting a node's bytes (SetData,
+// WriteData) is not structural. While Stamp reads the same generation
+// and pure, a path that once resolved plainly (see LookupPlain)
+// resolves to the same node.
+func (fs *FS) Stamp() (gen uint64, pure bool) { return fs.gen, fs.FaultHook == nil }
+
+// LookupPlain is Lookup that also reports whether the resolution was
+// plain: no fault hook consulted, no symlink followed and no mount
+// point crossed, so it depended on nothing but the tree's structure.
+func (fs *FS) LookupPlain(p string) (*Node, error, bool) {
+	if fs.FaultHook == nil {
+		if n, err, ok := fs.fastWalk(p, true); ok {
+			return n, err, true
+		}
+	}
+	n, err := fs.Lookup(p)
+	return n, err, false
+}
+
 // Lstat resolves p without following a final symlink.
 func (fs *FS) Lstat(p string) (*Node, error) {
 	return fs.walk(p, false, 0)
@@ -416,6 +440,7 @@ func (fs *FS) addChild(p string, n *Node) error {
 	}
 	n.name = leaf
 	d.children = slices.Insert(d.children, i, n)
+	fs.gen++
 	return nil
 }
 
@@ -487,6 +512,7 @@ func (fs *FS) Mount(p string, m FileSystem) error {
 		return &ErrNotDir{Path: p}
 	}
 	n.mount = m
+	fs.gen++
 	return nil
 }
 
@@ -509,6 +535,7 @@ func (fs *FS) Remove(p string) error {
 		return &ErrNotEmpty{Path: Clean(p)}
 	}
 	d.children = slices.Delete(d.children, i, i+1)
+	fs.gen++
 	return nil
 }
 
@@ -551,6 +578,7 @@ func (fs *FS) Rename(oldp, newp string) error {
 	} else {
 		nd.children = slices.Insert(nd.children, ni, n)
 	}
+	fs.gen++
 	return nil
 }
 
@@ -562,6 +590,7 @@ func (fs *FS) WriteFile(p string, data []byte) error {
 		return err
 	}
 	n.SetData(append([]byte(nil), data...))
+	fs.gen++
 	return nil
 }
 
@@ -578,6 +607,7 @@ func (fs *FS) WriteFileShared(p string, data []byte) error {
 	}
 	n.data = data
 	n.shared = data != nil
+	fs.gen++
 	return nil
 }
 

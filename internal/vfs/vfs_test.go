@@ -448,3 +448,86 @@ func TestPropertyWriteFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestStampTracksStructure pins Stamp's generation: every structural
+// change moves it, a byte rewrite does not, a FaultHook makes the tree
+// impure, and an overlay moves with either layer.
+func TestStampTracksStructure(t *testing.T) {
+	fs := New()
+	if err := fs.MkdirAll("/usr/lib"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile("/usr/lib/a", []byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	other := New()
+	for _, c := range []struct {
+		name   string
+		change func() error
+	}{
+		{"create", func() error { _, err := fs.Create("/usr/lib/b"); return err }},
+		{"mkdir", func() error { return fs.Mkdir("/usr/lib/d") }},
+		{"symlink", func() error { return fs.Symlink("/usr/lib/a", "/usr/lib/s") }},
+		{"mknod", func() error { return fs.Mknod("/usr/lib/n", nil) }},
+		{"rename", func() error { return fs.Rename("/usr/lib/b", "/usr/lib/c") }},
+		{"remove", func() error { return fs.Remove("/usr/lib/c") }},
+		{"mount", func() error { return fs.Mount("/usr/lib/d", other) }},
+		{"write file", func() error { return fs.WriteFile("/usr/lib/a", []byte("A")) }},
+		{"write file shared", func() error { return fs.WriteFileShared("/usr/lib/a", []byte("B")) }},
+	} {
+		before, _ := fs.Stamp()
+		if err := c.change(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if after, _ := fs.Stamp(); after == before {
+			t.Errorf("%s left the generation at %d", c.name, before)
+		}
+	}
+
+	gen, pure := fs.Stamp()
+	n, err, plain := fs.LookupPlain("/usr/lib/a")
+	if err != nil || !plain || !pure {
+		t.Fatalf("LookupPlain(/usr/lib/a) = %v, plain %v (pure %v), want a plain hit", err, plain, pure)
+	}
+	n.SetData([]byte("rewritten"))
+	n.WriteData(0, []byte("R"))
+	if g, _ := fs.Stamp(); g != gen {
+		t.Error("rewriting a node's bytes moved the generation")
+	}
+	if _, err, plain := fs.LookupPlain("/usr/lib/s"); err != nil || plain {
+		t.Errorf("LookupPlain through a symlink: %v, plain %v, want a hit that is not plain", err, plain)
+	}
+	if _, err, plain := fs.LookupPlain("/usr/lib/d/x"); plain {
+		t.Errorf("LookupPlain across a mount point: %v, plain %v, want not plain", err, plain)
+	}
+	fs.FaultHook = func(op, p string) error { return nil }
+	if _, pure := fs.Stamp(); pure {
+		t.Error("a hooked tree stamps pure")
+	}
+	if _, _, plain := fs.LookupPlain("/usr/lib/a"); plain {
+		t.Error("a hooked lookup is plain")
+	}
+	fs.FaultHook = nil
+
+	lower := New()
+	o := NewOverlay(fs, lower)
+	og, _ := o.Stamp()
+	if err := lower.WriteFile("/low", nil); err != nil {
+		t.Fatal(err)
+	}
+	lg, _ := o.Stamp()
+	if _, err := o.Create("/up"); err != nil {
+		t.Fatal(err)
+	}
+	ug, _ := o.Stamp()
+	if lg == og || ug == lg {
+		t.Errorf("overlay generation %d -> %d (lower write) -> %d (upper create), want it to move each time", og, lg, ug)
+	}
+	if _, err, plain := o.LookupPlain("/low"); err != nil || !plain {
+		t.Errorf("overlay LookupPlain of a lower file: %v, plain %v, want a plain hit", err, plain)
+	}
+	lower.FaultHook = func(op, p string) error { return nil }
+	if _, pure := o.Stamp(); pure {
+		t.Error("an overlay with a hooked layer stamps pure")
+	}
+}
