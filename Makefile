@@ -30,7 +30,8 @@ race:
 	$(GO) test -race ./...
 
 # switch-allocs pins the context-switch round (the park/wake handoff
-# the syscall fast path stands on), a trap with arguments through each
+# the syscall fast path stands on) at zero allocations and the cost of
+# one Proc (its coroutine) under a bound, a trap with arguments through each
 # persona's libc (per-thread argument slots) and a diplomatic GL call
 # (per-thread call frames) at zero allocations, a libSystem Mach self
 # round trip (its message buffers ride the argument slot) at two, and a
@@ -40,7 +41,7 @@ race:
 # are left out of -race builds, whose runtime allocates on its own
 # account, so verify runs them here, without the race detector.
 switch-allocs:
-	$(GO) test -count=1 -run '^TestSwitchRoundAllocs$$' ./internal/sim
+	$(GO) test -count=1 -run '^(TestSwitchRoundAllocs|TestSpawnAllocs)$$' -v ./internal/sim
 	$(GO) test -count=1 -run '^(TestExecIOSAllocs|TestBootAllocs|TestSyscallArgsAllocs|TestDiplomatHopAllocs|TestMachRoundTripAllocs)$$' -v ./internal/core
 
 # bench runs the host-time benchmark (hostbench/, declared in

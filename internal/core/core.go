@@ -587,7 +587,7 @@ func (s *System) assembleGraphics(device *hw.Device) error {
 // Run drives the simulation until every process exits.
 func (s *System) Run() error { return s.Sim.Run() }
 
-// Close releases the goroutines of the processes still alive when Run
+// Close releases the coroutines of the processes still alive when Run
 // returned — service daemons parked in mach_msg or wait4, or the threads
 // a deadlock left blocked — and with them the System they keep
 // reachable. Their stacks unwind through Go defers, which can change

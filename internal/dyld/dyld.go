@@ -336,6 +336,7 @@ func walk(t *kernel.Thread, cs costs, images *Images, work []string, rec *linkPl
 func replay(t *kernel.Thread, cs costs, p *linkPlan) (*Images, error) {
 	k := t.Kernel()
 	st := libsystem.ForTask(t.Task())
+	st.Reserve(len(p.steps))
 	r := newResolver(k, p)
 	for i := range p.steps {
 		s := &p.steps[i]

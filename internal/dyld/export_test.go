@@ -33,3 +33,20 @@ func LinkMemos(k *kernel.Kernel) int {
 	}
 	return len(v.(map[*linkPlan]*planMemo))
 }
+
+// LinkMemoHolds reports whether k holds a memo that its root's stamp
+// still validates, so the next replay would take its nodes.
+func LinkMemoHolds(k *kernel.Kernel) bool {
+	v, ok := k.Extension(memoExt)
+	st, isStamped := k.Root().(stamped)
+	if !ok || !isStamped {
+		return false
+	}
+	gen, pure := st.Stamp()
+	for _, m := range v.(map[*linkPlan]*planMemo) {
+		if pure && m.gen == gen {
+			return true
+		}
+	}
+	return false
+}

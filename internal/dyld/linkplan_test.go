@@ -49,13 +49,18 @@ func observeExec(t *testing.T, prepare func(*core.System)) execObs {
 	return runProbe(t, sys, obs)
 }
 
-// observeSecondExec boots a traced Cider system, runs the probe exec
-// once, lets mutate change the system and records what a second exec of
-// the probe in the same system left behind.
-func observeSecondExec(t *testing.T, mutate func(*core.System)) execObs {
+// observeSecondExec boots a traced Cider system, lets setup change it,
+// runs the probe exec once, lets mutate change the system and records
+// what a second exec of the probe in the same system left behind.
+func observeSecondExec(t *testing.T, setup func(*core.System) error, mutate func(*core.System)) execObs {
 	t.Helper()
 	sys, obs := probeSystem(t)
 	defer sys.Close()
+	if setup != nil {
+		if err := setup(sys); err != nil {
+			t.Fatal(err)
+		}
+	}
 	runProbe(t, sys, obs)
 	*obs = execObs{}
 	mutate(sys)
@@ -228,15 +233,18 @@ func TestLinkPlanInvalidation(t *testing.T) {
 	// The same kinds of change between two execs in one system: the
 	// first exec leaves the kernel a memo of where the plan's paths
 	// resolve, and the second must see the change exactly as an exec
-	// that walks every path does.
+	// that walks every path does. keep says whether the memo still holds
+	// right after mutate (a change that moves no resolved path keeps it).
 	lib := midLib()
 	between := []struct {
 		name   string
+		setup  func(*core.System) error
 		mutate func(*core.System) error
+		keep   bool
 		check  func(execObs) error
 	}{
-		{"unchanged", func(*core.System) error { return nil }, ranAll},
-		{"rewritten dylib", func(sys *core.System) error {
+		{"unchanged", nil, func(*core.System) error { return nil }, true, ranAll},
+		{"rewritten dylib", nil, func(sys *core.System) error {
 			bin, err := prog.MachODylib(lib, []string{core.LibSystemPath}, []string{"_a", "_b", "_c"}, 64<<10)
 			if err != nil {
 				return err
@@ -247,25 +255,62 @@ func TestLinkPlanInvalidation(t *testing.T) {
 			}
 			n.SetData(bin)
 			return nil
-		}, ranAll},
-		{"removed dylib", func(sys *core.System) error { return sys.IOSFS.Remove(lib) }, failedAtMid},
-		{"renamed over", func(sys *core.System) error {
+		}, true, ranAll},
+		{"created dylib", nil, func(sys *core.System) error {
+			// A new name in a directory every step walks through.
+			bin, err := prog.MachODylib("/usr/lib/libNew.dylib", []string{core.LibSystemPath}, []string{"_new"}, 32<<10)
+			if err != nil {
+				return err
+			}
+			return sys.IOSFS.WriteFile("/usr/lib/libNew.dylib", bin)
+		}, true, ranAll},
+		{"upper create shadowing a lower hit", func(sys *core.System) error {
+			// Move lib, bytes and all, to the overlay's lower layer, so
+			// the first exec's memo finds it there.
+			n, err := sys.IOSFS.Lookup(lib)
+			if err != nil {
+				return err
+			}
+			data := n.Data()
+			if err := sys.IOSFS.Remove(lib); err != nil {
+				return err
+			}
+			return sys.AndroidFS.WriteFileShared(lib, data)
+		}, func(sys *core.System) error {
+			bin, err := prog.MachODylib(lib, []string{core.LibSystemPath}, []string{"_a", "_b", "_c"}, 64<<10)
+			if err != nil {
+				return err
+			}
+			return sys.IOSFS.WriteFile(lib, bin)
+		}, false, func(o execObs) error {
+			if err := ranAll(o); err != nil {
+				return err
+			}
+			if o.Maps == pristine.Maps {
+				return fmt.Errorf("the exec mapped the shadowed lower-layer image")
+			}
+			return nil
+		}},
+		{"removed dylib", nil, func(sys *core.System) error { return sys.IOSFS.Remove(lib) }, false, failedAtMid},
+		{"renamed over", nil, func(sys *core.System) error {
 			// A later library moves over lib's path: lib's path now
 			// holds its bytes, and its own path is gone.
 			return sys.IOSFS.Rename(core.IOSDylibs()[100], lib)
-		}, func(o execObs) error {
+		}, false, func(o execObs) error {
 			if o.Ran || o.Status != 255 {
 				return fmt.Errorf("ran=%v status=%d, want a failed launch", o.Ran, o.Status)
 			}
 			return nil
 		}},
-		{"symlink in path", func(sys *core.System) error {
+		{"symlink in path", nil, func(sys *core.System) error {
 			if err := sys.IOSFS.Rename("/usr/lib", "/usr/lib.real"); err != nil {
 				return err
 			}
 			return sys.IOSFS.Symlink("/usr/lib.real", "/usr/lib")
-		}, ranAll},
-		{"removed mid-exec", func(sys *core.System) error {
+		}, false, ranAll},
+		// The remover runs during the second exec, so the memo still
+		// holds when mutate returns.
+		{"removed mid-exec", nil, func(sys *core.System) error {
 			// A simulated process (no binary, so no filesystem change
 			// before the exec) that wakes a quarter of the way into the
 			// exec's library loads removes the dylib while the replay
@@ -277,13 +322,13 @@ func TestLinkPlanInvalidation(t *testing.T) {
 				}
 			})
 			return nil
-		}, failedAtMid},
-		{"vfs fault rule", func(sys *core.System) error {
+		}, true, failedAtMid},
+		{"vfs fault rule", nil, func(sys *core.System) error {
 			sys.EnableFaults(fault.Plan{Name: "dyld-lookup", Rules: []fault.Rule{
 				{Op: fault.OpVFS, Match: "lookup:" + lib, Nth: 1, Errno: int(kernel.EIO)},
 			}})
 			return nil
-		}, failedAtMid},
+		}, false, failedAtMid},
 	}
 	for _, c := range between {
 		t.Run("between execs/"+c.name, func(t *testing.T) {
@@ -297,11 +342,14 @@ func TestLinkPlanInvalidation(t *testing.T) {
 				if err := c.mutate(sys); err != nil {
 					t.Fatal(err)
 				}
+				if got := dyld.LinkMemoHolds(sys.Kernel); got != c.keep {
+					t.Errorf("memo holds after the change: %v, want %v", got, c.keep)
+				}
 			}
-			memo := observeSecondExec(t, mutate)
+			memo := observeSecondExec(t, c.setup, mutate)
 			defer dyld.SetLinkMemo(true)
 			dyld.SetLinkMemo(false)
-			walked := observeSecondExec(t, func(sys *core.System) {
+			walked := observeSecondExec(t, c.setup, func(sys *core.System) {
 				if err := c.mutate(sys); err != nil {
 					t.Fatal(err)
 				}

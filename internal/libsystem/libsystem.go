@@ -7,6 +7,7 @@
 package libsystem
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/abi"
@@ -30,14 +31,26 @@ type State struct {
 	atforkChild   []Handler
 }
 
-// CloneUserData implements kernel.UserDataCloner.
+// CloneUserData implements kernel.UserDataCloner. Handler lists are only
+// ever appended to, so the child shares the parent's arrays, clipped to
+// their length: the first append on either side past the fork copies,
+// and neither sees the other's handlers.
 func (s *State) CloneUserData() any {
-	c := &State{}
-	c.atexit = append(c.atexit, s.atexit...)
-	c.atforkPrepare = append(c.atforkPrepare, s.atforkPrepare...)
-	c.atforkParent = append(c.atforkParent, s.atforkParent...)
-	c.atforkChild = append(c.atforkChild, s.atforkChild...)
-	return c
+	return &State{
+		atexit:        slices.Clip(s.atexit),
+		atforkPrepare: slices.Clip(s.atforkPrepare),
+		atforkParent:  slices.Clip(s.atforkParent),
+		atforkChild:   slices.Clip(s.atforkChild),
+	}
+}
+
+// Reserve makes room for n more of each kind of handler, so n image
+// registrations do not grow the lists one append at a time.
+func (s *State) Reserve(n int) {
+	s.atexit = slices.Grow(s.atexit, n)
+	s.atforkPrepare = slices.Grow(s.atforkPrepare, n)
+	s.atforkParent = slices.Grow(s.atforkParent, n)
+	s.atforkChild = slices.Grow(s.atforkChild, n)
 }
 
 // ForTask returns (creating if needed) the task's libSystem state.

@@ -24,11 +24,9 @@ func waitGoroutines(t *testing.T, want int) {
 }
 
 // settledGoroutines returns the goroutine count once it has held still
-// for ten consecutive milliseconds. A finished Proc hands the run token
-// back before its goroutine exits, so right after an earlier test's Run
-// returns, goroutines of its finished Procs may still be unwinding; a
-// baseline read then counts them, and they are gone by the time it is
-// compared with.
+// for ten consecutive milliseconds, so that goroutines an earlier test
+// left on their way out are not counted in a baseline and gone by the
+// time it is compared with.
 func settledGoroutines() int {
 	n := runtime.NumGoroutine()
 	for still := 0; still < 10; {
@@ -140,4 +138,33 @@ func TestCloseReleasesProcs(t *testing.T) {
 		}()
 		idle.Spawn("late", func(*Proc) {})
 	}()
+}
+
+// TestCloseNeverStartedAndParked closes a Sim holding a Proc that never
+// started and one parked mid-function: the first never runs, the second
+// never returns from Park, and neither leaves a goroutine behind.
+func TestCloseNeverStartedAndParked(t *testing.T) {
+	base := settledGoroutines()
+	s := New()
+	neverRan, parkReturned := false, false
+	s.Spawn("parked", func(p *Proc) {
+		p.SetDaemon(true)
+		p.Park("forever")
+		parkReturned = true
+	})
+	s.Spawn("main", func(p *Proc) {
+		p.Sim().Spawn("never", func(*Proc) { neverRan = true }).SetDaemon(true)
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	waitGoroutines(t, base+2)
+	if got := runtime.NumGoroutine() - base; got != 2 {
+		t.Fatalf("%d goroutines outlive Run, want 2", got)
+	}
+	s.Close()
+	waitGoroutines(t, base)
+	if neverRan || parkReturned {
+		t.Errorf("after Close: never-started ran %v, Park returned %v; want neither", neverRan, parkReturned)
+	}
 }

@@ -1,5 +1,5 @@
 // Package sim implements a deterministic discrete-event simulator whose
-// processes are goroutines scheduled cooperatively, one at a time, in
+// processes are coroutines scheduled cooperatively, one at a time, in
 // virtual-time order.
 //
 // Every simulated thread in the Cider reproduction — kernel tasks, service
@@ -180,7 +180,7 @@ type closeUnwind struct{}
 var ErrClosed = errors.New("sim: simulator closed")
 
 // Proc is a simulated thread of execution. Its methods must only be called
-// from its own goroutine while it holds the run token (i.e. from within the
+// from its own coroutine while it holds the run token (i.e. from within the
 // function passed to Spawn), except where noted.
 type Proc struct {
 	sim   *Sim
@@ -194,8 +194,13 @@ type Proc struct {
 	wakeTag int
 	// parkReason describes what a parked Proc is waiting for (diagnostics).
 	parkReason string
-	// run carries the scheduler's run token to the Proc.
-	run chan struct{}
+	// resume switches from Run into the Proc's coroutine until it yields
+	// or finishes; stop ends a coroutine that has not finished (Close).
+	// yield, valid once the coroutine has started, switches back to Run;
+	// it returns false when stop released the Proc.
+	resume func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
 	// heapIndex is the Proc's position in the ready heap.
 	heapIndex int
 	// twNext/twPrev/twLevel/twSlot thread the Proc through the sleep timer
@@ -442,11 +447,9 @@ type Sim struct {
 	// both arm and cancel O(1) (see timerwheel.go).
 	sleepers *timerWheel
 	parked   map[int]*Proc
-	// yield returns control to Run when no Proc can take the token
-	// directly (simulation finished, deadlocked, or panicking); ordinary
-	// switches hand the token proc-to-proc without touching it.
-	yield chan struct{}
-	// current is the Proc holding the run token.
+	// current is the Proc holding the run token. A Proc that blocks
+	// stores its successor here and yields to Run, which resumes it; nil
+	// returns control to Run's pick, deadlock and panic logic.
 	current *Proc
 	running bool
 	// live counts Procs that are not done; nonDaemonLive excludes daemons.
@@ -467,8 +470,8 @@ type Sim struct {
 	// panicValue propagates a Proc panic out of Run.
 	panicValue any
 	panicProc  string
-	// closed is set by Close: a Proc handed the token from then on
-	// unwinds instead of running.
+	// closed is set by Close: a Proc that blocks from then on unwinds
+	// instead of waiting.
 	closed bool
 }
 
@@ -478,7 +481,6 @@ func New() *Sim {
 		ready:    &procHeap{},
 		sleepers: newTimerWheel(),
 		parked:   make(map[int]*Proc),
-		yield:    make(chan struct{}),
 	}
 }
 
@@ -518,7 +520,7 @@ func blockDetail(p *Proc) string {
 
 // Spawn creates a new Proc running fn. When called before Run, the Proc
 // starts at time zero; when called from inside a running Proc, the child
-// inherits the parent's clock. The child's goroutine starts lazily on first
+// inherits the parent's clock. The child's coroutine starts on its first
 // schedule. Spawn panics with ErrClosed once the Sim has been closed.
 func (s *Sim) Spawn(name string, fn func(*Proc)) *Proc {
 	if s.closed {
@@ -529,7 +531,6 @@ func (s *Sim) Spawn(name string, fn func(*Proc)) *Proc {
 		id:        s.nextID,
 		name:      name,
 		state:     StateRunnable,
-		run:       make(chan struct{}),
 		heapIndex: -1,
 		twLevel:   -1,
 		fn:        fn,
@@ -540,16 +541,15 @@ func (s *Sim) Spawn(name string, fn func(*Proc)) *Proc {
 	if s.current != nil {
 		p.now = s.current.now
 	}
-	go s.procMain(p)
+	newCoro(p, s.procMain)
 	s.ready.push(p)
 	s.emit(SchedSpawn, p, "")
 	return p
 }
 
-// procMain is each Proc's goroutine body: wait for the token, run fn, then
-// unwind through exit handling.
+// procMain is each Proc's coroutine body: run fn, then unwind through
+// exit handling and pick the Proc that runs next.
 func (s *Sim) procMain(p *Proc) {
-	<-p.run
 	defer func() {
 		r := recover()
 		if s.closed {
@@ -557,9 +557,7 @@ func (s *Sim) procMain(p *Proc) {
 			// its results already read, so whatever unwound the stack —
 			// the closeUnwind sentinel, or a panic a deferred call raised
 			// on the way — ends here: no exit callbacks, no accounting,
-			// no events, and the token goes straight back to Close.
-			p.state = StateDone
-			s.yield <- struct{}{}
+			// no events, and control goes straight back to Close.
 			return
 		}
 		if r != nil {
@@ -580,17 +578,14 @@ func (s *Sim) procMain(p *Proc) {
 			s.nonDaemonLive--
 		}
 		s.emit(SchedExit, p, "")
-		s.handoff()
+		s.pick()
 	}()
-	if s.closed {
-		return // released before its first turn: fn never runs
-	}
 	p.fn(p)
 }
 
 // yieldAndWait releases the token and blocks until this Proc is scheduled
-// again. The token goes directly to the next schedulable Proc (see
-// handoff), not back through the Run loop.
+// again. It picks the successor itself (see pick) and, unless that is p,
+// switches back to Run, which resumes the successor.
 //
 //hot:noalloc
 func (s *Sim) yieldAndWait(p *Proc) {
@@ -599,49 +594,31 @@ func (s *Sim) yieldAndWait(p *Proc) {
 		panic(closeUnwind{})
 	}
 	s.emit(SchedBlock, p, blockDetail(p))
-	if !s.handoffFrom(p) {
-		<-p.run
-		if s.closed {
-			panic(closeUnwind{})
-		}
+	if s.pick() != p && !p.yield(struct{}{}) {
+		panic(closeUnwind{}) // released by Close
 	}
 	p.state = StateRunning
 	s.emit(SchedResume, p, "")
 }
 
-// handoff passes the run token from the calling Proc's goroutine straight
-// to the next schedulable Proc: one channel send instead of the old
-// yield-to-scheduler/schedule-from-loop pair, halving the channel
-// operations and host context switches per virtual context switch.
-// Control returns to the Run loop only when the simulation cannot proceed
-// from here — every non-daemon finished, nothing is schedulable
-// (potential deadlock), or a Proc panicked.
+// pick stores the next schedulable Proc in s.current, marked running, and
+// returns it. When the next Proc is the caller itself (a sole Proc
+// sleeping, say — next() pops it straight back out of the sleep wheel),
+// the caller keeps running with no switch at all. pick stores nil when
+// the simulation cannot proceed from here — every non-daemon finished,
+// nothing is schedulable (potential deadlock), or a Proc panicked — and
+// Run's loop takes over.
 //
 //hot:noalloc
-func (s *Sim) handoff() { s.handoffFrom(nil) }
-
-// handoffFrom implements handoff for a blocking Proc. When the next
-// schedulable Proc is the caller itself (a sole Proc sleeping, say — next()
-// pops it straight back out of the sleep heap), sending on its own
-// unbuffered run channel would deadlock; instead it returns true and the
-// caller resumes without any channel operation at all.
-//
-//hot:noalloc
-func (s *Sim) handoffFrom(from *Proc) bool {
+func (s *Sim) pick() *Proc {
+	s.current = nil
 	if s.panicValue == nil && s.nonDaemonLive > 0 {
 		if next := s.next(); next != nil {
 			next.state = StateRunning
 			s.current = next
-			if next == from {
-				return true
-			}
-			next.run <- struct{}{}
-			return false
 		}
 	}
-	s.current = nil
-	s.yield <- struct{}{}
-	return false
+	return s.current
 }
 
 // maybePreempt hands the token over if another Proc could run at an earlier
@@ -660,7 +637,7 @@ func (s *Sim) maybePreempt(p *Proc) {
 	// just to be handed it back. Skipping the handoff preserves the
 	// execution order exactly (the winner runs either way) and therefore
 	// every virtual-time result; only the redundant self-switch, with its
-	// two goroutine switches, disappears.
+	// two coroutine switches, disappears.
 	if s.stillMin(p) {
 		return
 	}
@@ -787,9 +764,9 @@ func (s *Sim) Run() error {
 		}
 		p.state = StateRunning
 		s.current = p
-		p.run <- struct{}{}
-		<-s.yield
-		s.current = nil
+		for s.current != nil {
+			s.current.resume()
+		}
 		if s.panicValue != nil {
 			pv, pp := s.panicValue, s.panicProc
 			s.panicValue = nil
@@ -799,17 +776,18 @@ func (s *Sim) Run() error {
 	return nil
 }
 
-// Close releases the goroutine of every Proc that has not finished:
+// Close releases the coroutine of every Proc that has not finished:
 // daemons parked or sleeping when Run returned, Procs spawned but never
 // scheduled, and the non-daemons an ErrDeadlock left blocked. Each such
-// goroutine otherwise waits for the run token forever and keeps
+// coroutine otherwise waits for the run token forever and keeps
 // everything its Proc can reach alive.
 //
 // Close first detaches the sink, the interrupt hook and the decider, then
-// hands each Proc the token in id order, one at a time. The Proc unwinds
-// its stack with a private panic that procMain recovers without running
-// OnExit callbacks, updating Live, emitting events or handing the token
-// on. Go defers do run during the unwind, and one that would block
+// stops each Proc's coroutine in id order, one at a time. A Proc that
+// never started never runs. A blocked Proc's yield returns false, and it
+// unwinds its stack with a private panic that procMain recovers without
+// running OnExit callbacks, updating Live, emitting events or picking a
+// successor. Go defers do run during the unwind, and one that would block
 // (Park, Sleep, a preempting Advance) unwinds further instead. Because
 // those defers can change simulated state (a Mach port lock released, a
 // reply port destroyed), Close is not done when Run returns: the owner
@@ -832,8 +810,8 @@ func (s *Sim) Close() {
 		}
 		p.state = StateRunning
 		s.current = p
-		p.run <- struct{}{}
-		<-s.yield
+		p.stop()
+		p.state = StateDone
 	}
 	s.current = nil
 }

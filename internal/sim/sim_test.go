@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -171,6 +172,68 @@ func TestExitUnwindsAndRunsOnExit(t *testing.T) {
 	}
 }
 
+// TestExitAfterSwitchRunsOnExit exits a Proc that was switched out and
+// back in: Exit unwinds through its Go defers, then the OnExit
+// callbacks, and the other Proc runs on.
+func TestExitAfterSwitchRunsOnExit(t *testing.T) {
+	s := New()
+	var order []string
+	s.Spawn("exiter", func(p *Proc) {
+		p.OnExit(func(*Proc) { order = append(order, "onexit") })
+		defer func() { order = append(order, "defer") }()
+		p.Sleep(time.Millisecond)
+		p.Exit()
+		order = append(order, "after exit")
+	})
+	s.Spawn("other", func(p *Proc) {
+		p.Sleep(2 * time.Millisecond)
+		order = append(order, "other")
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"defer", "onexit", "other"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+}
+
+// TestNestedSim runs a second Sim to completion inside a Proc of the
+// first, between switches of the first: one Sim's coroutines nest inside
+// another's, and both keep their own virtual time.
+func TestNestedSim(t *testing.T) {
+	outer := New()
+	var innerEnd, outerEnd time.Duration
+	var host, peer *Proc
+	host = outer.Spawn("host", func(p *Proc) {
+		p.Advance(time.Millisecond)
+		if err := pingPong(50); err != nil {
+			t.Error(err)
+		}
+		inner := New()
+		inner.Spawn("inner", func(q *Proc) {
+			q.Sleep(time.Second)
+			innerEnd = q.Now()
+		})
+		if err := inner.Run(); err != nil {
+			t.Error(err)
+		}
+		p.Wake(peer, WakeNormal)
+		p.Park("peer")
+		outerEnd = p.Now()
+	})
+	peer = outer.Spawn("peer", func(p *Proc) {
+		p.Park("host")
+		p.Advance(time.Millisecond)
+		p.Wake(host, WakeNormal)
+	})
+	if err := outer.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if innerEnd != time.Second || outerEnd != 2*time.Millisecond {
+		t.Fatalf("inner ended at %v, outer at %v; want 1s and 2ms", innerEnd, outerEnd)
+	}
+}
+
 func TestOnExitOrder(t *testing.T) {
 	s := New()
 	var order []int
@@ -190,8 +253,28 @@ func TestProcPanicPropagates(t *testing.T) {
 	s := New()
 	s.Spawn("bad", func(p *Proc) { panic("boom") })
 	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("expected panic to propagate out of Run")
+		if r := recover(); r != `sim: proc "bad" panicked: boom` {
+			t.Fatalf("Run panicked with %v, want the proc's panic", r)
+		}
+	}()
+	s.Run()
+}
+
+// TestResumedProcPanicPropagates panics in a Proc that has been switched
+// out and back in, with another Proc parked: Run still surfaces it under
+// the Proc's name, and Close then releases the parked one.
+func TestResumedProcPanicPropagates(t *testing.T) {
+	s := New()
+	defer s.Close()
+	s.Spawn("bad", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		p.Advance(time.Millisecond)
+		panic("late boom")
+	})
+	s.Spawn("waiter", func(p *Proc) { p.Park("forever") })
+	defer func() {
+		if r := recover(); r != `sim: proc "bad" panicked: late boom` {
+			t.Fatalf("Run panicked with %v, want the resumed proc's panic", r)
 		}
 	}()
 	s.Run()

@@ -10,8 +10,12 @@ type Overlay struct {
 	lower *FS
 }
 
-// NewOverlay builds an overlay of upper on top of lower.
+// NewOverlay builds an overlay of upper on top of lower. From then on a
+// name added to upper that shadows a lower-layer node moves upper's
+// generation (see FS.Stamp), whether it is added through the overlay or
+// through upper directly.
 func NewOverlay(upper, lower *FS) *Overlay {
+	upper.under = lower
 	return &Overlay{upper: upper, lower: lower}
 }
 

@@ -208,6 +208,9 @@ type FS struct {
 	root *Node
 	// gen counts structural changes (see Stamp).
 	gen uint64
+	// under is the layer an Overlay stacks this tree over, if any: a
+	// name added here that shadows a node there is structural.
+	under *FS
 	// FaultHook, when non-nil, is consulted before Lookup, Create, and
 	// Remove with the operation name ("lookup", "create", "remove") and
 	// the cleaned path; a non-nil error fails the operation (fault
@@ -386,12 +389,16 @@ func (fs *FS) Lookup(p string) (*Node, error) {
 }
 
 // Stamp returns the tree's generation, which every structural change
-// bumps (create, mkdir, remove, rename, symlink, mknod, mount and
-// WriteFile), and pure=false when a FaultHook is installed: a lookup
-// then has effects of its own. Rewriting a node's bytes (SetData,
-// WriteData) is not structural. While Stamp reads the same generation
-// and pure, a path that once resolved plainly (see LookupPlain)
-// resolves to the same node.
+// bumps, and pure=false when a FaultHook is installed: a lookup then has
+// effects of its own. Remove, rename and mount are structural. Adding a
+// name (create, mkdir, symlink, mknod, or a WriteFile that creates) is
+// not: every component of a path that resolved already exists, and an
+// add fails on an existing name. The exception is an Overlay's upper
+// layer, where an add that shadows a lower-layer node is structural.
+// Rewriting a node's bytes (SetData, WriteData, WriteFile on an existing
+// file) is not structural either. While Stamp reads the same generation
+// and pure, a path that once resolved plainly (see LookupPlain) resolves
+// to the same node.
 func (fs *FS) Stamp() (gen uint64, pure bool) { return fs.gen, fs.FaultHook == nil }
 
 // LookupPlain is Lookup that also reports whether the resolution was
@@ -440,8 +447,27 @@ func (fs *FS) addChild(p string, n *Node) error {
 	}
 	n.name = leaf
 	d.children = slices.Insert(d.children, i, n)
-	fs.gen++
+	if fs.shadows(p) {
+		fs.gen++
+	}
 	return nil
+}
+
+// shadows reports whether a name just added at p can move an Overlay's
+// resolution of some path from the lower layer to this one: the lower
+// layer has a node at p, or p's parent did not resolve plainly here, so
+// p may not name where the node went.
+func (fs *FS) shadows(p string) bool {
+	if fs.under == nil {
+		return false
+	}
+	if dir, _ := Split(p); dir != "/" {
+		if _, err, ok := fs.fastWalk(dir, true); !ok || err != nil {
+			return true
+		}
+	}
+	_, err := fs.under.Lstat(p)
+	return err == nil
 }
 
 // Create makes a new empty regular file.
@@ -590,7 +616,6 @@ func (fs *FS) WriteFile(p string, data []byte) error {
 		return err
 	}
 	n.SetData(append([]byte(nil), data...))
-	fs.gen++
 	return nil
 }
 
@@ -607,7 +632,6 @@ func (fs *FS) WriteFileShared(p string, data []byte) error {
 	}
 	n.data = data
 	n.shared = data != nil
-	fs.gen++
 	return nil
 }
 

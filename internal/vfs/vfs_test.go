@@ -464,23 +464,27 @@ func TestStampTracksStructure(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		change func() error
+		bump   bool
 	}{
-		{"create", func() error { _, err := fs.Create("/usr/lib/b"); return err }},
-		{"mkdir", func() error { return fs.Mkdir("/usr/lib/d") }},
-		{"symlink", func() error { return fs.Symlink("/usr/lib/a", "/usr/lib/s") }},
-		{"mknod", func() error { return fs.Mknod("/usr/lib/n", nil) }},
-		{"rename", func() error { return fs.Rename("/usr/lib/b", "/usr/lib/c") }},
-		{"remove", func() error { return fs.Remove("/usr/lib/c") }},
-		{"mount", func() error { return fs.Mount("/usr/lib/d", other) }},
-		{"write file", func() error { return fs.WriteFile("/usr/lib/a", []byte("A")) }},
-		{"write file shared", func() error { return fs.WriteFileShared("/usr/lib/a", []byte("B")) }},
+		// Adding a name moves no resolved path in a plain tree.
+		{"create", func() error { _, err := fs.Create("/usr/lib/b"); return err }, false},
+		{"mkdir", func() error { return fs.Mkdir("/usr/lib/d") }, false},
+		{"symlink", func() error { return fs.Symlink("/usr/lib/a", "/usr/lib/s") }, false},
+		{"mknod", func() error { return fs.Mknod("/usr/lib/n", nil) }, false},
+		{"write new file", func() error { return fs.WriteFile("/usr/lib/w", []byte("w")) }, false},
+		{"rename", func() error { return fs.Rename("/usr/lib/b", "/usr/lib/c") }, true},
+		{"remove", func() error { return fs.Remove("/usr/lib/c") }, true},
+		{"mount", func() error { return fs.Mount("/usr/lib/d", other) }, true},
+		// Rewriting an existing file keeps its node.
+		{"write file", func() error { return fs.WriteFile("/usr/lib/a", []byte("A")) }, false},
+		{"write file shared", func() error { return fs.WriteFileShared("/usr/lib/a", []byte("B")) }, false},
 	} {
 		before, _ := fs.Stamp()
 		if err := c.change(); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if after, _ := fs.Stamp(); after == before {
-			t.Errorf("%s left the generation at %d", c.name, before)
+		if after, _ := fs.Stamp(); (after != before) != c.bump {
+			t.Errorf("%s moved the generation %d -> %d, want a move: %v", c.name, before, after, c.bump)
 		}
 	}
 
@@ -511,19 +515,42 @@ func TestStampTracksStructure(t *testing.T) {
 
 	lower := New()
 	o := NewOverlay(fs, lower)
-	og, _ := o.Stamp()
-	if err := lower.WriteFile("/low", nil); err != nil {
-		t.Fatal(err)
+	for _, f := range []string{"/low/f", "/low/k"} {
+		if err := lower.WriteFile(f, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
-	lg, _ := o.Stamp()
-	if _, err := o.Create("/up"); err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name   string
+		change func() error
+		bump   bool
+	}{
+		{"lower create", func() error { _, err := lower.Create("/low/g"); return err }, false},
+		{"upper create", func() error { _, err := o.Create("/up"); return err }, false},
+		// An upper name over a lower node moves the overlay's resolution
+		// of every path through it, added through the overlay or not.
+		{"upper mkdir shadowing a lower dir", func() error { return o.Upper().MkdirAll("/low") }, true},
+		{"upper write shadowing a lower file", func() error { return o.WriteFile("/low/f", nil) }, true},
+		// A parent reached through an upper symlink: the add's path does
+		// not say where it went, so it counts.
+		{"upper create behind a symlink", func() error {
+			if err := o.Symlink("/low", "/alias"); err != nil {
+				return err
+			}
+			_, err := o.Create("/alias/h")
+			return err
+		}, true},
+		{"lower remove", func() error { return lower.Remove("/low/g") }, true},
+	} {
+		before, _ := o.Stamp()
+		if err := c.change(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if after, _ := o.Stamp(); (after != before) != c.bump {
+			t.Errorf("%s moved the overlay generation %d -> %d, want a move: %v", c.name, before, after, c.bump)
+		}
 	}
-	ug, _ := o.Stamp()
-	if lg == og || ug == lg {
-		t.Errorf("overlay generation %d -> %d (lower write) -> %d (upper create), want it to move each time", og, lg, ug)
-	}
-	if _, err, plain := o.LookupPlain("/low"); err != nil || !plain {
+	if _, err, plain := o.LookupPlain("/low/k"); err != nil || !plain {
 		t.Errorf("overlay LookupPlain of a lower file: %v, plain %v, want a plain hit", err, plain)
 	}
 	lower.FaultHook = func(op, p string) error { return nil }

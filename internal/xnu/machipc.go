@@ -160,6 +160,11 @@ type Space struct {
 	task     *kernel.Task
 	names    map[PortName]*right
 	nextName PortName
+	// sendNames indexes the name each port's send right was last
+	// inserted under, so coalescing needs no scan of names. Entries go
+	// stale when a name is deallocated; insert checks each hit against
+	// names, so no removal path has to maintain the index.
+	sendNames map[*Port]PortName
 	// free heads the recycled-right chain. Every message that carries a
 	// reply port or a port right inserts a right into the receiver's space
 	// and most are deallocated one RPC later, so without recycling this is
@@ -201,8 +206,8 @@ func (s *Space) freeRight(r *right) {
 func (s *Space) insert(p *Port, t RightType) PortName {
 	// Coalesce send rights to the same port under one name, as Mach does.
 	if t == RightSend {
-		for n, r := range s.names {
-			if r.port == p && r.typ == RightSend {
+		if n, ok := s.sendNames[p]; ok {
+			if r := s.names[n]; r != nil && r.port == p && r.typ == RightSend {
 				r.refs++
 				return n
 			}
@@ -210,8 +215,16 @@ func (s *Space) insert(p *Port, t RightType) PortName {
 	}
 	n := s.nextName
 	s.nextName += 4 // Mach names stride by 4 (index<<2 | gen)
-	s.names[n] = s.newRight(p, t)
+	s.bind(n, p, t)
 	return n
+}
+
+// bind puts a new right under name n, indexing it if it is a send right.
+func (s *Space) bind(n PortName, p *Port, t RightType) {
+	s.names[n] = s.newRight(p, t)
+	if t == RightSend {
+		s.sendNames[p] = n
+	}
 }
 
 // IPC is the duct-taped Mach IPC subsystem instance living inside the
@@ -292,9 +305,9 @@ func (ipc *IPC) Stats() (uint64, uint64) { return ipc.sent, ipc.received }
 func (ipc *IPC) SpaceFor(tk *kernel.Task) *Space {
 	s, ok := ipc.spaces[tk]
 	if !ok {
-		s = &Space{task: tk, names: make(map[PortName]*right), nextName: 0x207}
+		s = &Space{task: tk, names: make(map[PortName]*right), sendNames: make(map[*Port]PortName), nextName: 0x207}
 		if ipc.bootstrap != nil {
-			s.names[BootstrapName] = s.newRight(ipc.bootstrap, RightSend)
+			s.bind(BootstrapName, ipc.bootstrap, RightSend)
 		}
 		ipc.spaces[tk] = s
 	}
@@ -307,7 +320,7 @@ func (ipc *IPC) SetBootstrapPort(p *Port) {
 	ipc.bootstrap = p
 	for _, s := range ipc.spaces {
 		if _, ok := s.names[BootstrapName]; !ok {
-			s.names[BootstrapName] = s.newRight(p, RightSend)
+			s.bind(BootstrapName, p, RightSend)
 		}
 	}
 }

@@ -386,6 +386,95 @@ func TestSendRightCoalescing(t *testing.T) {
 	})
 }
 
+// scanSendName is the name-table scan coalescing used before the send
+// index: the name holding a send right to p, if any.
+func scanSendName(s *Space, p *Port) (PortName, bool) {
+	for n, r := range s.names {
+		if r.port == p && r.typ == RightSend {
+			return n, true
+		}
+	}
+	return PortNull, false
+}
+
+// TestSendRightIndex checks that coalescing through the send index
+// returns the name a scan of the table finds: for the bootstrap port
+// bound at space creation and by SetBootstrapPort, for a fresh port,
+// after the right is deallocated and inserted again, and after
+// BootstrapName is freed and rebound to another port.
+func TestSendRightIndex(t *testing.T) {
+	h := newHarness(t)
+	var boot *Port
+	ready := sim.NewWaitQueue("ready")
+	insert := func(th *kernel.Thread, p *Port) PortName {
+		t.Helper()
+		s := h.ipc.SpaceFor(th.Task())
+		n := s.insert(p, RightSend)
+		if want, ok := scanSendName(s, p); !ok || n != want {
+			t.Errorf("insert = 0x%x, scan finds 0x%x (%v)", uint32(n), uint32(want), ok)
+		}
+		return n
+	}
+	h.runProcs(t,
+		func(th *kernel.Thread) {
+			name, _ := h.ipc.PortAllocate(th)
+			r, _ := h.ipc.resolve(th, name)
+			boot = r.port
+			// This space exists already: SetBootstrapPort binds it.
+			h.ipc.SetBootstrapPort(boot)
+			ready.WakeAll(th.Proc(), sim.WakeNormal)
+			if n := insert(th, boot); n != BootstrapName {
+				t.Errorf("bootstrap send right coalesced under 0x%x, want BootstrapName", uint32(n))
+			}
+			p, _ := h.ipc.PortAllocate(th)
+			pr, _ := h.ipc.resolve(th, p)
+			first := insert(th, pr.port)
+			if again := insert(th, pr.port); again != first {
+				t.Errorf("second insert 0x%x, first 0x%x", uint32(again), uint32(first))
+			}
+			for i := 0; i < 2; i++ {
+				if kr := h.ipc.PortDeallocate(th, first); kr != KernSuccess {
+					t.Errorf("dealloc: %v", kr)
+				}
+			}
+			second := insert(th, pr.port)
+			if second == first {
+				t.Errorf("re-insert after dealloc reused 0x%x", uint32(first))
+			}
+			if again := insert(th, pr.port); again != second {
+				t.Errorf("re-insert coalesced under 0x%x, want 0x%x", uint32(again), uint32(second))
+			}
+		},
+		func(th *kernel.Thread) {
+			for boot == nil {
+				ready.Wait(th.Proc())
+			}
+			// A space made after SetBootstrapPort binds it at creation.
+			if _, ok := h.ipc.spaces[th.Task()]; ok {
+				t.Fatal("the second task has a port space already")
+			}
+			if n := insert(th, boot); n != BootstrapName {
+				t.Errorf("new space: bootstrap send right under 0x%x, want BootstrapName", uint32(n))
+			}
+			if kr := h.ipc.PortDeallocate(th, BootstrapName); kr != KernSuccess {
+				t.Errorf("dealloc bootstrap: %v", kr)
+			}
+			if kr := h.ipc.PortDeallocate(th, BootstrapName); kr != KernSuccess {
+				t.Errorf("dealloc bootstrap: %v", kr)
+			}
+			// A new bootstrap port rebinds the freed name to another
+			// port: the index's stale entry for the old one must not
+			// coalesce into it.
+			q, _ := h.ipc.PortAllocate(th)
+			qr, _ := h.ipc.resolve(th, q)
+			h.ipc.SetBootstrapPort(qr.port)
+			if n := insert(th, boot); n == BootstrapName {
+				t.Error("the old bootstrap port coalesced into the rebound BootstrapName")
+			}
+		},
+	)
+}
+
 func TestPsynchMutex(t *testing.T) {
 	h := newHarness(t)
 	const uaddr = 0x1000
