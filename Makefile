@@ -35,14 +35,16 @@ race:
 # persona's libc (per-thread argument slots) and a diplomatic GL call
 # (per-thread call frames) at zero allocations, a libSystem Mach self
 # round trip (its message buffers ride the argument slot) at two, and a
-# replayed iOS exec (dyld's link plan, one allocation per mapping) and
-# a boot of each configuration (one-slab filesystem clone, syscall
-# tables built at their final size) under fixed bounds. The test files
+# replayed iOS exec (dyld's link plan, one region slab, no store for an
+# untouched segment), an iOS fork+exit+wait over the 115-dylib image set
+# (one region slab, fewer allocations than regions) and a boot of each
+# configuration (one-slab filesystem clone, syscall tables built at their
+# final size) under fixed bounds. The test files
 # are left out of -race builds, whose runtime allocates on its own
 # account, so verify runs them here, without the race detector.
 switch-allocs:
 	$(GO) test -count=1 -run '^(TestSwitchRoundAllocs|TestSpawnAllocs)$$' -v ./internal/sim
-	$(GO) test -count=1 -run '^(TestExecIOSAllocs|TestBootAllocs|TestSyscallArgsAllocs|TestDiplomatHopAllocs|TestMachRoundTripAllocs)$$' -v ./internal/core
+	$(GO) test -count=1 -run '^(TestExecIOSAllocs|TestForkIOSAllocs|TestBootAllocs|TestSyscallArgsAllocs|TestDiplomatHopAllocs|TestMachRoundTripAllocs)$$' -v ./internal/core
 
 # bench runs the host-time benchmark (hostbench/, declared in
 # BENCHMARK.json) on every workload and prints each run's end-to-end

@@ -15,6 +15,17 @@ import (
 // runVM executes method main of f on a fresh simulated thread.
 func runVM(t *testing.T, f *File, method string, args ...uint64) (uint64, time.Duration) {
 	t.Helper()
+	ret, elapsed, err := execVM(t, f, method, nil, args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ret, elapsed
+}
+
+// execVM executes method of f on a fresh simulated thread, on a VM that
+// setup (if non-nil) prepares, and returns the VM's result and error.
+func execVM(t *testing.T, f *File, method string, setup func(*VM), args ...uint64) (uint64, time.Duration, error) {
+	t.Helper()
 	s := sim.New()
 	fs := vfs.New()
 	reg := prog.NewRegistry()
@@ -32,6 +43,9 @@ func runVM(t *testing.T, f *File, method string, args ...uint64) (uint64, time.D
 	reg.MustRegister("vmhost", func(c *prog.Call) uint64 {
 		th := c.Ctx.(*kernel.Thread)
 		vm := NewVM(hw.Nexus7().CPU)
+		if setup != nil {
+			setup(vm)
+		}
 		start := th.Now()
 		ret, rerr = vm.Run(th, f, method, args...)
 		elapsed = th.Now() - start
@@ -43,10 +57,7 @@ func runVM(t *testing.T, f *File, method string, args ...uint64) (uint64, time.D
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if rerr != nil {
-		t.Fatal(rerr)
-	}
-	return ret, elapsed
+	return ret, elapsed, rerr
 }
 
 // sumLoop builds: for (i=0; i<n; i++) acc+=i; return acc.
@@ -288,6 +299,9 @@ func TestDexParseErrors(t *testing.T) {
 	}
 }
 
+// TestDexPropertyRoundTrip: a marshaled method parses back exactly when
+// the verifier accepts it, and is rejected with the verifier's error when
+// it does not.
 func TestDexPropertyRoundTrip(t *testing.T) {
 	check := func(name string, regs uint8, code []uint32) bool {
 		if len(name) == 0 || len(name) > 40 {
@@ -299,6 +313,9 @@ func TestDexPropertyRoundTrip(t *testing.T) {
 			return false
 		}
 		g, err := Parse(b)
+		if verr := f.Methods[0].verify(); verr != nil {
+			return err != nil && err.Error() == verr.Error()
+		}
 		if err != nil || len(g.Methods) != 1 {
 			return false
 		}

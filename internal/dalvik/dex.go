@@ -165,9 +165,107 @@ func Parse(b []byte) (*File, error) {
 				return nil, err
 			}
 		}
-		f.Methods = append(f.Methods, Method{Name: string(name), Registers: int(regs), Code: code})
+		m := Method{Name: string(name), Registers: int(regs), Code: code}
+		if err := m.verify(); err != nil {
+			return nil, err
+		}
+		f.Methods = append(f.Methods, m)
 	}
 	return f, nil
+}
+
+// Operand shape bits: which instruction bytes name registers, and what
+// the extension word (if any) holds.
+const (
+	useB1 uint8 = 1 << iota
+	useB2
+	useB3
+	extImm    // an immediate
+	extTarget // a branch target
+	extArgs   // a call's argument count; byte 3 is the first argument
+)
+
+// shapes gives each opcode's operand shape. Unknown opcodes have none:
+// the VM traps on them when it reaches one.
+var shapes = [numOps]uint8{
+	OpNop:    0,
+	OpConst:  useB1 | extImm,
+	OpMove:   useB1 | useB2,
+	OpAdd:    useB1 | useB2 | useB3,
+	OpSub:    useB1 | useB2 | useB3,
+	OpMul:    useB1 | useB2 | useB3,
+	OpDiv:    useB1 | useB2 | useB3,
+	OpRem:    useB1 | useB2 | useB3,
+	OpXor:    useB1 | useB2 | useB3,
+	OpAnd:    useB1 | useB2 | useB3,
+	OpOr:     useB1 | useB2 | useB3,
+	OpShl:    useB1 | useB2 | useB3,
+	OpShr:    useB1 | useB2 | useB3,
+	OpDAdd:   useB1 | useB2 | useB3,
+	OpDMul:   useB1 | useB2 | useB3,
+	OpDDiv:   useB1 | useB2 | useB3,
+	OpI2D:    useB1 | useB2,
+	OpCmp:    useB1 | useB2 | useB3,
+	OpIf:     useB1 | extTarget,
+	OpGoto:   extTarget,
+	OpNewArr: useB1 | useB2,
+	OpALoad:  useB1 | useB2 | useB3,
+	OpAStore: useB1 | useB2 | useB3,
+	OpArrLen: useB1 | useB2,
+	OpInvoke: useB1 | extArgs,
+	OpIntrin: useB1 | extArgs,
+	OpReturn: useB1,
+}
+
+// verify is the bytecode verifier: it checks that m's code cannot leave
+// its frame or its code. Every register operand is below Registers, every
+// extension word lies inside the code, every branch lands on the start of
+// an instruction (or just past the last, which returns 0), and every
+// call's argument window fits the frame. Parse and Assemble verify every
+// method, so the interpreter loop relies on these facts instead of
+// checking them per instruction.
+func (m *Method) verify() error {
+	code := m.Code
+	start := make([]bool, len(code)+1)
+	start[len(code)] = true
+	var branches []int // the pc of each branch's target word
+	for pc := 0; pc < len(code); pc++ {
+		start[pc] = true
+		w := code[pc]
+		op := uint8(w)
+		if op >= numOps {
+			continue
+		}
+		shape := shapes[op]
+		for i, bit := range [3]uint8{useB1, useB2, useB3} {
+			if shape&bit != 0 {
+				if r := int(uint8(w >> (8 * (i + 1)))); r >= m.Registers {
+					return fmt.Errorf("dalvik: register v%d out of frame (%d) at %d in %s", r, m.Registers, pc, m.Name)
+				}
+			}
+		}
+		if shape&(extImm|extTarget|extArgs) == 0 {
+			continue
+		}
+		if pc+1 >= len(code) {
+			return fmt.Errorf("dalvik: truncated instruction at %d in %s", pc, m.Name)
+		}
+		pc++
+		if shape&extTarget != 0 {
+			branches = append(branches, pc)
+		}
+		if shape&extArgs != 0 {
+			if first, n := int(uint8(w>>24)), code[pc]; uint64(first)+uint64(n) > uint64(m.Registers) {
+				return fmt.Errorf("dalvik: %d arguments from v%d overrun the frame (%d) at %d in %s", n, first, m.Registers, pc-1, m.Name)
+			}
+		}
+	}
+	for _, pc := range branches {
+		if t := int(int32(code[pc])); t < 0 || t > len(code) || !start[t] {
+			return fmt.Errorf("dalvik: bad branch target %d at %d in %s", t, pc-1, m.Name)
+		}
+	}
+	return nil
 }
 
 // ins packs an instruction word.
@@ -287,7 +385,11 @@ func (a *Assembler) Assemble() (Method, error) {
 		}
 		code[f.at] = uint32(int32(target))
 	}
-	return Method{Name: a.name, Registers: a.regs, Code: code}, nil
+	m := Method{Name: a.name, Registers: a.regs, Code: code}
+	if err := m.verify(); err != nil {
+		return Method{}, err
+	}
+	return m, nil
 }
 
 // MustAssemble is Assemble that panics (for static program construction).

@@ -32,14 +32,14 @@ const machTick = 200 * time.Microsecond
 type memState struct{ bases []uint64 }
 
 // inflate maps and touches one anonymous ballast chunk of n bytes; the
-// zero-fill materialization is the footprint-charge point OpMemPressure
-// rules count.
+// zero-fill commit is the footprint-charge point OpMemPressure rules
+// count.
 func (st *memState) inflate(th *kernel.Thread, n uint64) bool {
 	r, err := th.Task().Mem().Map(0, n, mem.ProtRead|mem.ProtWrite, "[dc-cache]", false)
 	if err != nil {
 		return false
 	}
-	r.Backing().Bytes()
+	r.Backing().Commit()
 	st.bases = append(st.bases, r.Base)
 	return true
 }

@@ -249,6 +249,8 @@ type linkPlan struct {
 	// copies it per exec).
 	roots []string
 	steps []planStep
+	// nsegs is the number of segments the steps map, summed.
+	nsegs int
 	// images is the walk's table, shared by every replaying exec (and,
 	// through CloneUserData, their forks); nothing mutates it after launch.
 	images *Images
@@ -303,6 +305,9 @@ func loadAll(t *kernel.Thread, cs costs, roots []string) (*Images, error) {
 		return images, err
 	}
 	p.images = images
+	for i := range p.steps {
+		p.nsegs += len(p.steps[i].segs)
+	}
 	linkPlans.LoadOrStore(key, p)
 	return images, nil
 }
@@ -336,7 +341,9 @@ func walk(t *kernel.Thread, cs costs, images *Images, work []string, rec *linkPl
 func replay(t *kernel.Thread, cs costs, p *linkPlan) (*Images, error) {
 	k := t.Kernel()
 	st := libsystem.ForTask(t.Task())
-	st.Reserve(len(p.steps))
+	// Room for every segment the plan maps, in one slab. Reserve maps
+	// nothing: each segment's Map below still runs its MapHook.
+	t.Task().Mem().Reserve(p.nsegs)
 	r := newResolver(k, p)
 	for i := range p.steps {
 		s := &p.steps[i]
@@ -574,16 +581,23 @@ func link(t *kernel.Thread, cs costs, st *libsystem.State, s *planStep) error {
 // "for each library, dyld registers a callback that is called on exit,
 // resulting in the execution of 115 handlers on exit", plus the
 // pthread_atfork callbacks iOS libraries install.
-func registerImageHandlers(st *libsystem.State) {
-	st.AtExit(atexitHandler)
-	st.AtFork(atforkHandler, atforkHandler, atforkHandler) // prepare, parent, child
+func registerImageHandlers(st *libsystem.State) { st.AtImage(imageHooks) }
+
+// imageHooks is the one atexit handler and pthread_atfork triple every
+// image registers. libSystem keeps consecutive registrations of it as one
+// counted run, so an exec's ~115 registrations take no list entries of
+// their own.
+var imageHooks = &libsystem.ImageHooks{
+	Exit:    atexitHandler,
+	Prepare: atforkHandler,
+	Parent:  atforkHandler,
+	Child:   atforkHandler,
 }
 
 // atexitHandler and atforkHandler are the library hooks every image
 // registers. They are shared functions, not closures over an exec's
-// costs, so the ~115 registrations per exec allocate nothing; each
-// handler prices itself on the running thread's device, the device the
-// registering exec was priced on.
+// costs; each handler prices itself on the running thread's device, the
+// device the registering exec was priced on.
 func atexitHandler(t *kernel.Thread) { t.Charge(t.Kernel().Device().CPU.Cycles(atexitCycles)) }
 
 func atforkHandler(t *kernel.Thread) { t.Charge(t.Kernel().Device().CPU.Cycles(atforkCycles)) }

@@ -89,7 +89,9 @@ func (l *ELFLoader) Load(t *Thread, path string, data []byte, argv []string) (pr
 		}
 		mapped = append(mapped, r.Base)
 		if len(seg.Data) > 0 {
-			copy(r.Backing().Bytes(), seg.Data)
+			// Only the file bytes take host memory; the rest of the
+			// segment's VM size reads as zeros.
+			r.Backing().Load(seg.Data)
 		}
 	}
 	// Map a stack.

@@ -93,7 +93,9 @@ func (l *MachOLoader) Load(t *Thread, path string, data []byte, argv []string) (
 		}
 		mapped = append(mapped, r.Base)
 		if len(seg.Data) > 0 {
-			copy(r.Backing().Bytes(), seg.Data)
+			// Only the file bytes take host memory; the rest of the
+			// segment's VM size reads as zeros.
+			r.Backing().Load(seg.Data)
 		}
 		if seg.Name == "__TEXT" {
 			if key, perr := prog.ParseTextPayload(seg.Data); perr == nil {

@@ -24,33 +24,59 @@ type Handler func(t *kernel.Thread)
 
 // State is libSystem's per-process runtime state. It lives in the process
 // image, so fork clones it (UserDataCloner) and exec destroys it.
+//
+// Each handler list is a sequence of counted runs, in registration order.
+// A run is one registration, or a stretch of consecutive registrations of
+// the same ImageHooks: dyld's 115 per-image registrations are one run per
+// list, not 115 entries.
 type State struct {
-	atexit        []Handler
-	atforkPrepare []Handler
-	atforkParent  []Handler
-	atforkChild   []Handler
+	atexit        []handlerRun
+	atforkPrepare []handlerRun
+	atforkParent  []handlerRun
+	atforkChild   []handlerRun
+	// shared is set on both sides of a fork: the two States alias the
+	// same list arrays until one of them registers, which copies its
+	// lists first (see own).
+	shared bool
 }
 
-// CloneUserData implements kernel.UserDataCloner. Handler lists are only
-// ever appended to, so the child shares the parent's arrays, clipped to
-// their length: the first append on either side past the fork copies,
-// and neither sees the other's handlers.
+// handlerRun is n consecutive registrations of h.
+type handlerRun struct {
+	h Handler
+	n int
+	// hooks is the ImageHooks the run was registered from, nil for a
+	// single AtExit or AtFork registration; only runs with the same
+	// hooks merge.
+	hooks *ImageHooks
+}
+
+// ImageHooks is the set of handlers dyld registers for every library it
+// loads: one atexit handler and one pthread_atfork triple (nil members
+// are skipped, as in AtFork).
+type ImageHooks struct {
+	Exit, Prepare, Parent, Child Handler
+}
+
+// CloneUserData implements kernel.UserDataCloner. The child shares the
+// parent's list arrays; both are marked shared, so the first registration
+// on either side past the fork copies that side's lists, and neither sees
+// the other's handlers.
 func (s *State) CloneUserData() any {
-	return &State{
-		atexit:        slices.Clip(s.atexit),
-		atforkPrepare: slices.Clip(s.atforkPrepare),
-		atforkParent:  slices.Clip(s.atforkParent),
-		atforkChild:   slices.Clip(s.atforkChild),
-	}
+	s.shared = true
+	c := *s
+	return &c
 }
 
-// Reserve makes room for n more of each kind of handler, so n image
-// registrations do not grow the lists one append at a time.
-func (s *State) Reserve(n int) {
-	s.atexit = slices.Grow(s.atexit, n)
-	s.atforkPrepare = slices.Grow(s.atforkPrepare, n)
-	s.atforkParent = slices.Grow(s.atforkParent, n)
-	s.atforkChild = slices.Grow(s.atforkChild, n)
+// own gives s lists of its own before a registration changes them.
+func (s *State) own() {
+	if !s.shared {
+		return
+	}
+	s.atexit = slices.Clone(s.atexit)
+	s.atforkPrepare = slices.Clone(s.atforkPrepare)
+	s.atforkParent = slices.Clone(s.atforkParent)
+	s.atforkChild = slices.Clone(s.atforkChild)
+	s.shared = false
 }
 
 // ForTask returns (creating if needed) the task's libSystem state.
@@ -63,25 +89,74 @@ func ForTask(tk *kernel.Task) *State {
 	return s
 }
 
+// add registers h once on list, extending the last run when it came from
+// the same (non-nil) hooks.
+func add(list []handlerRun, h Handler, hooks *ImageHooks) []handlerRun {
+	if h == nil {
+		return list
+	}
+	if n := len(list); n > 0 && hooks != nil && list[n-1].hooks == hooks {
+		list[n-1].n++
+		return list
+	}
+	return append(list, handlerRun{h: h, n: 1, hooks: hooks})
+}
+
 // AtExit registers an exit handler (runs LIFO, as atexit does).
-func (s *State) AtExit(h Handler) { s.atexit = append(s.atexit, h) }
+func (s *State) AtExit(h Handler) {
+	s.own()
+	s.atexit = add(s.atexit, h, nil)
+}
 
 // AtFork registers a pthread_atfork triple; nil members are skipped.
 func (s *State) AtFork(prepare, parent, child Handler) {
-	if prepare != nil {
-		s.atforkPrepare = append(s.atforkPrepare, prepare)
-	}
-	if parent != nil {
-		s.atforkParent = append(s.atforkParent, parent)
-	}
-	if child != nil {
-		s.atforkChild = append(s.atforkChild, child)
-	}
+	s.own()
+	s.atforkPrepare = add(s.atforkPrepare, prepare, nil)
+	s.atforkParent = add(s.atforkParent, parent, nil)
+	s.atforkChild = add(s.atforkChild, child, nil)
+}
+
+// AtImage registers h's handlers exactly as AtExit(h.Exit) followed by
+// AtFork(h.Prepare, h.Parent, h.Child) would; they run the same number
+// of times in the same order.
+func (s *State) AtImage(h *ImageHooks) {
+	s.own()
+	s.atexit = add(s.atexit, h.Exit, h)
+	s.atforkPrepare = add(s.atforkPrepare, h.Prepare, h)
+	s.atforkParent = add(s.atforkParent, h.Parent, h)
+	s.atforkChild = add(s.atforkChild, h.Child, h)
 }
 
 // Counts reports (atexit, prepare, parent, child) handler counts.
 func (s *State) Counts() (int, int, int, int) {
-	return len(s.atexit), len(s.atforkPrepare), len(s.atforkParent), len(s.atforkChild)
+	return count(s.atexit), count(s.atforkPrepare), count(s.atforkParent), count(s.atforkChild)
+}
+
+func count(list []handlerRun) int {
+	n := 0
+	for _, r := range list {
+		n += r.n
+	}
+	return n
+}
+
+// runForward calls every handler on list in registration order.
+func runForward(list []handlerRun, t *kernel.Thread) {
+	for _, r := range list {
+		for i := 0; i < r.n; i++ {
+			r.h(t)
+		}
+	}
+}
+
+// runReverse calls every handler on list in reverse registration order.
+func runReverse(list []handlerRun, t *kernel.Thread) {
+	for i := len(list) - 1; i >= 0; i-- {
+		r := list[i]
+		for j := 0; j < r.n; j++ {
+			r.h(t)
+		}
+	}
 }
 
 // C is a thread's libSystem handle: the calling convention every simulated
@@ -104,10 +179,7 @@ func (c *C) Errno() int { return c.T.Persona.TLS(persona.IOS).Errno }
 // per-library handlers on a real app) and then issues the XNU exit
 // syscall. It does not return.
 func (c *C) Exit(status int) {
-	s := c.state()
-	for i := len(s.atexit) - 1; i >= 0; i-- {
-		s.atexit[i](c.T)
-	}
+	runReverse(c.state().atexit, c.T)
 	c.T.Syscall(abi.XNUExit, &kernel.SyscallArgs{I: [6]uint64{uint64(status)}})
 }
 
@@ -116,19 +188,12 @@ func (c *C) Exit(status int) {
 // handler execution is the user-space share of the 14x iOS fork+exit cost.
 func (c *C) Fork(child func(cc *C)) int {
 	s := c.state()
-	for i := len(s.atforkPrepare) - 1; i >= 0; i-- { // prepare runs LIFO
-		s.atforkPrepare[i](c.T)
-	}
+	runReverse(s.atforkPrepare, c.T) // prepare runs LIFO
 	ret := c.T.Syscall(abi.XNUFork, &kernel.SyscallArgs{ChildFn: func(ct *kernel.Thread) {
-		cs := ForTask(ct.Task())
-		for _, h := range cs.atforkChild {
-			h(ct)
-		}
+		runForward(ForTask(ct.Task()).atforkChild, ct)
 		child(Sys(ct))
 	}})
-	for _, h := range s.atforkParent {
-		h(c.T)
-	}
+	runForward(s.atforkParent, c.T)
 	if ret.Errno != kernel.OK {
 		return -1
 	}

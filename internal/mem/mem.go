@@ -55,39 +55,44 @@ func (p Prot) String() string {
 // Backing is the physical store behind one or more regions. Shared mappings
 // (Mach OOL memory, IOSurfaces, gralloc buffers) alias the same Backing.
 //
-// The store is zero-fill-on-demand: no host memory is allocated until the
-// first byte is actually read or written. Most simulated mappings — the
-// ~90 MB of dylib text dyld maps on every iOS exec above all — are pure
-// accounting (fork charges for their PTEs, nothing loads from them), and
-// eagerly allocating + zeroing them dominated the host-side profile of
-// the Fig. 5 battery.
+// A store is zero-fill-on-demand. It starts untouched: it reads as zeros
+// and is charged to no footprint. Its first touch — a write, Load, Commit
+// or Bytes — commits it, the simulated zero-fill fault: from then on
+// every space mapping it is charged its window, capped at the store's
+// size. A committed store still holds host bytes only for the prefix
+// that has been stored into; everything past that prefix reads as zeros.
+// Most mappings — the ~90 MB of dylib text dyld maps on every iOS exec
+// above all — are pure accounting (fork charges for their PTEs, nothing
+// loads from them), so a private mapping gets no store at all until it
+// is touched (see Region.Backing).
 type Backing struct {
 	size uint64
-	// data stays nil until materialize; untouched backings read as zeros.
+	// data is the stored prefix; bytes past len(data) read as zeros. Its
+	// spare capacity is never written, so it stays zeroed for growth.
 	data []byte
-	refs int
+	// committed is set at first touch, the point the store is charged.
+	committed bool
+	refs      int
 	// accounts holds one attribution record per address space mapping this
 	// backing, in the order the spaces first mapped it: when the store
-	// materializes, each space re-attributes its resident share (see
+	// commits, each space re-attributes its resident share (see
 	// AddressSpace.recharge). Almost every backing has one or two.
 	accounts []backingAccount
 }
 
-// privateMapping co-allocates a region with a fresh store and the store's
-// first attribution record. Most mappings — every dyld segment, every
-// private fork copy — get a store of their own that nothing else maps, so
-// this is one allocation where there would be three.
-type privateMapping struct {
-	region  Region
+// privateStore co-allocates a private mapping's store with the store's
+// first attribution record.
+type privateStore struct {
 	backing Backing
 	account [1]backingAccount
 }
 
-// newPrivate returns a zeroed region over a fresh store of size bytes.
-func newPrivate(size uint64) (*Region, *Backing) {
-	m := &privateMapping{backing: Backing{size: size}}
-	m.backing.accounts = m.account[:0]
-	return &m.region, &m.backing
+// newPrivateStore returns an untouched store of size bytes with room for
+// one account.
+func newPrivateStore(size uint64) *Backing {
+	p := &privateStore{backing: Backing{size: size}}
+	p.backing.accounts = p.account[:0]
+	return &p.backing
 }
 
 // NewBacking creates a zeroed backing store of size bytes. Host memory is
@@ -96,29 +101,69 @@ func NewBacking(size uint64) *Backing {
 	return &Backing{size: size}
 }
 
-// Size returns the store's length in bytes without materializing it.
+// Size returns the store's length in bytes without committing it.
 func (b *Backing) Size() uint64 { return b.size }
 
-// materialize commits the host memory on first access. Committing the
-// store is the simulated zero-fill-on-demand fault: every address space
-// mapping the backing re-attributes its resident share at this point, so
-// the task that triggered the fault — and every task aliasing the store —
-// sees its footprint rise at the same virtual instant.
-func (b *Backing) materialize() []byte {
-	if b.data == nil && b.size > 0 {
-		b.data = make([]byte, b.size)
-		// Indexed, not ranged: a FootprintHook may attach or detach
-		// spaces on this backing while the loop runs.
-		for i := 0; i < len(b.accounts); i++ {
-			b.accounts[i].as.recharge(b)
-		}
+// Commit takes the store's zero-fill fault without storing anything: every
+// address space mapping the backing re-attributes its resident share at
+// this point, so the task that touched it — and every task aliasing the
+// store — sees its footprint rise at the same virtual instant. A caller
+// that touches memory only to be charged for it (a cache ballast) needs
+// nothing more; no host bytes are allocated.
+func (b *Backing) Commit() {
+	if b.committed || b.size == 0 {
+		return
 	}
-	return b.data
+	b.committed = true
+	// Indexed, not ranged: a FootprintHook may attach or detach spaces on
+	// this backing while the loop runs.
+	for i := 0; i < len(b.accounts); i++ {
+		b.accounts[i].as.recharge(b)
+	}
+}
+
+// prefix commits the store and returns its stored prefix, extended with
+// zeros to at least n bytes (n <= size). Growth at least doubles the
+// capacity, so a run of extending writes copies the prefix O(log size)
+// times.
+func (b *Backing) prefix(n uint64) []byte {
+	b.Commit()
+	if n <= uint64(len(b.data)) {
+		return b.data
+	}
+	if n <= uint64(cap(b.data)) {
+		b.data = b.data[:n]
+		return b.data
+	}
+	data := make([]byte, n, min(max(n, 2*uint64(cap(b.data))), b.size))
+	copy(data, b.data)
+	b.data = data
+	return data
+}
+
+// Load stores src at the start of the store, committing it. Only src's
+// bytes take host memory: the rest of the store keeps reading as zeros.
+// This is how a loader fills a segment whose file size is smaller than
+// its VM size.
+func (b *Backing) Load(src []byte) {
+	n := min(uint64(len(src)), b.size)
+	copy(b.prefix(n), src[:n])
 }
 
 // Bytes exposes the raw store (used by the GPU and compositor simulators),
-// committing it if it was still zero-fill-on-demand.
-func (b *Backing) Bytes() []byte { return b.materialize() }
+// committing it and extending its host bytes to the full size. The slice
+// stays valid: a full-size prefix never moves.
+func (b *Backing) Bytes() []byte { return b.prefix(b.size) }
+
+// read copies the store's bytes at off into buf. Bytes past the stored
+// prefix, and every byte of a nil (never touched) store, read as zeros.
+func (b *Backing) read(off uint64, buf []byte) {
+	n := 0
+	if b != nil && off < uint64(len(b.data)) {
+		n = copy(buf, b.data[off:])
+	}
+	clear(buf[n:])
+}
 
 // Refs reports how many regions currently alias this backing.
 func (b *Backing) Refs() int { return b.refs }
@@ -129,11 +174,11 @@ type Region struct {
 	Base uint64
 	// Size is the mapping length in bytes (page aligned).
 	Size uint64
-	// Prot is the access permission.
-	Prot Prot
 	// Name labels the mapping for /proc/maps-style dumps (binary path,
 	// "[stack]", "[heap]", dylib path, ...).
 	Name string
+	// Prot is the access permission.
+	Prot Prot
 	// Shared marks the mapping as shared rather than private: fork children
 	// alias the same Backing instead of copying.
 	Shared bool
@@ -141,10 +186,17 @@ type Region struct {
 	// used by dyld's shared library cache): fork shares it without copying
 	// any page-table entries, which is why the iPad's fork is fast despite
 	// its 90 MB of mapped libraries (Section 6.2).
-	Submap  bool
+	Submap bool
+	// backing is the region's store. A private mapping has none until its
+	// first touch (a bare region): it stands for a fresh, untouched
+	// zero-fill store of Size bytes that only this region maps.
 	backing *Backing
-	// offset is the region's start within the backing store.
+	// offset is the region's start within the backing store (0 for a
+	// bare region).
 	offset uint64
+	// as is the space the region is mapped in, nil once it is unmapped;
+	// a bare region's store is attributed to it when created.
+	as *AddressSpace
 }
 
 // End returns the first address past the region.
@@ -153,8 +205,21 @@ func (r *Region) End() uint64 { return r.Base + r.Size }
 // Pages returns the number of page-table entries this region occupies.
 func (r *Region) Pages() uint64 { return PageCount(r.Size) }
 
-// Backing returns the region's physical store.
-func (r *Region) Backing() *Backing { return r.backing }
+// Backing returns the region's physical store. A bare region gets its
+// store here: the untouched zero-fill store it stood for, attributed to
+// the region's space if it is still mapped (with nothing charged until
+// the store is touched) and with no references if it is not.
+func (r *Region) Backing() *Backing {
+	if r.backing == nil {
+		b := newPrivateStore(r.Size)
+		r.backing = b
+		if r.as != nil {
+			b.refs = 1
+			r.as.attach(r)
+		}
+	}
+	return r.backing
+}
 
 func (r *Region) String() string {
 	return fmt.Sprintf("%08x-%08x %s %s", r.Base, r.End(), r.Prot, r.Name)
@@ -201,6 +266,8 @@ func (b *Backing) account(as *AddressSpace) int {
 // AddressSpace is a task's virtual memory map.
 type AddressSpace struct {
 	regions []*Region // sorted by Base
+	// slab holds the zeroed regions Reserve set aside for coming Maps.
+	slab []Region
 	// nextAuto is the next address the allocator hands out for
 	// address-unspecified mappings.
 	nextAuto uint64
@@ -211,8 +278,8 @@ type AddressSpace struct {
 	MapHook func(size uint64, name string) error
 	// footprint is the resident bytes currently attributed to this space:
 	// the sum of charged bytes over this space's accounts on the backings
-	// it maps. Zero-fill backings that were never touched contribute
-	// nothing.
+	// it maps. Zero-fill stores that were never touched (and bare
+	// regions, which have no store yet) contribute nothing.
 	footprint uint64
 	// FootprintHook, when non-nil, observes every footprint change (delta
 	// in bytes, negative on unmap). The kernel threads memorystatus
@@ -267,13 +334,13 @@ func (as *AddressSpace) MappedBytes() uint64 {
 
 // Footprint returns the resident bytes attributed to this space: for each
 // distinct backing, the mapped window bytes capped at the backing size,
-// counted only once the store has materialized. This is the jetsam
+// counted only once the store has committed. This is the jetsam
 // ledger's per-task number.
 func (as *AddressSpace) Footprint() uint64 { return as.footprint }
 
 // recharge re-attributes this space's resident share of b: the mapped
-// window capped at the backing size when the store is materialized, zero
-// while it is still zero-fill. The delta is applied to the footprint and
+// window capped at the backing size once the store has committed, zero
+// while it is still untouched. The delta is applied to the footprint and
 // reported through FootprintHook.
 func (as *AddressSpace) recharge(b *Backing) {
 	i := b.account(as)
@@ -282,7 +349,7 @@ func (as *AddressSpace) recharge(b *Backing) {
 	}
 	acct := &b.accounts[i]
 	var want uint64
-	if b.data != nil {
+	if b.committed {
 		want = acct.window
 		if want > b.size {
 			want = b.size
@@ -366,22 +433,61 @@ func (as *AddressSpace) insert(r *Region) {
 	i := sort.Search(len(as.regions), func(i int) bool {
 		return as.regions[i].Base > r.Base
 	})
-	as.regions = append(as.regions, nil)
-	copy(as.regions[i+1:], as.regions[i:])
-	as.regions[i] = r
-	r.backing.refs++
-	as.attach(r)
+	as.regions = slices.Insert(as.regions, i, r)
+	as.link(r)
+}
+
+// link makes r one of this space's mappings: a store-backed region takes
+// a reference on its store and opens its attribution window; a bare
+// region's implicit store is referenced and attributed only by it.
+func (as *AddressSpace) link(r *Region) {
+	r.as = as
+	if r.backing != nil {
+		r.backing.refs++
+		as.attach(r)
+	}
+}
+
+// release undoes link for a region leaving the space.
+func (as *AddressSpace) release(r *Region) {
+	if b := r.backing; b != nil {
+		b.refs--
+		as.detach(r)
+	}
+	r.as = nil
+}
+
+// Reserve prepares the space for n more mappings: the region table gets
+// room for them, and their regions come from one slab instead of one
+// allocation each. It maps nothing and does not consult MapHook; Maps
+// past the n, or after UnmapAll, allocate their regions one by one.
+func (as *AddressSpace) Reserve(n int) {
+	as.regions = slices.Grow(as.regions, n)
+	as.slab = make([]Region, n)
+}
+
+// newRegion returns a zeroed region, from the slab while it lasts.
+func (as *AddressSpace) newRegion() *Region {
+	if len(as.slab) == 0 {
+		return new(Region)
+	}
+	r := &as.slab[0]
+	as.slab = as.slab[1:]
+	return r
 }
 
 // Map creates a new mapping. base==0 requests automatic placement. size is
-// rounded up to a page boundary. A fresh zeroed backing is allocated.
+// rounded up to a page boundary. The mapping is private and bare: it gets
+// a zero-fill store of its own at first touch, and costs nothing but its
+// Region until then.
 func (as *AddressSpace) Map(base, size uint64, prot Prot, name string, shared bool) (*Region, error) {
 	return as.MapBacking(base, size, prot, name, shared, nil, 0)
 }
 
 // MapBacking creates a mapping over an existing backing store (shared
-// memory, IOSurface, Mach OOL transfer). backing==nil allocates a fresh
-// store. offset is the region's start within the backing.
+// memory, IOSurface, Mach OOL transfer). backing==nil makes a bare region
+// over a store of its own, created at first touch; offset is then
+// ignored. Otherwise offset is the region's start within the backing.
 func (as *AddressSpace) MapBacking(base, size uint64, prot Prot, name string, shared bool, backing *Backing, offset uint64) (*Region, error) {
 	if as.MapHook != nil {
 		if err := as.MapHook(size, name); err != nil {
@@ -403,16 +509,13 @@ func (as *AddressSpace) MapBacking(base, size uint64, prot Prot, name string, sh
 	} else if as.overlaps(base, size) {
 		return nil, fmt.Errorf("mem: mapping %q at 0x%x overlaps existing region", name, base)
 	}
-	var r *Region
 	if backing == nil {
-		r, backing = newPrivate(size)
 		offset = 0
 	} else if offset+size > backing.size {
 		return nil, fmt.Errorf("mem: mapping %q exceeds backing (%d+%d > %d)", name, offset, size, backing.size)
-	} else {
-		r = new(Region)
 	}
-	*r = Region{Base: base, Size: size, Prot: prot, Name: name, Shared: shared, backing: backing, offset: offset}
+	r := as.newRegion()
+	*r = Region{Base: base, Size: size, Name: name, Prot: prot, Shared: shared, backing: backing, offset: offset}
 	as.insert(r)
 	return r, nil
 }
@@ -424,9 +527,10 @@ func (as *AddressSpace) Unmap(base uint64) error {
 	})
 	if i < len(as.regions) && as.regions[i].Base == base {
 		r := as.regions[i]
-		as.regions = append(as.regions[:i], as.regions[i+1:]...)
-		r.backing.refs--
-		as.detach(r)
+		// slices.Delete zeroes the vacated tail slot, so the table keeps
+		// no hidden pointer to a region (or the slab it came from).
+		as.regions = slices.Delete(as.regions, i, i+1)
+		as.release(r)
 		return nil
 	}
 	return fmt.Errorf("mem: unmap: no region at 0x%x", base)
@@ -436,10 +540,10 @@ func (as *AddressSpace) Unmap(base uint64) error {
 // exactly zero: every attribution window closes with its mapping.
 func (as *AddressSpace) UnmapAll() {
 	for _, r := range as.regions {
-		r.backing.refs--
-		as.detach(r)
+		as.release(r)
 	}
 	as.regions = nil
+	as.slab = nil
 	as.nextAuto = mmapBase
 }
 
@@ -469,14 +573,12 @@ func (as *AddressSpace) access(vaddr uint64, buf []byte, write bool) error {
 		off := r.offset + (vaddr - r.Base)
 		n := copyLen(uint64(len(buf)), r.End()-vaddr)
 		if write {
-			data := r.backing.materialize()
+			data := r.Backing().prefix(off + n)
 			copy(data[off:off+n], buf[:n])
-		} else if r.backing.data == nil {
-			// Untouched zero-fill backing: the read sees zeros without
-			// committing the store.
-			clear(buf[:n])
 		} else {
-			copy(buf[:n], r.backing.data[off:off+n])
+			// A read never commits: past the stored prefix, or on a bare
+			// region, it sees zeros.
+			r.backing.read(off, buf[:n])
 		}
 		buf = buf[n:]
 		vaddr += n
@@ -493,41 +595,48 @@ func copyLen(want, avail uint64) uint64 {
 
 // Fork clones the address space for a child task, returning the clone and
 // the number of page-table entries copied (the caller charges PTE-copy time
-// for them). Private regions are deep-copied; shared regions alias the same
-// backing, but their PTEs are still copied.
+// for them). Shared and submap regions alias the parent's backing, but
+// their PTEs are still copied. A private region is copied: the simulation
+// copies eagerly rather than COW, and the PTE count, which is what the
+// fork latency model charges for, is the same. An untouched private
+// region (bare, or over a store that never committed) gives the child a
+// bare region, exactly the fresh zero-fill store it stands for; a
+// committed one gives the child a committed store holding a copy of the
+// stored prefix. A bare shared or submap region gets its store at its
+// first fork, for both sides to alias. The child's regions come from one
+// slab, so fork allocates per committed private store, not per region.
 //
-// Footprint re-attribution follows the copy: a materialized private store
+// Footprint re-attribution follows the copy: a committed private store
 // is split — the parent keeps its charge on the old backing, the child is
 // charged for its fresh copy — while shared and submap stores attribute
 // the child's window on the common backing. FootprintHook is not
 // propagated (the clone's owner rebinds it and adopts the accumulated
 // footprint); MapHook is, matching the fork semantics of rlimit state.
 func (as *AddressSpace) Fork() (*AddressSpace, uint64) {
-	child := NewAddressSpace()
-	child.nextAuto = as.nextAuto
-	child.MapHook = as.MapHook
-	child.regions = make([]*Region, 0, len(as.regions))
+	child := &AddressSpace{nextAuto: as.nextAuto, MapHook: as.MapHook}
+	child.regions = make([]*Region, len(as.regions))
+	slab := make([]Region, len(as.regions))
 	var ptes uint64
-	for _, r := range as.regions {
+	for i, r := range as.regions {
 		if !r.Submap {
 			ptes += r.Pages()
 		}
-		var nr *Region
-		b := r.backing
-		if r.Shared || r.Submap {
-			nr = new(Region)
-		} else {
-			// The simulation copies eagerly rather than COW; the PTE count,
-			// which is what the fork latency model charges for, is the same.
-			// An untouched zero-fill parent store stays uncommitted in the
-			// child too — there is nothing to copy.
-			nr, b = newPrivate(r.backing.size)
-			if r.backing.data != nil {
-				copy(b.materialize(), r.backing.data)
-			}
+		nr := &slab[i]
+		*nr = Region{Base: r.Base, Size: r.Size, Name: r.Name, Prot: r.Prot, Shared: r.Shared, Submap: r.Submap}
+		switch b := r.backing; {
+		case r.Shared || r.Submap:
+			// Both sides alias one store, so a bare parent region gets
+			// its store now.
+			nr.backing, nr.offset = r.Backing(), r.offset
+		case b != nil && b.committed:
+			nb := newPrivateStore(b.size)
+			nb.committed = true
+			nb.data = slices.Clone(b.data)
+			nr.backing, nr.offset = nb, r.offset
 		}
-		*nr = Region{Base: r.Base, Size: r.Size, Prot: r.Prot, Name: r.Name, Shared: r.Shared, Submap: r.Submap, backing: b, offset: r.offset}
-		child.insert(nr)
+		// The parent's table is in address order, so the child's is too.
+		child.regions[i] = nr
+		child.link(nr)
 	}
 	return child, ptes
 }

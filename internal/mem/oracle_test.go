@@ -8,34 +8,43 @@ import (
 // TestFootprintOracle checks the footprint ledger against a reference
 // written from scratch: a space's footprint is, for each distinct backing
 // it maps, the sum of its window sizes over that backing capped at the
-// backing size, counted only once the backing has materialized. A seeded
-// random sequence of maps, aliasing maps, forks, unmaps and first
-// touches runs over a few spaces; after every step each space's
+// backing size, counted only once the backing has committed. A seeded
+// random sequence of maps (bare regions), aliasing maps, forks, unmaps
+// and first touches of every kind (a write, a prefix Load, a commit-only
+// touch, Bytes) runs over a few spaces; after every step each space's
 // Footprint() and the running sum of its FootprintHook deltas must equal
-// the reference recomputed from its region list, and every backing's
+// the reference recomputed from its region list, and every store's
 // reference count must equal the number of regions mapping it.
 func TestFootprintOracle(t *testing.T) {
-	shared := 0
+	seen := make(map[string]int)
 	for seed := int64(1); seed <= 24; seed++ {
-		shared += runFootprintOracle(t, seed, 300)
+		runFootprintOracle(t, seed, 300, seen)
 	}
-	// The sequences must reach the case the per-space accounts exist for:
-	// one materialized store charged to several spaces at once.
-	if shared == 0 {
-		t.Fatal("no step had a materialized backing mapped by two spaces")
+	// The sequences must reach the case the per-space accounts exist for,
+	// one committed store charged to several spaces at once, and fork
+	// every state a private store can be in.
+	for _, kind := range []string{"shared-commit", "fork-bare", "fork-untouched-store", "fork-commit-only", "fork-prefix", "fork-full"} {
+		if seen[kind] == 0 {
+			t.Errorf("no step reached %s", kind)
+		}
 	}
 }
 
 // referenceFootprint recomputes a space's footprint from its regions
-// alone, independently of the attribution records the ledger keeps.
+// alone, independently of the attribution records the ledger keeps. It
+// reads each region's store field directly: Region.Backing would create
+// the store of a bare region and so change the state under test. A bare
+// region (nil store) is untouched and charges nothing.
 func referenceFootprint(as *AddressSpace) uint64 {
 	window := make(map[*Backing]uint64)
 	for _, r := range as.Regions() {
-		window[r.Backing()] += r.Size
+		if r.backing != nil {
+			window[r.backing] += r.Size
+		}
 	}
 	var total uint64
 	for b, w := range window {
-		if b.data != nil {
+		if b.committed {
 			total += min(w, b.Size())
 		}
 	}
@@ -51,9 +60,10 @@ func (s *oracleSpace) watch() {
 	s.as.FootprintHook = func(d int64) { s.hookSum += d }
 }
 
-// runFootprintOracle runs one seeded sequence and returns how many steps
-// ended with a materialized backing mapped by more than one space.
-func runFootprintOracle(t *testing.T, seed int64, steps int) (shared int) {
+// runFootprintOracle runs one seeded sequence, counting in seen the steps
+// that ended with a committed backing mapped by more than one space
+// ("shared-commit") and the private stores forked in each state.
+func runFootprintOracle(t *testing.T, seed int64, steps int, seen map[string]int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	first := &oracleSpace{as: NewAddressSpace()}
@@ -70,7 +80,7 @@ func runFootprintOracle(t *testing.T, seed int64, steps int) (shared int) {
 	}
 	for step := 0; step < steps; step++ {
 		var op string
-		switch rng.Intn(8) {
+		switch rng.Intn(10) {
 		case 0, 1:
 			op = "map"
 			pages := uint64(1 + rng.Intn(6))
@@ -97,7 +107,13 @@ func runFootprintOracle(t *testing.T, seed int64, steps int) (shared int) {
 				continue
 			}
 			op = "fork"
-			child, _ := pick().as.Fork()
+			parent := pick().as
+			for _, r := range parent.Regions() {
+				if !r.Shared {
+					seen["fork-"+storeState(r)]++
+				}
+			}
+			child, _ := parent.Fork()
 			// Fork does not carry the hook: the new owner adopts the
 			// child's initial footprint and watches deltas from there.
 			cs := &oracleSpace{as: child, hookSum: int64(referenceFootprint(child))}
@@ -122,6 +138,18 @@ func runFootprintOracle(t *testing.T, seed int64, steps int) (shared int) {
 			if r := anyRegion(); r != nil {
 				r.Backing().Bytes()
 			}
+		case 8:
+			op = "load"
+			if r := anyRegion(); r != nil {
+				src := make([]byte, 1+rng.Intn(int(r.Size)))
+				rng.Read(src)
+				r.Backing().Load(src)
+			}
+		case 9:
+			op = "commit"
+			if r := anyRegion(); r != nil {
+				r.Backing().Commit()
+			}
 		case 7:
 			op = "write"
 			s := pick()
@@ -143,7 +171,10 @@ func runFootprintOracle(t *testing.T, seed int64, steps int) (shared int) {
 				t.Fatalf("seed %d step %d (%s): space %d hook deltas sum to %d, reference %d", seed, step, op, i, s.hookSum, want)
 			}
 			for _, r := range s.as.Regions() {
-				b := r.Backing()
+				b := r.backing
+				if b == nil {
+					continue
+				}
 				refs[b]++
 				if holders[b] == nil {
 					holders[b] = make(map[*AddressSpace]bool)
@@ -152,8 +183,8 @@ func runFootprintOracle(t *testing.T, seed int64, steps int) (shared int) {
 			}
 		}
 		for b, h := range holders {
-			if b.data != nil && len(h) > 1 {
-				shared++
+			if b.committed && len(h) > 1 {
+				seen["shared-commit"]++
 				break
 			}
 		}
@@ -163,5 +194,20 @@ func runFootprintOracle(t *testing.T, seed int64, steps int) (shared int) {
 			}
 		}
 	}
-	return shared
+}
+
+// storeState names the state of r's store without changing it.
+func storeState(r *Region) string {
+	b := r.backing
+	switch {
+	case b == nil:
+		return "bare"
+	case !b.committed:
+		return "untouched-store"
+	case len(b.data) == 0:
+		return "commit-only"
+	case uint64(len(b.data)) < b.size:
+		return "prefix"
+	}
+	return "full"
 }

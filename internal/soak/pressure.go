@@ -106,9 +106,9 @@ func runBalloon(th *kernel.Thread, band kernel.Band, chunk uint64, delay time.Du
 	sleepTick(th, balloonStart-th.Now()+delay)
 	for i := 0; i < balloonRounds; i++ {
 		if r, err := as.Map(0, chunk, mem.ProtRead|mem.ProtWrite, "[balloon]", false); err == nil {
-			// Touch the mapping: zero-fill materialization is the
+			// Touch the mapping: the zero-fill commit is the
 			// footprint-charge point the schedule's rules key on.
-			r.Backing().Bytes()
+			r.Backing().Commit()
 			mapped = append(mapped, r.Base)
 		}
 		lc.GetPID()
@@ -134,7 +134,7 @@ func runDroidListener(th *kernel.Thread) {
 	as := th.Task().Mem()
 	var ballast uint64
 	if r, err := as.Map(0, 32<<10, mem.ProtRead|mem.ProtWrite, "[droid-cache]", false); err == nil {
-		r.Backing().Bytes()
+		r.Backing().Commit()
 		ballast = r.Base
 	}
 	shed := false
