@@ -38,13 +38,15 @@ race:
 # replayed iOS exec (dyld's link plan, one region slab, no store for an
 # untouched segment), an iOS fork+exit+wait over the 115-dylib image set
 # (one region slab, fewer allocations than regions) and a boot of each
-# configuration (one-slab filesystem clone, syscall tables built at their
-# final size) under fixed bounds. The test files
-# are left out of -race builds, whose runtime allocates on its own
-# account, so verify runs them here, without the race detector.
+# configuration (one-slab filesystem clone, views of the process's shared
+# syscall tables, export keys built once) under fixed bounds, a select
+# over N ready descriptors at a count independent of N, and a
+# creat-truncate-write of an unpinned 10 KB file with no new store. The
+# test files are left out of -race builds, whose runtime allocates on its
+# own account, so verify runs them here, without the race detector.
 switch-allocs:
 	$(GO) test -count=1 -run '^(TestSwitchRoundAllocs|TestSpawnAllocs)$$' -v ./internal/sim
-	$(GO) test -count=1 -run '^(TestExecIOSAllocs|TestForkIOSAllocs|TestBootAllocs|TestSyscallArgsAllocs|TestDiplomatHopAllocs|TestMachRoundTripAllocs)$$' -v ./internal/core
+	$(GO) test -count=1 -run '^(TestExecIOSAllocs|TestForkIOSAllocs|TestBootAllocs|TestSyscallArgsAllocs|TestDiplomatHopAllocs|TestMachRoundTripAllocs|TestSelectReadyAllocs|TestCreatTruncateWriteAllocs)$$' -v ./internal/core
 
 # bench runs the host-time benchmark (hostbench/, declared in
 # BENCHMARK.json) on every workload and prints each run's end-to-end

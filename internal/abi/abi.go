@@ -13,6 +13,7 @@
 package abi
 
 import (
+	"sync"
 	"time"
 
 	"repro/internal/iokit"
@@ -175,9 +176,57 @@ func InstallNativeXNUTable(k *kernel.Kernel) *kernel.SyscallTable {
 	return tb
 }
 
+// xnuShape is what an XNU table depends on besides the Linux handlers it
+// wraps: whether the ABI is native, whether the kernel is persona-aware,
+// and the table's per-call extras.
+type xnuShape struct {
+	native, aware bool
+	entry, exit   time.Duration
+}
+
+// xnuTables holds one XNU table per shape, built from the shared Linux
+// table of the same persona awareness; kernels install views of it.
+var xnuTables struct {
+	sync.Mutex
+	m map[xnuShape]*kernel.SyscallTable
+}
+
 func installXNU(k *kernel.Kernel, native bool) *kernel.SyscallTable {
 	linux := k.SyscallTableFor(persona.Android)
-	costs := k.Costs()
+	shape := xnuShape{native: native, aware: k.PersonaAware()}
+	if !native {
+		costs := k.Costs()
+		shape.entry = costs.XNUTrapDemux + costs.XNUArgTranslate
+		shape.exit = costs.XNURetTranslate
+	}
+	var tb *kernel.SyscallTable
+	if linux.Shared() {
+		// The kernel's Linux handlers are the shared table's, so the XNU
+		// table wrapping them is the shape's shared one.
+		xnuTables.Lock()
+		base := xnuTables.m[shape]
+		if base == nil {
+			base = xnuTable(linux, shape)
+			if xnuTables.m == nil {
+				xnuTables.m = make(map[xnuShape]*kernel.SyscallTable)
+			}
+			xnuTables.m[shape] = base
+		}
+		xnuTables.Unlock()
+		tb = base.View()
+	} else {
+		// A Linux table with handlers of its own gets an XNU table of its
+		// own, wrapping them.
+		tb = xnuTable(linux, shape)
+	}
+	k.SetSyscallTable(persona.IOS, tb)
+	return tb
+}
+
+// xnuTable builds an XNU table of the given shape over linux's handlers.
+// Its entries reach their kernel through the calling thread, so the
+// table holds nothing of any one kernel.
+func xnuTable(linux *kernel.SyscallTable, shape xnuShape) *kernel.SyscallTable {
 	// wrap forwards an XNU syscall to the Linux implementation of the
 	// same operation, optionally transforming arguments first. This is
 	// Cider's "simple wrapper that maps arguments from XNU structures to
@@ -195,6 +244,11 @@ func installXNU(k *kernel.Kernel, native bool) *kernel.SyscallTable {
 		}}
 	}
 
+	// posix_spawn forks through the Linux fork implementation.
+	forkH, ok := linux.Lookup(kernel.SysFork)
+	if !ok {
+		panic("abi: linux table missing fork")
+	}
 	tb := kernel.NewSyscallTable("xnu", []kernel.SyscallDef{
 		wrap(XNUExit, kernel.SysExit, "exit", nil),
 		wrap(XNUFork, kernel.SysFork, "fork", nil),
@@ -269,7 +323,6 @@ func installXNU(k *kernel.Kernel, native bool) *kernel.SyscallTable {
 		// posix_spawn: built from the Linux fork (clone) and exec
 		// implementations, as the paper describes.
 		{Num: XNUPosixSpawn, Name: "posix_spawn", H: func(t *kernel.Thread, a *kernel.SyscallArgs) kernel.SyscallRet {
-			forkH, _ := linux.Lookup(kernel.SysFork)
 			path, argv := a.Path, a.Argv
 			fa := &kernel.SyscallArgs{ChildFn: func(ct *kernel.Thread) {
 				// The child inherits the caller's persona, so trap with that
@@ -413,19 +466,15 @@ func installXNU(k *kernel.Kernel, native bool) *kernel.SyscallTable {
 			return ret
 		}},
 	}...)
-	if !native {
-		tb.EntryExtra = costs.XNUTrapDemux + costs.XNUArgTranslate
-		tb.ExitExtra = costs.XNURetTranslate
-	}
+	tb.EntryExtra = shape.entry
+	tb.ExitExtra = shape.exit
 
 	// set_persona is reachable from all personas (Section 4.3).
-	if k.PersonaAware() {
+	if shape.aware {
 		if h, ok := linux.Lookup(kernel.SysSetPersona); ok {
 			tb.Register(SetPersonaTrap, "set_persona", h)
 			tb.Register(kernel.SysSetPersona, "set_persona", h)
 		}
 	}
-
-	k.SetSyscallTable(persona.IOS, tb)
 	return tb
 }

@@ -14,24 +14,26 @@ import (
 
 // bootAllocBound caps the heap allocations of one NewSystem per
 // configuration, once the filesystem templates exist and an earlier boot
-// of the same configuration has sized the registry. The measured counts
-// on go1.24/amd64 are 211 (android-vanilla), 634 (cider) and 304 (ipad);
+// of the same configuration has sized the registry, built the shared
+// syscall tables and the export keys. The measured counts on
+// go1.24/amd64 are 145 (android-vanilla), 418 (cider) and 212 (ipad);
 // each bound leaves ~15% headroom for toolchain drift. Cloning the
 // filesystem images one node at a time adds ~45 to android-vanilla and
-// ~300 to each iOS configuration, and trips every bound.
+// ~300 to each iOS configuration, and building the libraries' export
+// keys on every boot adds ~65 to android-vanilla and ipad and ~190 to
+// cider; either trips every bound.
 var bootAllocBound = map[Config]float64{
-	ConfigVanilla: 243,
-	ConfigCider:   729,
-	ConfigIPad:    350,
+	ConfigVanilla: 167,
+	ConfigCider:   481,
+	ConfigIPad:    244,
 }
 
-// tableAllocBound caps the allocations of building a Cider kernel's two
-// syscall tables, Linux and XNU. The measured count is 33: per table
-// the struct, its dense array and its outlier map, plus one forwarding
-// closure per wrapped XNU call. The bound leaves ~15% headroom. Growing
-// the dense arrays by Register instead of sizing them once from the
-// definition lists adds ~7 per table and trips it.
-const tableAllocBound = 38
+// tableAllocBound caps the allocations of installing a Cider kernel's
+// two syscall tables, Linux and XNU, once the process holds the shared
+// tables of its shape: one view of each. Building a table per kernel
+// (the struct, its dense array and outlier map, and one forwarding
+// closure per wrapped XNU call: 33 objects for the two) trips it.
+const tableAllocBound = 2
 
 // TestBootAllocs pins the host allocations of a boot, and of the syscall
 // tables within it. The race runtime allocates on its own account, so

@@ -123,7 +123,8 @@ type System struct {
 	Gfx *GfxStack
 	// Diplomat is the arbitration engine (Cider only).
 	Diplomat *diplomat.Engine
-	// GLSpecs are the auto-generated GL diplomats (Cider only).
+	// GLSpecs are the auto-generated GL diplomats (Cider only), shared
+	// with every boot over the same libraries and read-only.
 	GLSpecs []diplomat.Spec
 	// Input is the touchscreen/sensor input device.
 	Input *input.Device

@@ -37,11 +37,12 @@ func TestExecIOSAllocs(t *testing.T) {
 
 // forkAllocBound caps the heap allocations of one libSystem fork of an
 // iOS process holding the 115-dylib image set, with the child's exit and
-// the parent's wait. The child's regions come from one slab and its
-// untouched dylib segments need no stores, so the count does not grow
-// with the mapping count; one allocation per region (118 of them)
+// the parent's wait. The measured count is 51 on go1.24/amd64, and the
+// bound leaves ~15% headroom. The child's regions come from one slab and
+// its untouched dylib segments need no stores, so the count does not
+// grow with the mapping count; one allocation per region (118 of them)
 // exceeds the bound on its own.
-const forkAllocBound = 64
+const forkAllocBound = 59
 
 // TestForkIOSAllocs pins the host allocations of fork+exit+wait in a
 // booted iOS process.

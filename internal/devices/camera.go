@@ -80,11 +80,20 @@ const CameraLibPath = "/system/lib/libcamera_client.so"
 // CameraFunctions is libcamera_client's export list.
 var CameraFunctions = []string{"camera_capture_to_buffer"}
 
+// The registry keys of the device libraries' exports, built once rather
+// than on every boot.
+var (
+	cameraCaptureKey  = prog.SymbolKey(CameraLibPath, "camera_capture_to_buffer")
+	locationGetFixKey = prog.SymbolKey(LocationLibPath, "location_get_fix")
+	clGetFixKey       = prog.SymbolKey(CoreLocationPath, "_CLLocationManagerGetFix")
+	avCaptureKey      = prog.SymbolKey(AVFoundationPath, "_AVCaptureStillImage")
+)
+
 // RegisterCameraLib publishes the domestic camera library: captures a
 // frame from the sensor into a gralloc buffer — the native Android path
 // iOS camera diplomats call into.
 func RegisterCameraLib(reg *prog.Registry, cam *Camera, gr *graphics.Gralloc, cpu *hw.CPUModel) error {
-	return reg.Register(prog.SymbolKey(CameraLibPath, "camera_capture_to_buffer"),
+	return reg.Register(cameraCaptureKey,
 		func(c *prog.Call) uint64 {
 			t, ok := c.Ctx.(*kernel.Thread)
 			if !ok {
@@ -128,11 +137,11 @@ const KAVErrNoDevice = ^uint64(0) - 1
 // "Cider will not currently run iOS apps that depend on such devices",
 // while fallback-capable apps keep working (Section 6.4).
 func RegisterIOSStubs(reg *prog.Registry) error {
-	if err := reg.Register(prog.SymbolKey(CoreLocationPath, "_CLLocationManagerGetFix"),
+	if err := reg.Register(clGetFixKey,
 		func(c *prog.Call) uint64 { return KCLErrDenied }); err != nil {
 		return err
 	}
-	return reg.Register(prog.SymbolKey(AVFoundationPath, "_AVCaptureStillImage"),
+	return reg.Register(avCaptureKey,
 		func(c *prog.Call) uint64 { return KAVErrNoDevice })
 }
 
@@ -147,18 +156,16 @@ type Diplomat interface {
 // CoreLocation and AVFoundation entry points become diplomatic functions
 // into the Android location/camera libraries.
 func RegisterIOSDiplomats(reg *prog.Registry, eng Diplomat) error {
-	if err := reg.Register(prog.SymbolKey(CoreLocationPath, "_CLLocationManagerGetFix"),
-		eng.Wrap(prog.SymbolKey(LocationLibPath, "location_get_fix"))); err != nil {
+	if err := reg.Register(clGetFixKey, eng.Wrap(locationGetFixKey)); err != nil {
 		return err
 	}
-	return reg.Register(prog.SymbolKey(AVFoundationPath, "_AVCaptureStillImage"),
-		eng.Wrap(prog.SymbolKey(CameraLibPath, "camera_capture_to_buffer")))
+	return reg.Register(avCaptureKey, eng.Wrap(cameraCaptureKey))
 }
 
 // RegisterIOSNative registers the iPad's own implementations: CoreLocation
 // backed by the device's receiver, AVFoundation by its camera.
 func RegisterIOSNative(reg *prog.Registry, gps *GPS, cam *Camera, gr *graphics.Gralloc, cpu *hw.CPUModel) error {
-	if err := reg.Register(prog.SymbolKey(CoreLocationPath, "_CLLocationManagerGetFix"),
+	if err := reg.Register(clGetFixKey,
 		func(c *prog.Call) uint64 {
 			t, ok := c.Ctx.(*kernel.Thread)
 			if !ok {
@@ -172,7 +179,7 @@ func RegisterIOSNative(reg *prog.Registry, gps *GPS, cam *Camera, gr *graphics.G
 		}); err != nil {
 		return err
 	}
-	return reg.Register(prog.SymbolKey(AVFoundationPath, "_AVCaptureStillImage"),
+	return reg.Register(avCaptureKey,
 		func(c *prog.Call) uint64 {
 			t, ok := c.Ctx.(*kernel.Thread)
 			if !ok {

@@ -159,7 +159,7 @@ var LocationFunctions = []string{"location_get_fix"}
 // the fix from the GPS device through the device framework, the way
 // Android's location service sits on the GPS HAL.
 func RegisterLocationLib(reg *prog.Registry, gps *GPS, cpu *hw.CPUModel) error {
-	return reg.Register(prog.SymbolKey(LocationLibPath, "location_get_fix"),
+	return reg.Register(locationGetFixKey,
 		func(c *prog.Call) uint64 {
 			t, ok := c.Ctx.(*kernel.Thread)
 			if !ok {

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/abi"
@@ -184,14 +185,57 @@ func Generate(foreign *macho.File, domestic []*elfx.File) (specs []Spec, unmatch
 
 // Install registers diplomats for specs under the foreign library's
 // install name, so dyld binds iOS apps to them: the replaced Cider version
-// of the foreign library (API interposition, Section 5.3).
+// of the foreign library (API interposition, Section 5.3). The registry
+// keys of one (install name, spec list) are built once per process, since
+// every Cider boot installs the same generated list; specs must not change
+// once installed.
 func (e *Engine) Install(reg *prog.Registry, foreignInstall string, specs []Spec) error {
-	for _, sp := range specs {
-		domKey := prog.SymbolKey("/system/lib/"+sp.DomesticLib, sp.DomesticSymbol)
-		key := prog.SymbolKey(foreignInstall, sp.ForeignSymbol)
-		if err := reg.Register(key, e.Wrap(domKey)); err != nil {
-			return fmt.Errorf("diplomat: %s: %w", sp.ForeignSymbol, err)
+	for i, k := range specKeys(foreignInstall, specs) {
+		if err := reg.Register(k.foreign, e.Wrap(k.domestic)); err != nil {
+			return fmt.Errorf("diplomat: %s: %w", specs[i].ForeignSymbol, err)
 		}
 	}
 	return nil
+}
+
+// specKeyLists holds the registry keys of every spec list Install saw,
+// by install name and the list's backing array and length.
+var specKeyLists struct {
+	sync.Mutex
+	m map[specList][]specKey
+}
+
+type specList struct {
+	install string
+	p       *Spec
+	n       int
+}
+
+// specKey is one spec's pair of registry keys.
+type specKey struct{ foreign, domestic string }
+
+// specKeys returns the registry keys of specs installed under
+// foreignInstall, building them on the list's first install.
+func specKeys(foreignInstall string, specs []Spec) []specKey {
+	if len(specs) == 0 {
+		return nil
+	}
+	id := specList{install: foreignInstall, p: &specs[0], n: len(specs)}
+	specKeyLists.Lock()
+	defer specKeyLists.Unlock()
+	keys, ok := specKeyLists.m[id]
+	if !ok {
+		keys = make([]specKey, len(specs))
+		for i, sp := range specs {
+			keys[i] = specKey{
+				foreign:  prog.SymbolKey(foreignInstall, sp.ForeignSymbol),
+				domestic: prog.SymbolKey("/system/lib/"+sp.DomesticLib, sp.DomesticSymbol),
+			}
+		}
+		if specKeyLists.m == nil {
+			specKeyLists.m = make(map[specList][]specKey)
+		}
+		specKeyLists.m[id] = keys
+	}
+	return keys
 }

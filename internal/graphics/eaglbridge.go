@@ -131,9 +131,10 @@ func (b *EAGLBridge) invoke(t *kernel.Thread, name string, args []uint64) uint64
 
 // RegisterExports publishes the bridge's symbols.
 func (b *EAGLBridge) RegisterExports(reg *prog.Registry) error {
-	for _, name := range EGLBridgeFunctions {
+	keys := prog.ExportKeys(EGLBridgePath, "", EGLBridgeFunctions)
+	for i, name := range EGLBridgeFunctions {
 		fname := name
-		if err := reg.Register(prog.SymbolKey(EGLBridgePath, fname), func(c *prog.Call) uint64 {
+		if err := reg.Register(keys[i], func(c *prog.Call) uint64 {
 			t, ok := c.Ctx.(*kernel.Thread)
 			if !ok {
 				return 0

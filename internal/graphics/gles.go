@@ -198,9 +198,10 @@ func (gl *GLES) draw(t *kernel.Thread, ctx *Context, vertices int64) {
 // RegisterExports registers every GL function under the library's symbol
 // keys, so ELF loading/diplomat generation resolve them like real exports.
 func (gl *GLES) RegisterExports(reg *prog.Registry, soPath string) error {
-	for _, name := range GLFunctions {
+	keys := prog.ExportKeys(soPath, "", GLFunctions)
+	for i, name := range GLFunctions {
 		fname := name
-		if err := reg.Register(prog.SymbolKey(soPath, fname), func(c *prog.Call) uint64 {
+		if err := reg.Register(keys[i], func(c *prog.Call) uint64 {
 			t, ok := c.Ctx.(*kernel.Thread)
 			if !ok {
 				return 0

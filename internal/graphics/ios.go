@@ -2,7 +2,6 @@ package graphics
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"sync"
 
@@ -76,9 +75,10 @@ func RegisterGrallocExports(reg *prog.Registry, g *Gralloc) error {
 			return 0
 		},
 	}
-	for name, fn := range impl {
-		f := fn
-		if err := reg.Register(prog.SymbolKey(GrallocPath, name), func(c *prog.Call) uint64 {
+	keys := prog.ExportKeys(GrallocPath, "", GrallocFunctions)
+	for i, name := range GrallocFunctions {
+		f := impl[name]
+		if err := reg.Register(keys[i], func(c *prog.Call) uint64 {
 			t, ok := c.Ctx.(*kernel.Thread)
 			if !ok {
 				return 0
@@ -98,19 +98,19 @@ func idx(args []uint64, i int) uint64 {
 	return 0
 }
 
-// iosurfaceToGralloc maps each IOSurface entry point to the gralloc HAL
-// call its diplomat invokes — the hand-written interposition of
-// Section 5.3 ("Cider interposes diplomatic functions on key IOSurface API
-// entry points such as IOSurfaceCreate. These diplomats call into
-// Android-specific graphics memory allocation libraries such as
-// libgralloc.").
-var iosurfaceToGralloc = map[string]string{
-	"_IOSurfaceCreate":         "gralloc_alloc",
-	"_IOSurfaceGetBaseAddress": "gralloc_lock",
-	"_IOSurfaceGetWidth":       "gralloc_get_width",
-	"_IOSurfaceGetHeight":      "gralloc_get_height",
-	"_IOSurfaceLock":           "gralloc_lock",
-	"_IOSurfaceUnlock":         "gralloc_unlock",
+// iosurfaceToGralloc names, for each IOSurface entry point in
+// IOSurfaceExports order, the gralloc HAL call its diplomat invokes — the
+// hand-written interposition of Section 5.3 ("Cider interposes diplomatic
+// functions on key IOSurface API entry points such as IOSurfaceCreate.
+// These diplomats call into Android-specific graphics memory allocation
+// libraries such as libgralloc.").
+var iosurfaceToGralloc = []string{
+	"gralloc_alloc",      // _IOSurfaceCreate
+	"gralloc_lock",       // _IOSurfaceGetBaseAddress
+	"gralloc_get_width",  // _IOSurfaceGetWidth
+	"gralloc_get_height", // _IOSurfaceGetHeight
+	"gralloc_lock",       // _IOSurfaceLock
+	"gralloc_unlock",     // _IOSurfaceUnlock
 }
 
 // InstallCiderIOSGraphics builds the foreign-facing half of Cider's
@@ -125,7 +125,8 @@ var iosurfaceToGralloc = map[string]string{
 //  2. It interposes diplomats on the IOSurface entry points, mapping them
 //     to libgralloc.
 //
-// It returns the generated spec list (the audit tool prints it).
+// It returns the generated spec list (the audit tool prints it), shared
+// with every other boot over the same libraries and read-only.
 func InstallCiderIOSGraphics(k *kernel.Kernel, eng *diplomat.Engine, iosFS *vfs.FS, androidFS *vfs.FS, openGLESPath, iosurfacePath string) ([]diplomat.Spec, error) {
 	reg := k.Registry()
 
@@ -138,9 +139,10 @@ func InstallCiderIOSGraphics(k *kernel.Kernel, eng *diplomat.Engine, iosFS *vfs.
 	}
 
 	// IOSurface interposition.
-	for foreignSym, grallocFn := range iosurfaceToGralloc {
-		key := prog.SymbolKey(iosurfacePath, foreignSym)
-		if err := reg.Register(key, eng.Wrap(prog.SymbolKey(GrallocPath, grallocFn))); err != nil {
+	keys := prog.ExportKeys(iosurfacePath, "", IOSurfaceExports)
+	domKeys := prog.ExportKeys(GrallocPath, "", iosurfaceToGralloc)
+	for i, key := range keys {
+		if err := reg.Register(key, eng.Wrap(domKeys[i])); err != nil {
 			return nil, err
 		}
 	}
@@ -151,9 +153,10 @@ func InstallCiderIOSGraphics(k *kernel.Kernel, eng *diplomat.Engine, iosFS *vfs.
 // the same export surface backed directly by the device GPU — no
 // diplomats, no persona switches.
 func InstallNativeIOSGraphics(reg *prog.Registry, gl *GLES, bridge *EAGLBridge, gralloc *Gralloc, openGLESPath, iosurfacePath string) error {
-	for _, name := range GLFunctions {
+	keys := prog.ExportKeys(openGLESPath, "_", GLFunctions)
+	for i, name := range GLFunctions {
 		fname := name
-		if err := reg.Register(prog.SymbolKey(openGLESPath, "_"+fname), func(c *prog.Call) uint64 {
+		if err := reg.Register(keys[i], func(c *prog.Call) uint64 {
 			t, ok := c.Ctx.(*kernel.Thread)
 			if !ok {
 				return 0
@@ -163,9 +166,10 @@ func InstallNativeIOSGraphics(reg *prog.Registry, gl *GLES, bridge *EAGLBridge, 
 			return err
 		}
 	}
-	for _, name := range EGLBridgeFunctions {
+	keys = prog.ExportKeys(openGLESPath, "_", EGLBridgeFunctions)
+	for i, name := range EGLBridgeFunctions {
 		fname := name
-		if err := reg.Register(prog.SymbolKey(openGLESPath, "_"+fname), func(c *prog.Call) uint64 {
+		if err := reg.Register(keys[i], func(c *prog.Call) uint64 {
 			t, ok := c.Ctx.(*kernel.Thread)
 			if !ok {
 				return 0
@@ -175,7 +179,8 @@ func InstallNativeIOSGraphics(reg *prog.Registry, gl *GLES, bridge *EAGLBridge, 
 			return err
 		}
 	}
-	for _, name := range IOSurfaceExports {
+	keys = prog.ExportKeys(iosurfacePath, "", IOSurfaceExports)
+	for i, name := range IOSurfaceExports {
 		fname := strings.TrimPrefix(name, "_")
 		var fn func(t *kernel.Thread, args []uint64) uint64
 		switch fname {
@@ -205,7 +210,7 @@ func InstallNativeIOSGraphics(reg *prog.Registry, gl *GLES, bridge *EAGLBridge, 
 			fn = func(t *kernel.Thread, args []uint64) uint64 { return 0 }
 		}
 		f := fn
-		if err := reg.Register(prog.SymbolKey(iosurfacePath, name), func(c *prog.Call) uint64 {
+		if err := reg.Register(keys[i], func(c *prog.Call) uint64 {
 			t, ok := c.Ctx.(*kernel.Thread)
 			if !ok {
 				return 0
@@ -267,8 +272,9 @@ type fileID struct {
 
 // glDiplomatSpecs runs the diplomat generator over the iOS OpenGL ES
 // framework against libGLESv2.so and libEGLbridge.so, or returns the specs
-// an earlier boot generated from the same bytes. The caller gets its own
-// copy of the list.
+// an earlier boot generated from the same bytes. The list is shared by
+// every boot that finds those bytes (diplomat.Install keys its registry
+// keys on it), so it is read-only.
 func glDiplomatSpecs(iosFS, androidFS *vfs.FS, openGLESPath string) ([]diplomat.Spec, error) {
 	var key [3]fileID
 	var data [3][]byte
@@ -285,7 +291,7 @@ func glDiplomatSpecs(iosFS, androidFS *vfs.FS, openGLESPath string) ([]diplomat.
 		}
 	}
 	if v, ok := glSpecs.Load(key); ok {
-		return slices.Clone(v.([]diplomat.Spec)), nil
+		return v.([]diplomat.Spec), nil
 	}
 	foreign, err := macho.Parse(data[0])
 	if err != nil {
@@ -314,5 +320,5 @@ func glDiplomatSpecs(iosFS, androidFS *vfs.FS, openGLESPath string) ([]diplomat.
 		}
 	}
 	v, _ := glSpecs.LoadOrStore(key, specs)
-	return slices.Clone(v.([]diplomat.Spec)), nil
+	return v.([]diplomat.Spec), nil
 }

@@ -193,11 +193,10 @@ type fsFile struct {
 }
 
 func (f *fsFile) Read(t *Thread, buf []byte) (int, Errno) {
-	data := f.node.Data()
-	if f.pos >= int64(len(data)) {
+	if f.pos >= f.node.Size() {
 		return 0, OK // EOF
 	}
-	n := copy(buf, data[f.pos:])
+	n := f.node.ReadAt(buf, f.pos)
 	f.pos += int64(n)
 	t.charge(f.k.device.Storage.ReadTime(int64(n)))
 	return n, OK

@@ -41,7 +41,7 @@ func (t *Thread) selectInternal(req *SelectRequest) (*SelectResult, Errno) {
 	}
 	for {
 		t.charge(k.costs.SelectBase + time.Duration(nfds)*k.costs.SelectPerFD)
-		res, queues, bad := t.scanSelect(req, true)
+		res, bad := t.scanSelect(req)
 		if bad {
 			return nil, EBADF
 		}
@@ -52,6 +52,7 @@ func (t *Thread) selectInternal(req *SelectRequest) (*SelectResult, Errno) {
 			return res, OK // poll: nothing ready
 		}
 		// Nothing ready: wait on every queue at once.
+		queues := t.selectQueues(req)
 		for _, q := range queues {
 			q.Enqueue(t.proc)
 		}
@@ -82,7 +83,7 @@ func (t *Thread) selectInternal(req *SelectRequest) (*SelectResult, Errno) {
 			// before this fix (benchmark virtual times are bit-identical),
 			// and the racing waker's readiness check rides on the scan cost
 			// already charged this iteration.
-			res, _, bad = t.scanSelect(req, false)
+			res, bad = t.scanSelect(req)
 			if bad {
 				return nil, EBADF
 			}
@@ -92,28 +93,72 @@ func (t *Thread) selectInternal(req *SelectRequest) (*SelectResult, Errno) {
 }
 
 // scanSelect performs one readiness pass over the request's descriptor
-// sets. When collectQueues is set it also gathers the wait queues to
-// block on, asking each file only for the queues matching the interest
-// it was polled with (read-interest must not enqueue on write-side
-// queues, and vice versa). bad reports a dangling descriptor.
-func (t *Thread) scanSelect(req *SelectRequest, collectQueues bool) (res *SelectResult, queues []*sim.WaitQueue, bad bool) {
+// sets; bad reports a dangling descriptor. It counts the ready
+// descriptors first, so the two ready lists share one exactly-sized
+// array, and allocate nothing when none is ready.
+func (t *Thread) scanSelect(req *SelectRequest) (res *SelectResult, bad bool) {
+	nr, bad := t.countReady(req.ReadFDs, PollIn)
+	if bad {
+		return nil, true
+	}
+	nw, bad := t.countReady(req.WriteFDs, PollOut)
+	if bad {
+		return nil, true
+	}
 	res = &SelectResult{}
-	scan := func(fds []int, want PollMask, out *[]int) {
-		for _, fd := range fds {
-			f, errno := t.task.fds.Get(fd)
-			if errno != OK {
-				bad = true
-				return
-			}
-			if f.Poll()&(want|PollHup) != 0 {
-				*out = append(*out, fd)
-			}
-			if collectQueues {
-				queues = append(queues, f.PollQueues(want)...)
-			}
+	if nr+nw == 0 {
+		return res, false
+	}
+	ready := t.appendReady(make([]int, 0, nr+nw), req.ReadFDs, PollIn)
+	ready = t.appendReady(ready, req.WriteFDs, PollOut)
+	if nr > 0 {
+		res.ReadReady = ready[:nr:nr]
+	}
+	if nw > 0 {
+		res.WriteReady = ready[nr:]
+	}
+	return res, false
+}
+
+// countReady counts the descriptors in fds polling ready for want (or
+// hung up); bad reports one that is not open.
+func (t *Thread) countReady(fds []int, want PollMask) (n int, bad bool) {
+	for _, fd := range fds {
+		f, errno := t.task.fds.Get(fd)
+		if errno != OK {
+			return 0, true
+		}
+		if f.Poll()&(want|PollHup) != 0 {
+			n++
 		}
 	}
-	scan(req.ReadFDs, PollIn, &res.ReadReady)
-	scan(req.WriteFDs, PollOut, &res.WriteReady)
-	return res, queues, bad
+	return n, false
+}
+
+// appendReady appends the descriptors in fds polling ready for want (or
+// hung up) to ready; countReady has found every one of them open.
+func (t *Thread) appendReady(ready, fds []int, want PollMask) []int {
+	for _, fd := range fds {
+		if f, _ := t.task.fds.Get(fd); f.Poll()&(want|PollHup) != 0 {
+			ready = append(ready, fd)
+		}
+	}
+	return ready
+}
+
+// selectQueues gathers the wait queues a select with nothing ready blocks
+// on, asking each file only for the queues matching the interest it was
+// polled with (read-interest must not enqueue on write-side queues, and
+// vice versa). The scan before it found every descriptor open.
+func (t *Thread) selectQueues(req *SelectRequest) []*sim.WaitQueue {
+	var queues []*sim.WaitQueue
+	for _, fd := range req.ReadFDs {
+		f, _ := t.task.fds.Get(fd)
+		queues = append(queues, f.PollQueues(PollIn)...)
+	}
+	for _, fd := range req.WriteFDs {
+		f, _ := t.task.fds.Get(fd)
+		queues = append(queues, f.PollQueues(PollOut)...)
+	}
+	return queues
 }

@@ -2,6 +2,9 @@ package kernel
 
 import (
 	"fmt"
+	"maps"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/fault"
@@ -100,6 +103,9 @@ type SyscallTable struct {
 	// (983045) and the negative Mach traps, which live in the fallback map.
 	dense    []syscallEntry
 	outliers map[int]syscallEntry
+	// shared marks dense and outliers as another table's: tb is a View
+	// and copies both before its first Register (see own).
+	shared bool
 }
 
 // syscallEntry is one registered handler and its name.
@@ -140,8 +146,36 @@ func NewSyscallTable(name string, defs ...SyscallDef) *SyscallTable {
 
 func isDense(num int) bool { return num >= 0 && num < maxDense }
 
-// Register installs a handler for a syscall number.
+// View returns a table that dispatches through tb's handler arrays
+// without owning them: a Register on the view copies them first, so tb
+// and every other view of it never see the change. Dispatch through a
+// view costs what it costs through tb. Every kernel of one shape
+// installs a view of the same table (see InstallLinuxTable).
+func (tb *SyscallTable) View() *SyscallTable {
+	v := *tb
+	v.shared = true
+	return &v
+}
+
+// Shared reports whether tb is a View that has not registered since, so
+// its handlers are still exactly those of the table it views.
+func (tb *SyscallTable) Shared() bool { return tb.shared }
+
+// own gives tb handler arrays of its own before a registration changes
+// them.
+func (tb *SyscallTable) own() {
+	if !tb.shared {
+		return
+	}
+	tb.dense = slices.Clone(tb.dense)
+	tb.outliers = maps.Clone(tb.outliers)
+	tb.shared = false
+}
+
+// Register installs a handler for a syscall number. On a View it first
+// copies the handler arrays, so the table viewed is never mutated.
 func (tb *SyscallTable) Register(num int, name string, h SyscallHandler) {
+	tb.own()
 	e := syscallEntry{h: h, name: name}
 	if !isDense(num) {
 		if tb.outliers == nil {
@@ -341,9 +375,30 @@ func (t *Thread) releaseArgs(slot *SyscallArgs, copied bool) {
 	t.sysArgs.pop()
 }
 
-// InstallLinuxTable builds and installs the native Linux syscall table for
-// the Android persona. Vanilla kernels install only this table.
+// linuxTables holds the process's two Linux tables, built on first use:
+// index 1 carries set_persona (a persona-aware kernel), index 0 does not.
+// The handlers reach their kernel through the calling thread, never
+// through the table, so one table serves every kernel of its shape.
+var linuxTables = [2]func() *SyscallTable{
+	sync.OnceValue(func() *SyscallTable { return linuxTable(false) }),
+	sync.OnceValue(func() *SyscallTable { return linuxTable(true) }),
+}
+
+// InstallLinuxTable installs the native Linux syscall table for the
+// Android persona, a View of the process's table for the kernel's
+// persona awareness. Vanilla kernels install only this table.
 func (k *Kernel) InstallLinuxTable() *SyscallTable {
+	shape := 0
+	if k.PersonaAware() {
+		shape = 1
+	}
+	tb := linuxTables[shape]().View()
+	k.SetSyscallTable(persona.Android, tb)
+	return tb
+}
+
+// linuxTable builds a Linux syscall table, with set_persona when aware.
+func linuxTable(aware bool) *SyscallTable {
 	tb := NewSyscallTable("linux", []SyscallDef{
 		{SysExit, "exit", func(t *Thread, a *SyscallArgs) SyscallRet {
 			t.exitTask(int(a.I[0]))
@@ -454,10 +509,9 @@ func (k *Kernel) InstallLinuxTable() *SyscallTable {
 			return SyscallRet{Errno: t.setrlimitInternal(int(a.I[0]), RLimit{Cur: a.I[1], Max: a.I[2]})}
 		}},
 	}...)
-	if k.PersonaAware() {
+	if aware {
 		tb.Register(SysSetPersona, "set_persona", sysSetPersona)
 	}
-	k.SetSyscallTable(persona.Android, tb)
 	return tb
 }
 
@@ -523,7 +577,7 @@ func (t *Thread) creatInternal(path string) (int, Errno) {
 		if n2.IsDir() {
 			return -1, EISDIR
 		}
-		n2.SetData(nil) // truncate
+		n2.Truncate()
 		return t.task.fds.Alloc(&fsFile{node: n2, k: k})
 	}
 	return t.task.fds.Alloc(&fsFile{node: node, k: k})

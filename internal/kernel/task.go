@@ -159,14 +159,16 @@ func (t *Thread) Compute(d time.Duration) { t.charge(d) }
 // Now returns the thread's virtual clock.
 func (t *Thread) Now() time.Duration { return t.proc.Now() }
 
-// newTask allocates a process shell (no threads yet).
-func (k *Kernel) newTask(parent *Task) *Task {
+// newTask allocates a process shell (no threads yet) over the address
+// space given: a fresh one for a new process, the parent's copy for a
+// fork.
+func (k *Kernel) newTask(parent *Task, space *mem.AddressSpace) *Task {
 	tk := &Task{
 		pid:         k.nextPID,
 		parent:      parent,
 		k:           k,
 		children:    make(map[int]*Task),
-		mem:         mem.NewAddressSpace(),
+		mem:         space,
 		fds:         NewFDTable(),
 		threads:     make(map[int]*Thread),
 		childEvents: sim.NewWaitQueue("wait4"),
@@ -177,6 +179,7 @@ func (k *Kernel) newTask(parent *Task) *Task {
 	// Route mapping requests through the fault + rlimit hook and footprint
 	// changes into memorystatus (fault state is read dynamically, so
 	// enabling faults after boot still covers existing tasks' children).
+	// A forked space carries the parent's hooks; binding replaces them.
 	k.bindMemHooks(tk)
 	tk.fds.onLimit = k.countRlimitHit
 	k.nextPID++
@@ -206,7 +209,7 @@ func (tk *Task) newThread(initial persona.Kind) *Thread {
 // semantics, used for init-style process creation and tests. The returned
 // task is scheduled but has not run yet.
 func (k *Kernel) StartProcess(path string, argv []string) (*Task, error) {
-	tk := k.newTask(nil)
+	tk := k.newTask(nil, mem.NewAddressSpace())
 	tk.path = path
 	tk.argv = argv
 	t := tk.newThread(k.NativePersona())
@@ -246,20 +249,17 @@ func (t *Thread) forkInternal(childFn func(*Thread)) (int, Errno) {
 	k, tk := t.k, t.task
 	costs := k.costs
 
-	child := k.newTask(tk)
+	// Duplicate the page tables; this is the dominant fork cost for iOS
+	// processes (90 MB of dylib mappings ≈ 23k PTEs ≈ 1 ms, §6.2). The
+	// child task is built over the copy, and newTask re-binds its hooks so
+	// rlimit checks and footprint attribution target the child. The copied
+	// footprint needs no explicit adoption — memorystatus reads usage from
+	// the spaces on demand. The resource limits themselves are inherited,
+	// POSIX fork semantics.
+	childMem, ptes := tk.mem.Fork()
+	child := k.newTask(tk, childMem)
 	child.path = tk.path
 	child.argv = tk.argv
-
-	// Duplicate the page tables; this is the dominant fork cost for iOS
-	// processes (90 MB of dylib mappings ≈ 23k PTEs ≈ 1 ms, §6.2).
-	childMem, ptes := tk.mem.Fork()
-	child.mem = childMem
-	// Fork replaced the shell address space newTask created, and the clone
-	// carries the parent's hooks: re-bind so rlimit checks and footprint
-	// attribution target the child. The copied footprint needs no explicit
-	// adoption — memorystatus reads usage from the spaces on demand. The
-	// resource limits themselves are inherited, POSIX fork semantics.
-	k.bindMemHooks(child)
 	child.rlimits = tk.rlimits
 	t.charge(costs.ForkBase + time.Duration(ptes)*costs.PTECopy)
 

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Call carries the arguments of one simulated native call. The caller
@@ -124,6 +125,47 @@ func ParseTextPayload(b []byte) (string, error) {
 // loader bind "<install-name>#<symbol>" when resolving imports.
 func SymbolKey(image, symbol string) string {
 	return image + "#" + symbol
+}
+
+// exportKeys holds ExportKeys' lists, one per (image, prefix, list).
+var exportKeys struct {
+	sync.Mutex
+	m map[exportList][]string
+}
+
+// exportList identifies a static symbol list by its backing array and
+// length, and the image and symbol prefix its keys are built for.
+type exportList struct {
+	image, prefix string
+	p             *string
+	n             int
+}
+
+// ExportKeys returns SymbolKey(image, prefix+s) for every s in symbols,
+// in order. The keys of one (image, prefix, list) are built once per
+// process and shared: the export lists are static package tables that
+// every boot registers again. The list is known by its backing array, so
+// symbols must never change once passed here, and the result is
+// read-only.
+func ExportKeys(image, prefix string, symbols []string) []string {
+	if len(symbols) == 0 {
+		return nil
+	}
+	id := exportList{image: image, prefix: prefix, p: &symbols[0], n: len(symbols)}
+	exportKeys.Lock()
+	defer exportKeys.Unlock()
+	keys, ok := exportKeys.m[id]
+	if !ok {
+		keys = make([]string, len(symbols))
+		for i, s := range symbols {
+			keys[i] = SymbolKey(image, prefix+s)
+		}
+		if exportKeys.m == nil {
+			exportKeys.m = make(map[exportList][]string)
+		}
+		exportKeys.m[id] = keys
+	}
+	return keys
 }
 
 // SplitSymbolKey inverts SymbolKey.

@@ -180,5 +180,5 @@ func (o *Overlay) ReadFile(p string) ([]byte, error) {
 	if n.IsDir() {
 		return nil, &ErrIsDir{Path: Clean(p)}
 	}
-	return append([]byte(nil), n.Data()...), nil
+	return append([]byte(nil), n.data...), nil
 }

@@ -108,15 +108,35 @@ type Node struct {
 	// than overwrite the next directory's entries.
 	children []*Node
 	data     []byte
-	// shared marks data as copy-on-write: the slice is owned by a frozen
-	// template tree (see FS.Freeze/Clone) or by a WriteFileShared caller
-	// and must be replaced, never written in place.
-	shared bool
+	// store says who else may hold data's array (see storeState).
+	store  storeState
 	target string // symlink target
 	dev    Device
 	// mount, when non-nil, redirects traversal into another filesystem.
 	mount FileSystem
 }
+
+// storeState is what a file's data array may be written through. Past
+// its length, an array's spare capacity always reads as zeros: an append
+// or sparse write extends into it without clearing, so a truncation that
+// keeps an array clears it first.
+type storeState uint8
+
+const (
+	// storeOwned: the node alone holds the array, so writes land in place
+	// and Truncate clears it and keeps it.
+	storeOwned storeState = iota
+	// storeShared: the array belongs to a frozen template tree (see
+	// FS.Freeze/Clone) or to a WriteFileShared caller. The node copies it
+	// before its first write and drops it on Truncate.
+	storeShared
+	// storeHandedOut: Data returned the array, and its holder may keep it
+	// and key on its identity (dyld's link plans, macho.ParseShared). The
+	// bytes handed out are never rewritten: a write below the length
+	// copies first, Truncate drops the array, and only an append past the
+	// length may land in place, where no holder's slice reaches.
+	storeHandedOut
+)
 
 // Name returns the node's name within its directory.
 func (n *Node) Name() string { return n.name }
@@ -131,22 +151,53 @@ func (n *Node) IsDir() bool { return n.kind == KindDir }
 func (n *Node) Size() int64 { return int64(len(n.data)) }
 
 // Data returns the file contents. The slice is the live store, clipped to
-// its length so appending to it cannot reach the file's spare capacity;
-// callers that mutate must go through SetData/WriteData.
-func (n *Node) Data() []byte { return n.data[:len(n.data):len(n.data)] }
+// its length so appending to it cannot reach the file's spare capacity,
+// and the file never rewrites the bytes it hands out (see storeHandedOut);
+// callers that mutate must go through SetData/WriteData. A caller that
+// only copies the bytes out reads through ReadAt.
+func (n *Node) Data() []byte {
+	if n.store == storeOwned && len(n.data) > 0 {
+		n.store = storeHandedOut
+	}
+	return n.data[:len(n.data):len(n.data)]
+}
+
+// ReadAt copies the file's bytes from offset off into buf and returns how
+// many it copied, 0 at or past the end. Unlike Data it hands nothing out,
+// so the file may still reuse its store in place.
+func (n *Node) ReadAt(buf []byte, off int64) int {
+	if off >= int64(len(n.data)) {
+		return 0
+	}
+	return copy(buf, n.data[off:])
+}
 
 // SetData replaces the file contents. The file takes ownership of b's
 // bytes up to len(b) only: a later append reallocates rather than write
 // into capacity the caller may still use.
 func (n *Node) SetData(b []byte) {
 	n.data = b[:len(b):len(b)]
-	n.shared = false
+	n.store = storeOwned
+}
+
+// Truncate empties the file. An owned store is cleared and kept, capacity
+// and all, so rewriting the file reuses it; a shared or handed-out store
+// is dropped, since its other holders keep their bytes.
+func (n *Node) Truncate() {
+	if n.store != storeOwned {
+		n.data = nil
+		n.store = storeOwned
+		return
+	}
+	clear(n.data)
+	n.data = n.data[:0]
 }
 
 // WriteData writes b at offset off, growing the file as needed, and returns
 // the new size. Shared (template-owned) contents are copied before the
-// first write, so writes through a cloned tree never reach the template.
-// An owned file doubles its capacity when it outgrows it, so a run of
+// first write, so writes through a cloned tree never reach the template,
+// and handed-out contents before a write that would rewrite them. An
+// owned file doubles its capacity when it outgrows it, so a run of
 // appends copies the file a logarithmic number of times, not once per
 // write; appends land past the old length, so a slice taken from Data()
 // earlier keeps its bytes.
@@ -154,20 +205,21 @@ func (n *Node) WriteData(off int64, b []byte) int64 {
 	need := off + int64(len(b))
 	old := int64(len(n.data))
 	switch {
-	case n.shared:
+	case n.store == storeShared || (n.store == storeHandedOut && off < old):
 		nd := make([]byte, max(need, old))
 		copy(nd, n.data)
 		n.data = nd
-		n.shared = false
+		n.store = storeOwned
 	case need > int64(cap(n.data)):
 		// Double: append's ~1.25× growth for large arrays would still
 		// copy a file built from fixed-size chunks several times over.
 		nd := make([]byte, need, max(need, 2*int64(cap(n.data))))
 		copy(nd, n.data)
 		n.data = nd
+		n.store = storeOwned
 	case need > old:
-		// The store never shrinks in place, so its spare capacity is
-		// still zero: a sparse write's gap reads as zeros.
+		// Spare capacity reads as zeros (see storeState), so a sparse
+		// write's gap does too.
 		n.data = n.data[:need]
 	}
 	copy(n.data[off:], b)
@@ -631,7 +683,10 @@ func (fs *FS) WriteFileShared(p string, data []byte) error {
 		return err
 	}
 	n.data = data
-	n.shared = data != nil
+	n.store = storeOwned
+	if data != nil {
+		n.store = storeShared
+	}
 	return nil
 }
 
@@ -665,7 +720,7 @@ func (fs *FS) Freeze() {
 
 func (n *Node) freeze() {
 	if n.data != nil {
-		n.shared = true
+		n.store = storeShared
 	}
 	for _, c := range n.children {
 		c.freeze()
@@ -712,7 +767,7 @@ func (c *cloner) copy(src *Node) *Node {
 		// was never frozen: writes through the clone must not reach the
 		// source. (Writes through an unfrozen source remain visible to
 		// clones — Freeze first.)
-		dst.shared = true
+		dst.store = storeShared
 	}
 	if k := len(src.children); k > 0 {
 		// Clip the capacity: an insert into this directory must
@@ -736,5 +791,5 @@ func (fs *FS) ReadFile(p string) ([]byte, error) {
 	if n.IsDir() {
 		return nil, &ErrIsDir{Path: Clean(p)}
 	}
-	return append([]byte(nil), n.Data()...), nil
+	return append([]byte(nil), n.data...), nil
 }
