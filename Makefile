@@ -41,12 +41,15 @@ race:
 # configuration (one-slab filesystem clone, views of the process's shared
 # syscall tables, export keys built once) under fixed bounds, a select
 # over N ready descriptors at a count independent of N, and a
-# creat-truncate-write of an unpinned 10 KB file with no new store. The
-# test files are left out of -race builds, whose runtime allocates on its
-# own account, so verify runs them here, without the race detector.
+# creat-truncate-write of an unpinned 10 KB file with no new store, and a
+# second Dalvik Run of each PassMark method at zero allocations (reused
+# frames and array backings, decoded form built once). The test files are
+# left out of -race builds, whose runtime allocates on its own account, so
+# verify runs them here, without the race detector.
 switch-allocs:
 	$(GO) test -count=1 -run '^(TestSwitchRoundAllocs|TestSpawnAllocs)$$' -v ./internal/sim
 	$(GO) test -count=1 -run '^(TestExecIOSAllocs|TestForkIOSAllocs|TestBootAllocs|TestSyscallArgsAllocs|TestDiplomatHopAllocs|TestMachRoundTripAllocs|TestSelectReadyAllocs|TestCreatTruncateWriteAllocs)$$' -v ./internal/core
+	$(GO) test -count=1 -run '^TestVMRunAllocs$$' -v ./internal/passmark
 
 # bench runs the host-time benchmark (hostbench/, declared in
 # BENCHMARK.json) on every workload and prints each run's end-to-end

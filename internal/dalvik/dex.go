@@ -80,8 +80,13 @@ type Method struct {
 	Name string
 	// Registers is the frame size.
 	Registers int
-	// Code is the instruction stream.
+	// Code is the instruction stream. The VM runs a decoded form of it,
+	// so Code must not be modified in place once the method has been
+	// assembled, parsed or run: assign a new slice instead.
 	Code []uint32
+
+	// dec is the decoded form verify builds (see VM.decoded).
+	dec *decoded
 }
 
 // File is a parsed or under-construction dex container.
@@ -92,8 +97,8 @@ type File struct {
 
 // MethodIndex returns the index of the named method.
 func (f *File) MethodIndex(name string) (int, bool) {
-	for i, m := range f.Methods {
-		if m.Name == name {
+	for i := range f.Methods {
+		if f.Methods[i].Name == name {
 			return i, true
 		}
 	}
@@ -217,14 +222,26 @@ var shapes = [numOps]uint8{
 	OpReturn: useB1,
 }
 
-// verify is the bytecode verifier: it checks that m's code cannot leave
+// verify checks m (see check) and keeps its decoded form in m. Parse and
+// Assemble call it before a method is shared.
+func (m *Method) verify() error {
+	d, err := m.check()
+	if err != nil {
+		return err
+	}
+	m.dec = d
+	return nil
+}
+
+// check is the bytecode verifier: it checks that m's code cannot leave
 // its frame or its code. Every register operand is below Registers, every
 // extension word lies inside the code, every branch lands on the start of
 // an instruction (or just past the last, which returns 0), and every
 // call's argument window fits the frame. Parse and Assemble verify every
-// method, so the interpreter loop relies on these facts instead of
-// checking them per instruction.
-func (m *Method) verify() error {
+// method and the VM checks any other before it runs it, so the
+// interpreter loop relies on these facts instead of checking them per
+// instruction. A method that passes gets its decoded form.
+func (m *Method) check() (*decoded, error) {
 	code := m.Code
 	start := make([]bool, len(code)+1)
 	start[len(code)] = true
@@ -240,7 +257,7 @@ func (m *Method) verify() error {
 		for i, bit := range [3]uint8{useB1, useB2, useB3} {
 			if shape&bit != 0 {
 				if r := int(uint8(w >> (8 * (i + 1)))); r >= m.Registers {
-					return fmt.Errorf("dalvik: register v%d out of frame (%d) at %d in %s", r, m.Registers, pc, m.Name)
+					return nil, fmt.Errorf("dalvik: register v%d out of frame (%d) at %d in %s", r, m.Registers, pc, m.Name)
 				}
 			}
 		}
@@ -248,7 +265,7 @@ func (m *Method) verify() error {
 			continue
 		}
 		if pc+1 >= len(code) {
-			return fmt.Errorf("dalvik: truncated instruction at %d in %s", pc, m.Name)
+			return nil, fmt.Errorf("dalvik: truncated instruction at %d in %s", pc, m.Name)
 		}
 		pc++
 		if shape&extTarget != 0 {
@@ -256,16 +273,22 @@ func (m *Method) verify() error {
 		}
 		if shape&extArgs != 0 {
 			if first, n := int(uint8(w>>24)), code[pc]; uint64(first)+uint64(n) > uint64(m.Registers) {
-				return fmt.Errorf("dalvik: %d arguments from v%d overrun the frame (%d) at %d in %s", n, first, m.Registers, pc-1, m.Name)
+				return nil, fmt.Errorf("dalvik: %d arguments from v%d overrun the frame (%d) at %d in %s", n, first, m.Registers, pc-1, m.Name)
 			}
 		}
 	}
 	for _, pc := range branches {
 		if t := int(int32(code[pc])); t < 0 || t > len(code) || !start[t] {
-			return fmt.Errorf("dalvik: bad branch target %d at %d in %s", t, pc-1, m.Name)
+			return nil, fmt.Errorf("dalvik: bad branch target %d at %d in %s", t, pc-1, m.Name)
 		}
 	}
-	return nil
+	return decode(code, m.Registers), nil
+}
+
+// fits reports whether d was decoded from m's current Code and Registers.
+func (d *decoded) fits(m *Method) bool {
+	return d != nil && d.regs == m.Registers && len(d.code) == len(m.Code) &&
+		(len(m.Code) == 0 || &d.code[0] == &m.Code[0])
 }
 
 // ins packs an instruction word.

@@ -2,6 +2,7 @@ package passmark
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -39,12 +40,17 @@ type ctx struct {
 	pending time.Duration
 }
 
+// appDex returns the process's one copy of the app's dex, assembled
+// (and so verified and decoded) on first use. Every Android run's VM
+// reads it and none writes it.
+var appDex = sync.OnceValues(AppDex)
+
 func newCtx(t *kernel.Thread, sys *core.System, kind persona.Kind) (*ctx, error) {
 	c := &ctx{t: t, sys: sys, kind: kind, lc: posix.New(kind, t)}
 	if kind == persona.Android {
 		c.toolchain = hw.GCC441()
 		c.vm = dalvik.NewVM(sys.Kernel.Device().CPU)
-		dex, err := buildAppDex()
+		dex, err := appDex()
 		if err != nil {
 			return nil, err
 		}

@@ -2,11 +2,12 @@ package passmark
 
 import "repro/internal/dalvik"
 
-// buildAppDex assembles the Android PassMark app's bytecode: the CPU and
+// AppDex assembles the Android PassMark app's bytecode: the CPU and
 // memory workloads as genuine DEX methods the Dalvik VM interprets. The
 // method bodies are the same algorithms the native iOS build runs
-// (native.go); equivalence is asserted by tests via their checksums.
-func buildAppDex() (*dalvik.File, error) {
+// (native.go); equivalence is asserted by tests via their checksums. Each
+// call builds a new File.
+func AppDex() (*dalvik.File, error) {
 	methods := []func() (dalvik.Method, error){
 		dexInteger, dexFloating, dexPrimes, dexStringSort,
 		dexEncrypt, dexCompress, dexMemWrite, dexMemRead,
