@@ -3,7 +3,8 @@
 // side on the same (simulated) Nexus 7 — the iOS app launched from the
 // Android Launcher through CiderPress, receiving multi-touch input through
 // the eventpump, rendering via diplomatic OpenGL ES, and talking to the
-// copied iOS service daemons over duct-taped Mach IPC.
+// copied iOS service daemons over duct-taped Mach IPC. Its subcommands
+// regenerate the paper's figures and drive the repository's gates.
 //
 // Usage:
 //
@@ -55,6 +56,20 @@
 //	                       --explore N re-runs every persona pair under N
 //	                       perturbed schedules and writes a minimized
 //	                       replay artifact per residual divergence
+//	cider fig5 [-group basic|syscall|proc|comm] [-jobs N]
+//	cider fig6 [-group cpu|storage|memory|2d|3d] [-jobs N]
+//	                       regenerate Figure 5 (lmbench latencies) or 6
+//	                       (PassMark throughput) on all four
+//	                       configurations, normalized to vanilla Android;
+//	                       the same bytes for every N host workers
+//	cider macho [-sample] <file>
+//	                       inspect a Mach-O image, or write a sample one
+//	cider ipa build|decrypt|info [-name App] [-bundle ID] [-key SEED] <file>...
+//	                       build, decrypt or inspect an encrypted .ipa
+//	cider ducttape         print the duct tape link reports (Section 4.2)
+//
+// Exit status: 0 on success, 2 on a malformed command line, 1 on any
+// other failure.
 package main
 
 import (
@@ -62,6 +77,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sort"
@@ -74,6 +90,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/libsystem"
 	"repro/internal/lmbench"
+	"repro/internal/passmark"
 	"repro/internal/prog"
 	"repro/internal/replay"
 	"repro/internal/runner"
@@ -85,104 +102,121 @@ import (
 )
 
 func main() {
-	var err error
-	args := os.Args[1:]
-	switch {
-	case len(args) > 0 && args[0] == "stats":
-		fs := flag.NewFlagSet("stats", flag.ExitOnError)
-		asJSON := fs.Bool("json", false, "emit one JSON document instead of text")
-		jobs := fs.Int("jobs", 0, "max parallel host workers (<=0: GOMAXPROCS)")
-		if err := fs.Parse(args[1:]); err != nil {
-			os.Exit(2)
-		}
-		err = runStats(*asJSON, *jobs)
-	case len(args) > 0 && args[0] == "soak":
-		fs := flag.NewFlagSet("soak", flag.ExitOnError)
-		jobs := fs.Int("jobs", 0, "max parallel host workers (<=0: GOMAXPROCS)")
-		quick := fs.Bool("quick", false, "reduced lmbench battery (the verify smoke)")
-		full := fs.Bool("full", false, "also run the Fig. 6 PassMark battery")
-		schedule := fs.String("schedule", "", "comma-separated schedule names to run (default: whole matrix)")
-		verify := fs.Bool("verify", false, "run each schedule at jobs=1 and jobs=N and compare digests")
-		explore := fs.Int("explore", 0, "run N seeded schedule perturbations per schedule (DPOR-lite)")
-		artifactDir := fs.String("artifact-dir", "", "directory for failure replay artifacts (default: temp dir)")
-		if err := fs.Parse(args[1:]); err != nil {
-			os.Exit(2)
-		}
-		base := runtime.NumGoroutine()
-		err = runSoak(*jobs, *quick, *full, *schedule, *verify, *explore, *artifactDir)
-		if err == nil {
-			// Every cell closes its System after the audit; a goroutine
-			// still running now is a simulated process nobody released,
-			// holding its whole System in memory.
-			if gerr := runner.AwaitGoroutines(base, 5*time.Second); gerr != nil {
-				err = fmt.Errorf("soak: %w", gerr)
-			}
-		}
-	case len(args) > 0 && args[0] == "replay":
-		fs := flag.NewFlagSet("replay", flag.ExitOnError)
-		if err := fs.Parse(args[1:]); err != nil {
-			os.Exit(2)
-		}
-		if fs.NArg() != 1 {
-			err = fmt.Errorf("replay: usage: cider replay <artifact.json>")
-		} else {
-			err = runReplay(fs.Arg(0))
-		}
-	case len(args) > 0 && args[0] == "crashes":
-		err = runCrashes()
-	case len(args) > 0 && args[0] == "diffcheck":
-		fs := flag.NewFlagSet("diffcheck", flag.ExitOnError)
-		seeds := fs.Int("seeds", 200, "number of seeded programs to run")
-		jobs := fs.Int("jobs", 0, "max parallel host workers (<=0: GOMAXPROCS)")
-		corpus := fs.String("corpus", "", "directory to write diverging programs to")
-		noMin := fs.Bool("no-minimize", false, "skip delta-debug minimization of divergences")
-		suggest := fs.Bool("update-allowlist", false, "print suggested allowlist entries for residual divergences")
-		explore := fs.Int("explore", 0, "run N perturbed schedules per persona pair (DPOR-lite)")
-		artifactDir := fs.String("artifact-dir", "", "directory for replay artifacts (default: OS temp dir)")
-		if err := fs.Parse(args[1:]); err != nil {
-			os.Exit(2)
-		}
-		if *explore > 0 {
-			err = runExplore(*explore, *jobs, *artifactDir, diffcheck.Suite(*seeds))
-		} else {
-			err = runDiffcheck(*seeds, *jobs, *corpus, !*noMin, *suggest, *artifactDir)
-		}
-	default:
-		err = runDemo(hasFlag(args, "--trace"))
-	}
-	if err != nil {
+	err := run(os.Args[1:], os.Stdout)
+	if err != nil && !errors.Is(err, errFlags) {
 		fmt.Fprintf(os.Stderr, "cider: %v\n", err)
-		os.Exit(1)
 	}
+	os.Exit(exitCode(err))
 }
 
-func hasFlag(args []string, flag string) bool {
-	for _, a := range args {
-		if a == flag {
-			return true
+// errUsage marks a malformed command line; errFlags one the flag package
+// has already reported on stderr, with the subcommand's usage.
+var (
+	errUsage = errors.New("usage")
+	errFlags = fmt.Errorf("%w: flags", errUsage)
+)
+
+// exitCode maps run's error to the process status: 0 on success, 2 on a
+// malformed command line (a help request included), 1 otherwise.
+func exitCode(err error) int {
+	switch {
+	case err == nil:
+		return 0
+	case errors.Is(err, errUsage):
+		return 2
+	}
+	return 1
+}
+
+// commands are cider's subcommands, in usage order. With no arguments,
+// or a flag first, cider runs the demo.
+var commands = []struct {
+	name string
+	run  func(args []string, stdout io.Writer) error
+}{
+	{"stats", runStats},
+	{"soak", runSoak},
+	{"replay", runReplay},
+	{"crashes", runCrashes},
+	{"diffcheck", runDiffcheck},
+	{"fig5", runFig5},
+	{"fig6", runFig6},
+	{"macho", runMacho},
+	{"ipa", runIPA},
+	{"ducttape", runDucttape},
+}
+
+// run dispatches one command line and writes its report to stdout.
+func run(args []string, stdout io.Writer) error {
+	if len(args) == 0 || strings.HasPrefix(args[0], "-") {
+		return runDemo(args, stdout)
+	}
+	names := make([]string, len(commands))
+	for i, c := range commands {
+		if c.name == args[0] {
+			return c.run(args[1:], stdout)
 		}
+		names[i] = c.name
 	}
-	return false
+	return fmt.Errorf("%w: unknown command %q; commands: %s (none: the demo)",
+		errUsage, args[0], strings.Join(names, ", "))
 }
 
-func runDemo(traced bool) error {
-	fmt.Println("== booting Cider on a simulated Nexus 7 (Android 4.2) ==")
+// newFlags returns a subcommand's flag set: a parse error or a help
+// request comes back from parse instead of exiting.
+func newFlags(name string) *flag.FlagSet {
+	return flag.NewFlagSet(name, flag.ContinueOnError)
+}
+
+// parse parses args into fs; a bad flag or a help request is a usage
+// error.
+func parse(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errFlags, err)
+	}
+	return nil
+}
+
+// jobsFlag defines the -jobs flag every battery-running subcommand takes.
+func jobsFlag(fs *flag.FlagSet) *int {
+	return fs.Int("jobs", 0, "max parallel host workers (<=0: GOMAXPROCS)")
+}
+
+// runToEnd runs sys to completion. On deadlock the error carries the
+// wait-graph snapshot: which procs were parked, on what, and at which
+// virtual time.
+func runToEnd(sys *core.System) error {
+	err := sys.Run()
+	var dl *sim.ErrDeadlock
+	if errors.As(err, &dl) {
+		return fmt.Errorf("%w\n%s", err, strings.TrimSuffix(dl.Report(), "\n"))
+	}
+	return err
+}
+
+func runDemo(args []string, stdout io.Writer) error {
+	fs := newFlags("cider")
+	traced := fs.Bool("trace", false, "attach a ktrace session and dump it after the run")
+	if err := parse(fs, args); err != nil {
+		return err
+	}
+	fmt.Fprintln(stdout, "== booting Cider on a simulated Nexus 7 (Android 4.2) ==")
 	sys, err := core.NewSystem(core.ConfigCider)
 	if err != nil {
 		return err
 	}
 	defer sys.Close()
-	if traced {
+	if *traced {
 		sys.EnableTrace()
 	}
-	fmt.Printf("  kernel: %s  device: %s\n", sys.Kernel.Profile(), sys.Kernel.Device().Name)
-	fmt.Printf("  iOS base image: %d dylibs\n", len(core.IOSDylibs()))
-	fmt.Printf("  GL diplomats generated: %d\n", len(sys.GLSpecs))
+	fmt.Fprintf(stdout, "  kernel: %s  device: %s\n", sys.Kernel.Profile(), sys.Kernel.Device().Name)
+	fmt.Fprintf(stdout, "  iOS base image: %d dylibs\n", len(core.IOSDylibs()))
+	fmt.Fprintf(stdout, "  GL diplomats generated: %d\n", len(sys.GLSpecs))
 
 	if _, err := sys.BootServices(); err != nil {
 		return err
 	}
-	fmt.Println("  launchd started (spawns configd, notifyd, syslogd)")
+	fmt.Fprintln(stdout, "  launchd started (spawns configd, notifyd, syslogd)")
 
 	// An ordinary Android app runs alongside.
 	var androidRan bool
@@ -250,36 +284,30 @@ func runDemo(traced bool) error {
 		return err
 	}
 
-	if err := sys.Run(); err != nil {
-		// On deadlock, dump the wait-graph snapshot: which procs were
-		// parked, on what, and at which virtual time.
-		var dl *sim.ErrDeadlock
-		if errors.As(err, &dl) {
-			fmt.Fprint(os.Stderr, dl.Report())
-		}
+	if err := runToEnd(sys); err != nil {
 		return err
 	}
 
-	fmt.Println("\n== session ==")
-	fmt.Printf("  android app ran alongside:  %v\n", androidRan)
-	fmt.Printf("  taps delivered to iOS app:  %d\n", taps)
-	fmt.Printf("  frames presented:           %d\n", frames)
-	fmt.Printf("  diplomatic calls:           %d\n", sys.Diplomat.Calls())
+	fmt.Fprintln(stdout, "\n== session ==")
+	fmt.Fprintf(stdout, "  android app ran alongside:  %v\n", androidRan)
+	fmt.Fprintf(stdout, "  taps delivered to iOS app:  %d\n", taps)
+	fmt.Fprintf(stdout, "  frames presented:           %d\n", frames)
+	fmt.Fprintf(stdout, "  diplomatic calls:           %d\n", sys.Diplomat.Calls())
 	sent, recvd := sys.IPC.Stats()
-	fmt.Printf("  mach messages sent/recvd:   %d/%d\n", sent, recvd)
-	fmt.Printf("  compositor frames / flips:  %d/%d\n", sys.Gfx.SF.Frames(), sys.FB.Flips())
-	fmt.Printf("  CiderPress launches:        %d (exit status %d)\n",
+	fmt.Fprintf(stdout, "  mach messages sent/recvd:   %d/%d\n", sent, recvd)
+	fmt.Fprintf(stdout, "  compositor frames / flips:  %d/%d\n", sys.Gfx.SF.Frames(), sys.FB.Flips())
+	fmt.Fprintf(stdout, "  CiderPress launches:        %d (exit status %d)\n",
 		sys.CiderPress.Launches(), sys.CiderPress.LastStatus())
-	fmt.Println("  syslog:")
+	fmt.Fprintln(stdout, "  syslog:")
 	for _, line := range sys.Syslog.Lines() {
-		fmt.Printf("    %s\n", line)
+		fmt.Fprintf(stdout, "    %s\n", line)
 	}
 	if n := sys.Syslog.Dropped(); n > 0 {
-		fmt.Printf("    (%d earlier lines dropped by the ring)\n", n)
+		fmt.Fprintf(stdout, "    (%d earlier lines dropped by the ring)\n", n)
 	}
 	if sys.Trace.Enabled() {
-		fmt.Println("\n== ktrace ==")
-		fmt.Print(sys.Trace.Text())
+		fmt.Fprintln(stdout, "\n== ktrace ==")
+		fmt.Fprint(stdout, sys.Trace.Text())
 	}
 	return nil
 }
@@ -290,8 +318,11 @@ func runDemo(traced bool) error {
 // supervised by launchd) receives the host-level EXC_CRASH messages and
 // writes deterministic reports into the VFS, which are then read back
 // and printed together with the exception/supervision counters.
-func runCrashes() error {
-	fmt.Println("== crash containment: two iOS apps fault under a supervised service tree ==")
+func runCrashes(args []string, stdout io.Writer) error {
+	if err := parse(newFlags("crashes"), args); err != nil {
+		return err
+	}
+	fmt.Fprintln(stdout, "== crash containment: two iOS apps fault under a supervised service tree ==")
 	sys, err := core.NewSystem(core.ConfigCider)
 	if err != nil {
 		return err
@@ -344,11 +375,7 @@ func runCrashes() error {
 		return err
 	}
 
-	if err := sys.Run(); err != nil {
-		var dl *sim.ErrDeadlock
-		if errors.As(err, &dl) {
-			fmt.Fprint(os.Stderr, dl.Report())
-		}
+	if err := runToEnd(sys); err != nil {
 		return err
 	}
 
@@ -361,23 +388,23 @@ func runCrashes() error {
 		names = append(names, n.Name())
 	}
 	sort.Strings(names)
-	fmt.Printf("\n== %d crash report(s) in %s ==\n", len(names), services.CrashLogDir)
+	fmt.Fprintf(stdout, "\n== %d crash report(s) in %s ==\n", len(names), services.CrashLogDir)
 	for _, name := range names {
 		body, rerr := sys.IOSFS.ReadFile(services.CrashLogDir + "/" + name)
 		if rerr != nil {
 			return rerr
 		}
-		fmt.Printf("--- %s ---\n", name)
+		fmt.Fprintf(stdout, "--- %s ---\n", name)
 		for _, line := range strings.Split(strings.TrimRight(string(body), "\n"), "\n") {
-			fmt.Printf("    %s\n", line)
+			fmt.Fprintf(stdout, "    %s\n", line)
 		}
 	}
-	fmt.Println("\n== counters ==")
+	fmt.Fprintln(stdout, "\n== counters ==")
 	for _, c := range sys.Trace.Counters() {
 		switch c.Name {
 		case trace.CounterExcRaised, trace.CounterExcResumed, trace.CounterCrashReports,
 			trace.CounterLaunchdCrashes, trace.CounterLaunchdRespawns, trace.CounterLaunchdThrottled:
-			fmt.Printf("  %-18s %d\n", c.Name, c.Value)
+			fmt.Fprintf(stdout, "  %-18s %d\n", c.Name, c.Value)
 		}
 	}
 	return nil
@@ -388,13 +415,36 @@ func runCrashes() error {
 // schedules named, and reports the three invariants: deterministic
 // digests, leak-free kernels, no deadlocks. Benchmark cells failing
 // under injection is expected and reported as a count, not an error; a
-// finding (leak or deadlock) exits nonzero. With rounds > 0 it explores
+// finding (leak or deadlock) exits nonzero. With --explore N it explores
 // each schedule's cells instead (see runExplore).
-func runSoak(jobs int, quick, full bool, schedule string, verify bool, rounds int, artifactDir string) error {
+func runSoak(args []string, stdout io.Writer) (err error) {
+	fs := newFlags("soak")
+	jobs := jobsFlag(fs)
+	quick := fs.Bool("quick", false, "reduced lmbench battery (the verify smoke)")
+	full := fs.Bool("full", false, "also run the Fig. 6 PassMark battery")
+	schedule := fs.String("schedule", "", "comma-separated schedule names to run (default: whole matrix)")
+	verify := fs.Bool("verify", false, "run each schedule at jobs=1 and jobs=N and compare digests")
+	rounds := fs.Int("explore", 0, "run N seeded schedule perturbations per schedule (DPOR-lite)")
+	artifactDir := fs.String("artifact-dir", "", "directory for failure replay artifacts (default: temp dir)")
+	if err := parse(fs, args); err != nil {
+		return err
+	}
+	base := runtime.NumGoroutine()
+	defer func() {
+		// Every cell closes its System after the audit; a goroutine
+		// still running now is a simulated process nobody released,
+		// holding its whole System in memory.
+		if err == nil {
+			if gerr := runner.AwaitGoroutines(base, 5*time.Second); gerr != nil {
+				err = fmt.Errorf("soak: %w", gerr)
+			}
+		}
+	}()
+
 	scheds := soak.Schedules()
-	if schedule != "" {
+	if *schedule != "" {
 		scheds = scheds[:0]
-		for _, name := range strings.Split(schedule, ",") {
+		for _, name := range strings.Split(*schedule, ",") {
 			s, ok := soak.ScheduleByName(name)
 			if !ok {
 				return fmt.Errorf("soak: unknown schedule %q", name)
@@ -402,35 +452,35 @@ func runSoak(jobs int, quick, full bool, schedule string, verify bool, rounds in
 			scheds = append(scheds, s)
 		}
 	}
-	opts := soak.Options{Jobs: jobs, Full: full, ArtifactDir: artifactDir}
-	if quick {
+	opts := soak.Options{Jobs: *jobs, Full: *full, ArtifactDir: *artifactDir}
+	if *quick {
 		opts.Tests = soak.QuickTests()
 	}
-	if rounds > 0 {
+	if *rounds > 0 {
 		suites := make([]replay.Suite, len(scheds))
 		for i, s := range scheds {
 			suites[i] = soak.Suite(s, opts)
 		}
-		return runExplore(rounds, jobs, artifactDir, suites...)
+		return runExplore(stdout, *rounds, *jobs, *artifactDir, suites...)
 	}
 
 	battery := "full lmbench"
-	if quick {
+	if *quick {
 		battery = "quick (syscall/comm/proc)"
 	}
-	if full {
+	if *full {
 		battery += " + passmark"
 	}
-	fmt.Printf("== soak: %d schedule(s), battery: %s ==\n", len(scheds), battery)
-	fmt.Printf("%-14s %-18s %6s %7s %9s  %s\n", "schedule", "digest", "cells", "failed", "injected", "verdict")
+	fmt.Fprintf(stdout, "== soak: %d schedule(s), battery: %s ==\n", len(scheds), battery)
+	fmt.Fprintf(stdout, "%-14s %-18s %6s %7s %9s  %s\n", "schedule", "digest", "cells", "failed", "injected", "verdict")
 
 	// With verify, the jobs=1 run is both the report and the reference
 	// the jobs=N run must reproduce.
 	seq, par := opts, opts
-	if verify {
+	if *verify {
 		seq.Jobs = 1
-		par.Jobs = jobs
-		if jobs <= 1 {
+		par.Jobs = *jobs
+		if *jobs <= 1 {
 			par.Jobs = 4
 		}
 	}
@@ -442,7 +492,7 @@ func runSoak(jobs int, quick, full bool, schedule string, verify bool, rounds in
 			verdict = fmt.Sprintf("%d FINDING(S)", len(r.Findings))
 			bad = true
 		}
-		if verify {
+		if *verify {
 			if err := soak.VerifyDeterminism(r, soak.RunSchedule(s, par)); err != nil {
 				verdict += "  NONDETERMINISTIC"
 				bad = true
@@ -450,16 +500,16 @@ func runSoak(jobs int, quick, full bool, schedule string, verify bool, rounds in
 				verdict += fmt.Sprintf("  deterministic@jobs=%d", par.Jobs)
 			}
 		}
-		fmt.Printf("%-14s %016x %6d %7d %9d  %s\n",
+		fmt.Fprintf(stdout, "%-14s %016x %6d %7d %9d  %s\n",
 			r.Schedule, r.Digest, r.Cells, r.FailedCells, r.Injected, verdict)
 		if r.Counters[trace.CounterLaunchdCrashes]+r.Counters[trace.CounterExcRaised] > 0 {
-			fmt.Printf("    supervision: crashes=%d respawns=%d throttled=%d exceptions=%d reports=%d\n",
+			fmt.Fprintf(stdout, "    supervision: crashes=%d respawns=%d throttled=%d exceptions=%d reports=%d\n",
 				r.Counters[trace.CounterLaunchdCrashes], r.Counters[trace.CounterLaunchdRespawns],
 				r.Counters[trace.CounterLaunchdThrottled], r.Counters[trace.CounterExcRaised],
 				r.Counters[trace.CounterCrashReports])
 		}
 		for _, f := range r.Findings {
-			fmt.Printf("    finding: %s\n", f)
+			fmt.Fprintf(stdout, "    finding: %s\n", f)
 		}
 	}
 	if bad {
@@ -473,9 +523,9 @@ func runSoak(jobs int, quick, full bool, schedule string, verify bool, rounds in
 // under N seeded perturbations of the scheduler's ambiguous decisions,
 // and any invariant violation or divergence arrives as a minimized
 // replay artifact. One table row per suite.
-func runExplore(rounds, jobs int, artifactDir string, suites ...replay.Suite) error {
-	fmt.Printf("== explore: %d suite(s) x %d perturbation round(s) ==\n", len(suites), rounds)
-	fmt.Printf("%-14s %-18s %9s %10s %10s  %s\n", "suite", "digest", "cell-runs", "decisions", "perturbed", "verdict")
+func runExplore(stdout io.Writer, rounds, jobs int, artifactDir string, suites ...replay.Suite) error {
+	fmt.Fprintf(stdout, "== explore: %d suite(s) x %d perturbation round(s) ==\n", len(suites), rounds)
+	fmt.Fprintf(stdout, "%-14s %-18s %9s %10s %10s  %s\n", "suite", "digest", "cell-runs", "decisions", "perturbed", "verdict")
 	bad := false
 	for _, su := range suites {
 		r := replay.Explore(su, rounds, jobs, artifactDir)
@@ -484,9 +534,9 @@ func runExplore(rounds, jobs int, artifactDir string, suites ...replay.Suite) er
 			verdict = fmt.Sprintf("%d FINDING(S)", len(r.Findings))
 			bad = true
 		}
-		fmt.Printf("%-14s %016x %9d %10d %10d  %s\n", r.Name, r.Digest, r.Runs, r.Decisions, r.Perturbed, verdict)
+		fmt.Fprintf(stdout, "%-14s %016x %9d %10d %10d  %s\n", r.Name, r.Digest, r.Runs, r.Decisions, r.Perturbed, verdict)
 		for _, f := range r.Findings {
-			fmt.Printf("    finding: %s\n", f)
+			fmt.Fprintf(stdout, "    finding: %s\n", f)
 		}
 	}
 	if bad {
@@ -503,8 +553,15 @@ var cellFor = map[string]func(*replay.Artifact) (replay.Cell, error){
 
 // runReplay re-executes one recorded cell from an artifact file and
 // asserts digest equality against the recorded run.
-func runReplay(path string) error {
-	a, err := replay.Load(path)
+func runReplay(args []string, stdout io.Writer) error {
+	fs := newFlags("replay")
+	if err := parse(fs, args); err != nil {
+		return err
+	}
+	if fs.NArg() != 1 {
+		return fmt.Errorf("%w: cider replay <artifact.json>", errUsage)
+	}
+	a, err := replay.Load(fs.Arg(0))
 	if err != nil {
 		return err
 	}
@@ -512,37 +569,53 @@ func runReplay(path string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("== replay: %s %s ==\n", a.Kind, a.Label())
+	fmt.Fprintf(stdout, "== replay: %s %s ==\n", a.Kind, a.Label())
 	o, got, err := replay.Replay(c, a)
 	if o == nil {
 		return err
 	}
-	fmt.Printf("  decisions: %d recorded, %d replayed (%d non-canonical)\n",
+	fmt.Fprintf(stdout, "  decisions: %d recorded, %d replayed (%d non-canonical)\n",
 		a.DecisionCount, got.DecisionCount, len(a.Decisions)+len(a.DecisionsIOS))
 	for _, f := range o.Findings() {
-		fmt.Printf("  finding: %s\n", f)
+		fmt.Fprintf(stdout, "  finding: %s\n", f)
 	}
 	if err != nil {
-		fmt.Printf("  digest: %s, recorded %s\n", got.Digest, a.Digest)
+		fmt.Fprintf(stdout, "  digest: %s, recorded %s\n", got.Digest, a.Digest)
 		return err
 	}
-	fmt.Printf("  digest: %s == recorded (bit-identical)\n", got.Digest)
+	fmt.Fprintf(stdout, "  digest: %s == recorded (bit-identical)\n", got.Digest)
 	return nil
 }
 
 // runDiffcheck drives the differential persona oracle and reports. A
 // residual (unallowlisted) divergence exits nonzero; the allowlist hits
 // are printed so a quiet run still shows the oracle exercised the
-// deliberate deviations.
-func runDiffcheck(seeds, jobs int, corpus string, minimize, suggest bool, artifactDir string) error {
-	fmt.Printf("== diffcheck: %d seeded programs, Android vs iOS persona ==\n", seeds)
-	rep, err := diffcheck.Run(diffcheck.Options{Seeds: seeds, Jobs: jobs, Minimize: minimize, ArtifactDir: artifactDir})
+// deliberate deviations. With --explore N it explores the persona pairs
+// instead (see runExplore).
+func runDiffcheck(args []string, stdout io.Writer) error {
+	fs := newFlags("diffcheck")
+	seeds := fs.Int("seeds", 200, "number of seeded programs to run")
+	jobs := jobsFlag(fs)
+	corpus := fs.String("corpus", "", "directory to write diverging programs to")
+	noMin := fs.Bool("no-minimize", false, "skip delta-debug minimization of divergences")
+	suggest := fs.Bool("update-allowlist", false, "print suggested allowlist entries for residual divergences")
+	rounds := fs.Int("explore", 0, "run N perturbed schedules per persona pair (DPOR-lite)")
+	artifactDir := fs.String("artifact-dir", "", "directory for replay artifacts (default: OS temp dir)")
+	if err := parse(fs, args); err != nil {
+		return err
+	}
+	if *rounds > 0 {
+		return runExplore(stdout, *rounds, *jobs, *artifactDir, diffcheck.Suite(*seeds))
+	}
+
+	fmt.Fprintf(stdout, "== diffcheck: %d seeded programs, Android vs iOS persona ==\n", *seeds)
+	rep, err := diffcheck.Run(diffcheck.Options{Seeds: *seeds, Jobs: *jobs, Minimize: !*noMin, ArtifactDir: *artifactDir})
 	if err != nil {
 		return err
 	}
-	fmt.Print(rep.Text())
-	if corpus != "" && len(rep.Divergences) > 0 {
-		if err := os.MkdirAll(corpus, 0o755); err != nil {
+	fmt.Fprint(stdout, rep.Text())
+	if *corpus != "" && len(rep.Divergences) > 0 {
+		if err := os.MkdirAll(*corpus, 0o755); err != nil {
 			return err
 		}
 		for i, d := range rep.Divergences {
@@ -550,21 +623,75 @@ func runDiffcheck(seeds, jobs int, corpus string, minimize, suggest bool, artifa
 			if d.Minimized != "" {
 				body += "# minimized\n" + d.Minimized
 			}
-			name := fmt.Sprintf("%s/div-%03d-seed-%x.txt", corpus, i, d.Seed)
+			name := fmt.Sprintf("%s/div-%03d-seed-%x.txt", *corpus, i, d.Seed)
 			if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
 				return err
 			}
 		}
-		fmt.Printf("wrote %d diverging program(s) to %s\n", len(rep.Divergences), corpus)
+		fmt.Fprintf(stdout, "wrote %d diverging program(s) to %s\n", len(rep.Divergences), *corpus)
 	}
-	if suggest && len(rep.Divergences) > 0 {
-		fmt.Println("-- suggested allowlist entries (write the Why citation by hand) --")
-		fmt.Print(rep.SuggestAllowlist())
+	if *suggest && len(rep.Divergences) > 0 {
+		fmt.Fprintln(stdout, "-- suggested allowlist entries (write the Why citation by hand) --")
+		fmt.Fprint(stdout, rep.SuggestAllowlist())
 	}
 	if len(rep.Divergences) > 0 {
 		return fmt.Errorf("diffcheck: %d unallowlisted divergence(s)", len(rep.Divergences))
 	}
 	return nil
+}
+
+// inGroup keeps the tests of one battery group.
+func inGroup[T any](tests []T, group string, groupOf func(T) string) []T {
+	var out []T
+	for _, t := range tests {
+		if groupOf(t) == group {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+func lmbenchGroup(t lmbench.Test) string   { return t.Group }
+func passmarkGroup(t passmark.Test) string { return t.Group }
+
+// runFigure is the body fig5 and fig6 share: parse -group and -jobs,
+// narrow the battery to one group if asked, run it on every
+// configuration and write the rendered table.
+func runFigure[T any](args []string, stdout io.Writer, name, groupHelp string, tests []T,
+	groupOf func(T) string, runAll func(tests []T, jobs int) (interface{ Render() string }, error)) error {
+	fs := newFlags(name)
+	group := fs.String("group", "", groupHelp)
+	jobs := jobsFlag(fs)
+	if err := parse(fs, args); err != nil {
+		return err
+	}
+	if *group != "" {
+		if tests = inGroup(tests, *group, groupOf); len(tests) == 0 {
+			return fmt.Errorf("unknown group %q", *group)
+		}
+	}
+	rep, err := runAll(tests, *jobs)
+	if err != nil {
+		return err
+	}
+	_, err = io.WriteString(stdout, rep.Render())
+	return err
+}
+
+// runFig5 regenerates Figure 5, the lmbench latencies.
+func runFig5(args []string, stdout io.Writer) error {
+	return runFigure(args, stdout, "fig5", "run only one Fig. 5 group (basic, syscall, proc, comm)", lmbench.AllTests(), lmbenchGroup,
+		func(tests []lmbench.Test, jobs int) (interface{ Render() string }, error) {
+			return lmbench.RunFigure5(tests, lmbench.Options{Jobs: jobs})
+		})
+}
+
+// runFig6 regenerates Figure 6, the PassMark throughput.
+func runFig6(args []string, stdout io.Writer) error {
+	return runFigure(args, stdout, "fig6", "run only one Fig. 6 group (cpu, storage, memory, 2d, 3d)", passmark.AllTests(), passmarkGroup,
+		func(tests []passmark.Test, jobs int) (interface{ Render() string }, error) {
+			return passmark.RunFigure6(tests, passmark.Options{Jobs: jobs})
+		})
 }
 
 // statsConfigs are the configurations whose syscall behaviour `cider
@@ -581,31 +708,26 @@ func statsConfigs() []lmbench.Configuration {
 	return out
 }
 
-// syscallTests filters the Fig. 5 battery down to the syscall group.
-func syscallTests() []lmbench.Test {
-	var out []lmbench.Test
-	for _, t := range lmbench.AllTests() {
-		if t.Group == "syscall" {
-			out = append(out, t)
-		}
+func runStats(args []string, stdout io.Writer) error {
+	fs := newFlags("stats")
+	asJSON := fs.Bool("json", false, "emit one JSON document instead of text")
+	jobs := jobsFlag(fs)
+	if err := parse(fs, args); err != nil {
+		return err
 	}
-	return out
-}
-
-func runStats(asJSON bool, jobs int) error {
 	type run struct {
 		conf    lmbench.Configuration
 		session *trace.Session
 		null    time.Duration // null-syscall latency for the decomposition
 	}
 	confs := statsConfigs()
-	tests := syscallTests()
+	tests := inGroup(lmbench.AllTests(), "syscall", lmbenchGroup)
 	runs := make([]run, len(confs))
 
 	// One cell per configuration: each boots its own System with its own
 	// trace session, written only to runs[i], so the parallel run's
 	// histograms are bit-identical to the sequential ones.
-	if _, err := runner.Map(len(confs), jobs, func(i int) (struct{}, error) {
+	if _, err := runner.Map(len(confs), *jobs, func(i int) (struct{}, error) {
 		conf := confs[i]
 		var session *trace.Session
 		results, err := lmbench.RunWith(conf, tests, func(sys *core.System) {
@@ -634,7 +756,7 @@ func runStats(asJSON bool, jobs int) error {
 	// the `cider stats` jetsam numbers — how many kills per band, how
 	// many pressure notifications, how many rlimit rejections — produced
 	// by the same machinery the soak gate verifies.
-	governance, err := soak.GovernanceCounters(jobs)
+	governance, err := soak.GovernanceCounters(*jobs)
 	if err != nil {
 		return err
 	}
@@ -654,7 +776,7 @@ func runStats(asJSON bool, jobs int) error {
 		return keys
 	}
 
-	if asJSON {
+	if *asJSON {
 		// One machine-scrapable document: per-config trace summaries plus
 		// the null-syscall decomposition, so CI and the bench harness can
 		// read counters without parsing text or stitching array elements.
@@ -690,38 +812,38 @@ func runStats(asJSON bool, jobs int) error {
 			}
 			doc.Configs = append(doc.Configs, sc)
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(doc)
 	}
 
 	for _, r := range runs {
-		fmt.Printf("==== %s ====\n", r.conf.Name)
-		fmt.Print(r.session.Text())
-		fmt.Println()
+		fmt.Fprintf(stdout, "==== %s ====\n", r.conf.Name)
+		fmt.Fprint(stdout, r.session.Text())
+		fmt.Fprintln(stdout)
 	}
 
-	fmt.Println("==== resource governance (jetsam / pressure / rlimits) ====")
+	fmt.Fprintln(stdout, "==== resource governance (jetsam / pressure / rlimits) ====")
 	for _, k := range governanceKeys() {
-		fmt.Printf("  %-32s %d\n", k, governance[k])
+		fmt.Fprintf(stdout, "  %-32s %d\n", k, governance[k])
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 
 	// The Fig. 5 decomposition: null-syscall overhead relative to vanilla
 	// Android — the paper reports ~8.5% for the Android persona (one extra
 	// persona check) and ~40% for the iOS persona (persona check + XNU
 	// syscall translation + errno conversion).
-	fmt.Println("==== null-syscall decomposition (Fig. 5) ====")
+	fmt.Fprintln(stdout, "==== null-syscall decomposition (Fig. 5) ====")
 	for _, r := range runs {
 		if r.null == 0 {
-			fmt.Printf("  %-14s failed\n", r.conf.Name)
+			fmt.Fprintf(stdout, "  %-14s failed\n", r.conf.Name)
 			continue
 		}
 		if base == 0 {
 			base = r.null
 		}
 		overhead := 100 * (float64(r.null)/float64(base) - 1)
-		fmt.Printf("  %-14s %8v  (+%.1f%% vs %s)\n",
+		fmt.Fprintf(stdout, "  %-14s %8v  (+%.1f%% vs %s)\n",
 			r.conf.Name, r.null, overhead, runs[0].conf.Name)
 	}
 	return nil

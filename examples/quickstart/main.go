@@ -22,7 +22,7 @@ func main() {
 	}
 
 	// Install an iOS app: a real Mach-O executable (parseable with
-	// cmd/machotool) linking libSystem, which transitively drags in the
+	// `cider macho`) linking libSystem, which transitively drags in the
 	// full ~115-dylib base image, loaded by dyld at exec.
 	err = sys.InstallIOSBinary("/Applications/Hello.app/Hello", "hello-ios", nil,
 		func(c *prog.Call) uint64 {

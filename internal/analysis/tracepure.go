@@ -37,7 +37,7 @@ var sinkRootNames = map[string]bool{
 // receivers.
 var simReentry = map[string]bool{
 	"Advance": true, "Wake": true, "WakeOne": true, "WakeAll": true,
-	"Spawn": true, "Park": true, "Sleep": true, "Yield": true,
+	"Spawn": true, "Park": true, "Sleep": true,
 	"Wait": true, "WaitTimeout": true, "Exit": true,
 	"Charge": true, "Compute": true, "charge": true, "Syscall": true,
 }

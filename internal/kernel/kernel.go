@@ -586,18 +586,3 @@ func (k *Kernel) OnDeviceAdd(h func(Device)) {
 		h(d)
 	}
 }
-
-// FindDevice returns a registered device by name.
-func (k *Kernel) FindDevice(name string) (Device, bool) {
-	d, ok := k.devices[name]
-	return d, ok
-}
-
-// DeviceNames lists registered devices (sorted by the caller if needed).
-func (k *Kernel) DeviceNames() []string {
-	out := make([]string, 0, len(k.devices))
-	for n := range k.devices {
-		out = append(out, n)
-	}
-	return out
-}

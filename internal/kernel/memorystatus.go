@@ -163,12 +163,6 @@ func newMemorystatus(k *Kernel) *Memorystatus {
 // Memorystatus returns the kernel's resource-governance subsystem.
 func (k *Kernel) Memorystatus() *Memorystatus { return k.memstat }
 
-// Budget returns the jetsam budget (bytes available to user tasks).
-func (ms *Memorystatus) Budget() uint64 { return ms.budget }
-
-// Watermarks returns the (warn, critical) byte thresholds.
-func (ms *Memorystatus) Watermarks() (uint64, uint64) { return ms.warn, ms.critical }
-
 // BandLimit returns the per-task footprint ceiling for a band.
 func (ms *Memorystatus) BandLimit(b Band) uint64 {
 	if b < 0 || b >= numBands {
@@ -184,9 +178,6 @@ func (ms *Memorystatus) SetBand(tk *Task, b Band) {
 	}
 	ms.bands[tk.pid] = b
 }
-
-// BandOf returns a task's band (BandForeground when never assigned).
-func (ms *Memorystatus) BandOf(tk *Task) Band { return ms.bands[tk.pid] }
 
 // SetEssential exempts a task from victim selection entirely (launchd:
 // killing pid 1 would take the whole cell down, the opposite of graceful

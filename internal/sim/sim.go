@@ -231,9 +231,6 @@ func (p *Proc) SetDaemon(on bool) {
 	}
 }
 
-// Daemon reports whether the Proc is a daemon.
-func (p *Proc) Daemon() bool { return p.daemon }
-
 // ID returns the Proc's unique id, assigned in spawn order.
 func (p *Proc) ID() int { return p.id }
 
@@ -259,14 +256,6 @@ func (p *Proc) Advance(d time.Duration) {
 	p.now += d
 	// If another Proc could now run earlier than us, hand over the token so
 	// virtual-time ordering is preserved across Procs.
-	p.sim.maybePreempt(p)
-}
-
-// Yield gives other runnable Procs with a clock at or before ours a chance
-// to run. It never advances time.
-//
-//hot:noalloc
-func (p *Proc) Yield() {
 	p.sim.maybePreempt(p)
 }
 

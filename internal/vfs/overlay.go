@@ -22,9 +22,6 @@ func NewOverlay(upper, lower *FS) *Overlay {
 // Upper returns the writable top layer.
 func (o *Overlay) Upper() *FS { return o.upper }
 
-// Lower returns the read-mostly bottom layer.
-func (o *Overlay) Lower() *FS { return o.lower }
-
 // Lookup resolves p in the upper layer, then the lower.
 func (o *Overlay) Lookup(p string) (*Node, error) {
 	if n, err := o.upper.Lookup(p); err == nil {

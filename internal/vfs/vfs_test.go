@@ -2,6 +2,7 @@ package vfs
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -421,6 +422,30 @@ func TestOverlayRenameCopiesUp(t *testing.T) {
 	got, err := o.ReadFile("/renamed.txt")
 	if err != nil || string(got) != "content" {
 		t.Fatalf("renamed: %q %v", got, err)
+	}
+}
+
+// TestOverlayMkdir: a directory the lower layer already has is an
+// *ErrExists, and a new directory under a lower-only parent copies the
+// parent up, leaving the lower layer untouched.
+func TestOverlayMkdir(t *testing.T) {
+	lower, upper := New(), New()
+	lower.MkdirAll("/system/app")
+	o := NewOverlay(upper, lower)
+	var exists *ErrExists
+	if err := o.Mkdir("/system/app"); !errors.As(err, &exists) {
+		t.Fatalf("Mkdir of a lower-layer directory = %v, want *ErrExists", err)
+	}
+	if err := o.Mkdir("/system/app/Cider"); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{"/system/app", "/system/app/Cider"} {
+		if n, err := upper.Lookup(p); err != nil || !n.IsDir() {
+			t.Fatalf("upper %s: %v, want a directory", p, err)
+		}
+	}
+	if _, err := lower.Lookup("/system/app/Cider"); err == nil {
+		t.Fatal("new directory should not be in the lower layer")
 	}
 }
 

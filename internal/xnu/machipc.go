@@ -103,9 +103,6 @@ func (p *Port) ID() uint64 { return p.id }
 // prune stale service registrations on lookup).
 func (p *Port) Dead() bool { return p.dead }
 
-// Pending returns the queued message count.
-func (p *Port) Pending() int { return p.msgs.Len() }
-
 // defaultQLimit is MACH_PORT_QLIMIT_DEFAULT.
 const defaultQLimit = 5
 

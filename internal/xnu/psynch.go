@@ -23,8 +23,6 @@ type Psynch struct {
 	events *ducttape.WaitEvent
 	// mutexOwned tracks which user mutexes are held (kernel-side kwq state).
 	mutexOwned map[uint64]bool
-	// cvWaiters counts waiters per condvar for broadcast bookkeeping.
-	cvWaiters map[uint64]int
 	// sems holds kernel semaphore state per user address.
 	sems map[uint64]*ducttape.Semaphore
 
@@ -43,7 +41,6 @@ func InstallPsynch(k *kernel.Kernel, env *ducttape.Env) (*Psynch, error) {
 		env:        env,
 		events:     env.NewWaitEvent(),
 		mutexOwned: make(map[uint64]bool),
-		cvWaiters:  make(map[uint64]int),
 		sems:       make(map[uint64]*ducttape.Semaphore),
 		opCost:     k.Device().CPU.Cycles(1100),
 	}
@@ -93,13 +90,11 @@ func (ps *Psynch) CVWait(t *kernel.Thread, cvaddr, muaddr uint64, timeout time.D
 	if kr := ps.MutexDrop(t, muaddr); kr != KernSuccess {
 		return false, kr
 	}
-	ps.cvWaiters[cvaddr]++
 	if timeout > 0 {
 		_, timedOut = ps.events.BlockTimeout(t, cvKey(cvaddr), timeout)
 	} else {
 		ps.events.Block(t, cvKey(cvaddr))
 	}
-	ps.cvWaiters[cvaddr]--
 	if kr := ps.MutexWait(t, muaddr); kr != KernSuccess {
 		return timedOut, kr
 	}
@@ -118,9 +113,6 @@ func (ps *Psynch) CVBroadcast(t *kernel.Thread, cvaddr uint64) int {
 	t.Charge(ps.opCost)
 	return ps.events.Wakeup(t, cvKey(cvaddr))
 }
-
-// CVWaiters reports current waiters on a condvar (tests).
-func (ps *Psynch) CVWaiters(cvaddr uint64) int { return ps.cvWaiters[cvaddr] }
 
 // SemInit provisions a semaphore at uaddr (semaphore_create).
 func (ps *Psynch) SemInit(t *kernel.Thread, uaddr uint64, value int) {
