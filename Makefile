@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-fixtures race switch-allocs bench bench-golden profile soak soak-smoke diffcheck diffcheck-smoke replay-smoke explore verify
+.PHONY: build test vet lint lint-fixtures race switch-allocs bench bench-golden profile cover soak soak-smoke diffcheck diffcheck-smoke replay-smoke explore verify
 
 build:
 	$(GO) build ./...
@@ -71,6 +71,19 @@ bench-golden:
 profile:
 	$(GO) test -run '^$$' -bench '^BenchmarkFig5' -benchtime 1x -cpuprofile cpu.pprof -memprofile mem.pprof .
 	@echo "profile: wrote cpu.pprof mem.pprof (inspect with: go tool pprof -top cpu.pprof)"
+
+# cover runs every test once with coverage of the whole module (not
+# part of verify; about 40 s on two cores), then prints statement
+# coverage per package and every function no test reaches. Coverage is
+# evidence for the deletion and test budget, not a gate.
+cover:
+	$(GO) test -count=1 -coverpkg=repro/... -coverprofile=cover.out ./...
+	@echo "== statement coverage per package =="
+	@awk 'NR > 1 { n[$$1] = $$2; if ($$3 > 0) hit[$$1] = 1 } \
+		END { for (b in n) { p = b; sub(/\/[^\/]*$$/, "", p); all[p] += n[b]; if (hit[b]) got[p] += n[b] } \
+		for (p in all) printf "%-40s %5.1f%%\n", p, 100 * got[p] / all[p] }' cover.out | sort
+	@echo "== functions at 0% =="
+	@$(GO) tool cover -func=cover.out | awk '$$NF == "0.0%"'
 
 # soak runs the full fault-schedule matrix over the complete Fig. 5 + 6
 # batteries with cross-jobs determinism verification — the long-form

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/bionic"
 	"repro/internal/core"
+	"repro/internal/figure"
 	"repro/internal/graphics"
 	"repro/internal/kernel"
 	"repro/internal/libsystem"
@@ -30,22 +31,21 @@ import (
 // bit-identical. (The untraced run is the disabled-sink case the
 // BenchmarkFig5* numbers rely on.) Sessions are per experiment cell —
 // each cell is its own System — written into index-distinct slots, the
-// thread-safety pattern lmbench.Options.OnSystem documents.
+// thread-safety pattern figure.Options.OnSystem documents.
 func TestTraceZeroCost(t *testing.T) {
-	tests := lmbench.AllTests()
-	run := func(traced bool) (*lmbench.Report, []*trace.Session) {
+	run := func(traced bool) (*figure.Report, []*trace.Session) {
 		t.Helper()
-		var opts lmbench.Options
+		var opts figure.Options
 		var sessions []*trace.Session
 		if traced {
-			sessions = make([]*trace.Session, len(lmbench.Cells(tests)))
-			opts.OnSystem = func(cell lmbench.Cell, sys *core.System) {
+			sessions = make([]*trace.Session, len(lmbench.Cells(lmbench.AllTests())))
+			opts.OnSystem = func(cell figure.Cell, sys *core.System) {
 				s := sys.EnableTrace()
-				s.Label = cell.Config.Name + "/" + cell.Test.Name
+				s.Label = cell.Config.Name + "/" + cell.Test
 				sessions[cell.Index] = s
 			}
 		}
-		rep, err := lmbench.RunFigure5(tests, opts)
+		rep, err := lmbench.Run("", opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,9 +53,9 @@ func TestTraceZeroCost(t *testing.T) {
 	}
 	plain, _ := run(false)
 	traced, sessions := run(true)
-	for test, byCfg := range plain.Latency {
+	for test, byCfg := range plain.Value {
 		for cfg, want := range byCfg {
-			if got := traced.Latency[test][cfg]; got != want {
+			if got := traced.Value[test][cfg]; got != want {
 				t.Errorf("%s/%s: traced latency %v != untraced %v", test, cfg, got, want)
 			}
 			if plain.Failed[test][cfg] != traced.Failed[test][cfg] {
@@ -77,33 +77,27 @@ func TestTraceZeroCost(t *testing.T) {
 			sawSyscalls[strings.SplitN(s.Label, "/", 2)[0]] = true
 		}
 	}
-	for _, conf := range lmbench.Configurations() {
+	for _, conf := range figure.Configurations() {
 		if !sawSyscalls[conf.Name] {
 			t.Errorf("configuration %q recorded no syscalls in any cell", conf.Name)
 		}
 	}
 }
 
-// reportFig5 runs an lmbench group and reports each test's normalized
-// latencies as benchmark metrics.
-func reportFig5(b *testing.B, group string) {
+// reportFig runs one group of a figure's battery and reports each
+// test's normalized values as benchmark metrics.
+func reportFig(b *testing.B, run func(string, figure.Options) (*figure.Report, error), group string) {
 	b.Helper()
-	var tests []lmbench.Test
-	for _, t := range lmbench.AllTests() {
-		if t.Group == group {
-			tests = append(tests, t)
-		}
-	}
-	var rep *lmbench.Report
+	var rep *figure.Report
 	for i := 0; i < b.N; i++ {
-		r, err := lmbench.RunFigure5(tests, lmbench.Options{})
+		r, err := run(group, figure.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		rep = r
 	}
-	for _, t := range tests {
-		for _, cfg := range []string{lmbench.ConfigCiderAndroid, lmbench.ConfigCiderIOS, lmbench.ConfigIPad} {
+	for _, t := range rep.Rows {
+		for _, cfg := range []string{figure.ConfigCiderAndroid, figure.ConfigCiderIOS, figure.ConfigIPad} {
 			if v, ok := rep.Normalized(t.Name, cfg); ok {
 				b.ReportMetric(v, metricName(t.Name, cfg))
 			}
@@ -113,63 +107,37 @@ func reportFig5(b *testing.B, group string) {
 
 // BenchmarkFig5BasicOps regenerates the Fig. 5 basic CPU operations group
 // (int mul/div, double add/mul, bogomflops) on all four configurations.
-func BenchmarkFig5BasicOps(b *testing.B) { reportFig5(b, "basic") }
+func BenchmarkFig5BasicOps(b *testing.B) { reportFig(b, lmbench.Run, "basic") }
 
 // BenchmarkFig5Syscall regenerates the Fig. 5 syscall and signal group
 // (null syscall, read, write, open/close, signal handler).
-func BenchmarkFig5Syscall(b *testing.B) { reportFig5(b, "syscall") }
+func BenchmarkFig5Syscall(b *testing.B) { reportFig(b, lmbench.Run, "syscall") }
 
 // BenchmarkFig5Proc regenerates the Fig. 5 process-creation group
 // (fork+exit, fork+exec and fork+sh in android/ios variants).
-func BenchmarkFig5Proc(b *testing.B) { reportFig5(b, "proc") }
+func BenchmarkFig5Proc(b *testing.B) { reportFig(b, lmbench.Run, "proc") }
 
 // BenchmarkFig5IPC regenerates the Fig. 5 local communication and file
 // operations group (pipe, AF_UNIX, select 10/100/250, file create/delete).
-func BenchmarkFig5IPC(b *testing.B) { reportFig5(b, "comm") }
-
-// reportFig6 runs a PassMark group and reports normalized throughput.
-func reportFig6(b *testing.B, group string) {
-	b.Helper()
-	var tests []passmark.Test
-	for _, t := range passmark.AllTests() {
-		if t.Group == group {
-			tests = append(tests, t)
-		}
-	}
-	var rep *passmark.Report
-	for i := 0; i < b.N; i++ {
-		r, err := passmark.RunFigure6(tests, passmark.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep = r
-	}
-	for _, t := range tests {
-		for _, cfg := range []string{passmark.ConfigCiderAndroid, passmark.ConfigCiderIOS, passmark.ConfigIPad} {
-			if v, ok := rep.Normalized(t.Name, cfg); ok {
-				b.ReportMetric(v, metricName(t.Name, cfg))
-			}
-		}
-	}
-}
+func BenchmarkFig5IPC(b *testing.B) { reportFig(b, lmbench.Run, "comm") }
 
 // BenchmarkFig6CPU regenerates the Fig. 6 CPU group (integer, floating
 // point, primes, string sort, encryption, compression).
-func BenchmarkFig6CPU(b *testing.B) { reportFig6(b, "cpu") }
+func BenchmarkFig6CPU(b *testing.B) { reportFig(b, passmark.Run, "cpu") }
 
 // BenchmarkFig6Storage regenerates the Fig. 6 storage write/read group.
-func BenchmarkFig6Storage(b *testing.B) { reportFig6(b, "storage") }
+func BenchmarkFig6Storage(b *testing.B) { reportFig(b, passmark.Run, "storage") }
 
 // BenchmarkFig6Memory regenerates the Fig. 6 memory write/read group.
-func BenchmarkFig6Memory(b *testing.B) { reportFig6(b, "memory") }
+func BenchmarkFig6Memory(b *testing.B) { reportFig(b, passmark.Run, "memory") }
 
 // BenchmarkFig6Graphics2D regenerates the Fig. 6 2D graphics group
 // (solid/transparent/complex vectors, image rendering, image filters).
-func BenchmarkFig6Graphics2D(b *testing.B) { reportFig6(b, "2d") }
+func BenchmarkFig6Graphics2D(b *testing.B) { reportFig(b, passmark.Run, "2d") }
 
 // BenchmarkFig6Graphics3D regenerates the Fig. 6 3D graphics group
 // (simple and complex scenes).
-func BenchmarkFig6Graphics3D(b *testing.B) { reportFig6(b, "3d") }
+func BenchmarkFig6Graphics3D(b *testing.B) { reportFig(b, passmark.Run, "3d") }
 
 // Ablations ------------------------------------------------------------
 

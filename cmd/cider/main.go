@@ -86,6 +86,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/diffcheck"
+	"repro/internal/figure"
 	"repro/internal/input"
 	"repro/internal/kernel"
 	"repro/internal/libsystem"
@@ -139,8 +140,8 @@ var commands = []struct {
 	{"replay", runReplay},
 	{"crashes", runCrashes},
 	{"diffcheck", runDiffcheck},
-	{"fig5", runFig5},
-	{"fig6", runFig6},
+	{"fig5", figureCmd("fig5", "run only one Fig. 5 group (basic, syscall, proc, comm)", lmbench.Run)},
+	{"fig6", figureCmd("fig6", "run only one Fig. 6 group (cpu, storage, memory, 2d, 3d)", passmark.Run)},
 	{"macho", runMacho},
 	{"ipa", runIPA},
 	{"ducttape", runDucttape},
@@ -614,25 +615,8 @@ func runDiffcheck(args []string, stdout io.Writer) error {
 		return err
 	}
 	fmt.Fprint(stdout, rep.Text())
-	if *corpus != "" && len(rep.Divergences) > 0 {
-		if err := os.MkdirAll(*corpus, 0o755); err != nil {
-			return err
-		}
-		for i, d := range rep.Divergences {
-			body := fmt.Sprintf("# %s\n# sig: %s\n%s", d.Class, d.Sig, d.Program)
-			if d.Minimized != "" {
-				body += "# minimized\n" + d.Minimized
-			}
-			name := fmt.Sprintf("%s/div-%03d-seed-%x.txt", *corpus, i, d.Seed)
-			if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
-				return err
-			}
-		}
-		fmt.Fprintf(stdout, "wrote %d diverging program(s) to %s\n", len(rep.Divergences), *corpus)
-	}
-	if *suggest && len(rep.Divergences) > 0 {
-		fmt.Fprintln(stdout, "-- suggested allowlist entries (write the Why citation by hand) --")
-		fmt.Fprint(stdout, rep.SuggestAllowlist())
+	if err := rep.WriteTriage(stdout, *corpus, *suggest); err != nil {
+		return err
 	}
 	if len(rep.Divergences) > 0 {
 		return fmt.Errorf("diffcheck: %d unallowlisted divergence(s)", len(rep.Divergences))
@@ -640,72 +624,24 @@ func runDiffcheck(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// inGroup keeps the tests of one battery group.
-func inGroup[T any](tests []T, group string, groupOf func(T) string) []T {
-	var out []T
-	for _, t := range tests {
-		if groupOf(t) == group {
-			out = append(out, t)
+// figureCmd returns the subcommand that regenerates one figure: it
+// parses -group and -jobs, runs the battery (one group of it, if asked)
+// on every configuration and writes the rendered table.
+func figureCmd(name, groupHelp string, run func(group string, opts figure.Options) (*figure.Report, error)) func([]string, io.Writer) error {
+	return func(args []string, stdout io.Writer) error {
+		fs := newFlags(name)
+		group := fs.String("group", "", groupHelp)
+		jobs := jobsFlag(fs)
+		if err := parse(fs, args); err != nil {
+			return err
 		}
-	}
-	return out
-}
-
-func lmbenchGroup(t lmbench.Test) string   { return t.Group }
-func passmarkGroup(t passmark.Test) string { return t.Group }
-
-// runFigure is the body fig5 and fig6 share: parse -group and -jobs,
-// narrow the battery to one group if asked, run it on every
-// configuration and write the rendered table.
-func runFigure[T any](args []string, stdout io.Writer, name, groupHelp string, tests []T,
-	groupOf func(T) string, runAll func(tests []T, jobs int) (interface{ Render() string }, error)) error {
-	fs := newFlags(name)
-	group := fs.String("group", "", groupHelp)
-	jobs := jobsFlag(fs)
-	if err := parse(fs, args); err != nil {
+		rep, err := run(*group, figure.Options{Jobs: *jobs})
+		if err != nil {
+			return err
+		}
+		_, err = io.WriteString(stdout, rep.Render())
 		return err
 	}
-	if *group != "" {
-		if tests = inGroup(tests, *group, groupOf); len(tests) == 0 {
-			return fmt.Errorf("unknown group %q", *group)
-		}
-	}
-	rep, err := runAll(tests, *jobs)
-	if err != nil {
-		return err
-	}
-	_, err = io.WriteString(stdout, rep.Render())
-	return err
-}
-
-// runFig5 regenerates Figure 5, the lmbench latencies.
-func runFig5(args []string, stdout io.Writer) error {
-	return runFigure(args, stdout, "fig5", "run only one Fig. 5 group (basic, syscall, proc, comm)", lmbench.AllTests(), lmbenchGroup,
-		func(tests []lmbench.Test, jobs int) (interface{ Render() string }, error) {
-			return lmbench.RunFigure5(tests, lmbench.Options{Jobs: jobs})
-		})
-}
-
-// runFig6 regenerates Figure 6, the PassMark throughput.
-func runFig6(args []string, stdout io.Writer) error {
-	return runFigure(args, stdout, "fig6", "run only one Fig. 6 group (cpu, storage, memory, 2d, 3d)", passmark.AllTests(), passmarkGroup,
-		func(tests []passmark.Test, jobs int) (interface{ Render() string }, error) {
-			return passmark.RunFigure6(tests, passmark.Options{Jobs: jobs})
-		})
-}
-
-// statsConfigs are the configurations whose syscall behaviour `cider
-// stats` decomposes: the vanilla baseline plus both Cider personas
-// (Fig. 5's 8.5% and 40% null-syscall columns).
-func statsConfigs() []lmbench.Configuration {
-	var out []lmbench.Configuration
-	for _, conf := range lmbench.Configurations() {
-		if conf.Name == lmbench.ConfigIPad {
-			continue // real hardware in the paper; no trace hooks to compare
-		}
-		out = append(out, conf)
-	}
-	return out
 }
 
 func runStats(args []string, stdout io.Writer) error {
@@ -716,12 +652,15 @@ func runStats(args []string, stdout io.Writer) error {
 		return err
 	}
 	type run struct {
-		conf    lmbench.Configuration
+		conf    figure.Configuration
 		session *trace.Session
 		null    time.Duration // null-syscall latency for the decomposition
 	}
-	confs := statsConfigs()
-	tests := inGroup(lmbench.AllTests(), "syscall", lmbenchGroup)
+	// stats decomposes the vanilla baseline and both Cider personas
+	// (Fig. 5's 8.5% and 40% null-syscall columns). The iPad, last, is
+	// real hardware in the paper, with no trace hooks to compare.
+	confs := figure.Configurations()[:3]
+	tests := figure.InGroup(lmbench.AllTests(), "syscall")
 	runs := make([]run, len(confs))
 
 	// One cell per configuration: each boots its own System with its own

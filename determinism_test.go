@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/figure"
 	"repro/internal/lmbench"
 	"repro/internal/passmark"
 	"repro/internal/trace"
@@ -55,81 +56,55 @@ func compareSessions(t *testing.T, seq, par []*trace.Session) {
 	}
 }
 
-func TestFigure5Deterministic(t *testing.T) {
-	tests := lmbench.AllTests()
-	run := func(jobs int) (*lmbench.Report, []*trace.Session) {
-		t.Helper()
-		sessions := make([]*trace.Session, len(lmbench.Cells(tests)))
-		rep, err := lmbench.RunFigure5(tests, lmbench.Options{
-			Jobs: jobs,
-			OnSystem: func(cell lmbench.Cell, sys *core.System) {
-				s := sys.EnableTrace()
-				s.Label = cell.Config.Name + "/" + cell.Test.Name
-				sessions[cell.Index] = s
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep, sessions
-	}
-	seqRep, seqSess := run(1)
-	parRep, parSess := run(8)
-
-	// Bit-identical latencies and failure states, in both directions.
-	for test, byCfg := range seqRep.Latency {
-		for cfg, want := range byCfg {
-			if got := parRep.Latency[test][cfg]; got != want {
-				t.Errorf("%s/%s: jobs=8 latency %v != jobs=1 %v", test, cfg, got, want)
-			}
-			if seqRep.Failed[test][cfg] != parRep.Failed[test][cfg] {
-				t.Errorf("%s/%s: failure state differs between jobs=1 and jobs=8", test, cfg)
-			}
-		}
-	}
-	if len(seqRep.Latency) != len(parRep.Latency) {
-		t.Errorf("runs measured %d vs %d tests", len(seqRep.Latency), len(parRep.Latency))
-	}
-
-	compareSessions(t, seqSess, parSess)
+// figures are the paper's two figure batteries, with how many cells a
+// whole-battery run boots.
+var figures = []struct {
+	name  string
+	run   func(group string, opts figure.Options) (*figure.Report, error)
+	cells int
+}{
+	{"fig5", lmbench.Run, len(lmbench.Cells(lmbench.AllTests()))},
+	{"fig6", passmark.Run, len(figure.Configurations())},
 }
 
-func TestFigure6Deterministic(t *testing.T) {
-	tests := passmark.AllTests()
-	confs := passmark.Configurations()
-	run := func(jobs int) (*passmark.Report, []*trace.Session) {
-		t.Helper()
-		sessions := make([]*trace.Session, len(confs))
-		rep, err := passmark.RunFigure6(tests, passmark.Options{
-			Jobs: jobs,
-			OnSystem: func(cell passmark.Cell, sys *core.System) {
-				s := sys.EnableTrace()
-				s.Label = cell.Config.Name
-				sessions[cell.Index] = s
-			},
+func TestFiguresDeterministic(t *testing.T) {
+	for _, fig := range figures {
+		t.Run(fig.name, func(t *testing.T) {
+			run := func(jobs int) (*figure.Report, []*trace.Session) {
+				t.Helper()
+				sessions := make([]*trace.Session, fig.cells)
+				rep, err := fig.run("", figure.Options{
+					Jobs: jobs,
+					OnSystem: func(cell figure.Cell, sys *core.System) {
+						s := sys.EnableTrace()
+						s.Label = cell.Config.Name + "/" + cell.Test
+						sessions[cell.Index] = s
+					},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rep, sessions
+			}
+			seqRep, seqSess := run(1)
+			parRep, parSess := run(8)
+
+			// Bit-identical values and failure states, in both directions.
+			for test, byCfg := range seqRep.Value {
+				for cfg, want := range byCfg {
+					if got := parRep.Value[test][cfg]; got != want {
+						t.Errorf("%s/%s: jobs=8 value %v != jobs=1 %v", test, cfg, got, want)
+					}
+					if seqRep.Failed[test][cfg] != parRep.Failed[test][cfg] {
+						t.Errorf("%s/%s: failure state differs between jobs=1 and jobs=8", test, cfg)
+					}
+				}
+			}
+			if len(seqRep.Value) != len(parRep.Value) {
+				t.Errorf("runs measured %d vs %d tests", len(seqRep.Value), len(parRep.Value))
+			}
+
+			compareSessions(t, seqSess, parSess)
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep, sessions
 	}
-	seqRep, seqSess := run(1)
-	parRep, parSess := run(8)
-
-	// Bit-identical throughput scores and error states.
-	for test, byCfg := range seqRep.Score {
-		for cfg, want := range byCfg {
-			if got := parRep.Score[test][cfg]; got != want {
-				t.Errorf("%s/%s: jobs=8 score %v != jobs=1 %v", test, cfg, got, want)
-			}
-			if (seqRep.Errors[test][cfg] == nil) != (parRep.Errors[test][cfg] == nil) {
-				t.Errorf("%s/%s: error state differs between jobs=1 and jobs=8", test, cfg)
-			}
-		}
-	}
-	if len(seqRep.Score) != len(parRep.Score) {
-		t.Errorf("runs measured %d vs %d tests", len(seqRep.Score), len(parRep.Score))
-	}
-
-	compareSessions(t, seqSess, parSess)
 }

@@ -106,9 +106,6 @@ type FuncSource struct {
 	Pkg  *Package
 }
 
-// PackageByPath returns the loaded package with the given import path.
-func (p *Program) PackageByPath(path string) *Package { return p.byPath[path] }
-
 // FuncBody returns the declaration of fn if it was loaded, or nil for
 // functions outside the program (standard library, interface methods,
 // function-typed values).

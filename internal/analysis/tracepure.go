@@ -39,7 +39,7 @@ var simReentry = map[string]bool{
 	"Advance": true, "Wake": true, "WakeOne": true, "WakeAll": true,
 	"Spawn": true, "Park": true, "Sleep": true,
 	"Wait": true, "WaitTimeout": true, "Exit": true,
-	"Charge": true, "Compute": true, "charge": true, "Syscall": true,
+	"Charge": true, "charge": true, "Syscall": true,
 }
 
 func isSinkRoot(fn *types.Func) bool {

@@ -17,7 +17,7 @@ import (
 // layer (whose decisions must be pure functions of seed and virtual time).
 var simPackageNames = map[string]bool{
 	"sim": true, "kernel": true, "xnu": true, "hw": true,
-	"lmbench": true, "passmark": true, "gpu": true, "diplomat": true,
+	"lmbench": true, "passmark": true, "figure": true, "gpu": true, "diplomat": true,
 	"dyld": true, "services": true, "libsystem": true,
 	"graphics": true, "uikit": true, "devices": true, "input": true,
 	"bionic": true, "dalvik": true, "core": true, "mem": true,

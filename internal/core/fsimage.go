@@ -175,12 +175,6 @@ var androidSystemLibs = []string{
 	"libcrypto.so", "libz.so", "libsqlite.so", "libmedia.so",
 }
 
-// AndroidSystemLibs returns the Android shared-object names laid down in
-// /system/lib.
-func AndroidSystemLibs() []string {
-	return append([]string(nil), androidSystemLibs...)
-}
-
 // buildAndroidFS lays down the Android filesystem image.
 func buildAndroidFS(fs *vfs.FS) error {
 	for _, dir := range []string{

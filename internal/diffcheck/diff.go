@@ -211,14 +211,6 @@ func Compare(seed uint64, android, ios *CellResult) []Divergence {
 	return out
 }
 
-// CheckSeed generates the seed's program and fault plan, runs both
-// persona cells, and returns the pre-allowlist divergences.
-func CheckSeed(seed uint64) ([]Divergence, *Program) {
-	p := Generate(seed)
-	plan := PlanFor(seed)
-	return CompareProgram(seed, p, plan), p
-}
-
 // CompareProgram runs one explicit program under both personas and diffs.
 func CompareProgram(seed uint64, p *Program, plan fault.Plan) []Divergence {
 	android := RunCellDecided(p, false, plan, nil)

@@ -24,6 +24,8 @@ package diffcheck
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"sort"
 	"strings"
 
@@ -130,4 +132,36 @@ func (r *Report) SuggestAllowlist() string {
 			"todo-"+d.Class, d.Sig)
 	}
 	return b.String()
+}
+
+// WriteTriage writes what a run with residual divergences leaves for
+// triage, and nothing when there are none. With corpus, each diverging
+// program (and its minimized form, when minimization ran) becomes a file
+// in that directory, named by divergence index and seed, and a "wrote N"
+// line goes to w. With suggest, SuggestAllowlist's entries go to w.
+func (r *Report) WriteTriage(w io.Writer, corpus string, suggest bool) error {
+	if len(r.Divergences) == 0 {
+		return nil
+	}
+	if corpus != "" {
+		if err := os.MkdirAll(corpus, 0o755); err != nil {
+			return err
+		}
+		for i, d := range r.Divergences {
+			body := fmt.Sprintf("# %s\n# sig: %s\n%s", d.Class, d.Sig, d.Program)
+			if d.Minimized != "" {
+				body += "# minimized\n" + d.Minimized
+			}
+			name := fmt.Sprintf("%s/div-%03d-seed-%x.txt", corpus, i, d.Seed)
+			if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
+				return err
+			}
+		}
+		fmt.Fprintf(w, "wrote %d diverging program(s) to %s\n", len(r.Divergences), corpus)
+	}
+	if suggest {
+		fmt.Fprintln(w, "-- suggested allowlist entries (write the Why citation by hand) --")
+		fmt.Fprint(w, r.SuggestAllowlist())
+	}
+	return nil
 }

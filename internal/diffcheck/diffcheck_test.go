@@ -2,6 +2,7 @@ package diffcheck
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -227,5 +228,57 @@ func TestAllowlistEntriesJustified(t *testing.T) {
 		if !strings.HasPrefix(a.Match, "counter:") {
 			t.Errorf("allowlist entry %s allows behavioral class %q — only measurement counters may be allowlisted", a.ID, a.Match)
 		}
+	}
+}
+
+// TestWriteTriage pins what `cider diffcheck --corpus DIR
+// --update-allowlist` leaves when divergences exist, which the tree never
+// has: one corpus file per divergence, named by index and seed, with the
+// minimized program only where minimization ran, a "wrote N" line, and
+// one suggested allowlist entry per distinct signature.
+func TestWriteTriage(t *testing.T) {
+	rep := &Report{Divergences: []Divergence{
+		{Seed: 0x1f, Class: "result", Sig: "result:op=dup", Program: "dup 3\n", Minimized: "dup 3\n"},
+		{Seed: 0x2a, Class: "result", Sig: "result:op=dup", Program: "open /x\ndup 4\n"},
+	}}
+	dir := t.TempDir() + "/corpus"
+	var out strings.Builder
+	if err := rep.WriteTriage(&out, dir, true); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]string{
+		"div-000-seed-1f.txt": "# result\n# sig: result:op=dup\ndup 3\n# minimized\ndup 3\n",
+		"div-001-seed-2a.txt": "# result\n# sig: result:op=dup\nopen /x\ndup 4\n",
+	} {
+		got, err := os.ReadFile(dir + "/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != want {
+			t.Errorf("%s = %q, want %q", name, got, want)
+		}
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 2 {
+		t.Errorf("corpus holds %d files, want 2", len(entries))
+	}
+	text := out.String()
+	if !strings.HasPrefix(text, "wrote 2 diverging program(s) to "+dir+"\n") {
+		t.Errorf("output does not start with the wrote line:\n%s", text)
+	}
+	if n := strings.Count(text, "ID:"); n != 1 {
+		t.Errorf("%d suggested entries for one signature:\n%s", n, text)
+	}
+	if !strings.Contains(text, `Match: "result:op=dup"`) || !strings.Contains(text, `ID:    "todo-result"`) {
+		t.Errorf("suggestion does not name the signature and class:\n%s", text)
+	}
+
+	// No divergence, no output and no corpus.
+	out.Reset()
+	empty := t.TempDir() + "/none"
+	if err := (&Report{}).WriteTriage(&out, empty, true); err != nil || out.Len() != 0 {
+		t.Errorf("empty report wrote %q (err %v)", out.String(), err)
+	}
+	if _, err := os.Stat(empty); !os.IsNotExist(err) {
+		t.Errorf("empty report made its corpus directory (stat err %v)", err)
 	}
 }

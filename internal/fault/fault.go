@@ -205,9 +205,6 @@ func (in *Injector) Has(op Op) bool {
 	return in != nil && op >= 0 && op < numOps && len(in.byOp[op]) > 0
 }
 
-// Plan returns the injector's schedule.
-func (in *Injector) Plan() Plan { return in.plan }
-
 // Fired returns the total number of injections so far.
 func (in *Injector) Fired() uint64 {
 	if in == nil {

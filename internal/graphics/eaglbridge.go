@@ -51,15 +51,6 @@ func NewEAGLBridge(egl *EGL) *EAGLBridge {
 	}
 }
 
-// Contexts reports live EAGL contexts.
-func (b *EAGLBridge) Contexts() int { return len(b.contexts) }
-
-// Lookup resolves an EAGL context handle (tests).
-func (b *EAGLBridge) Lookup(h uint64) (*Context, bool) {
-	c, ok := b.contexts[h]
-	return c, ok
-}
-
 // invoke dispatches one bridge call.
 func (b *EAGLBridge) invoke(t *kernel.Thread, name string, args []uint64) uint64 {
 	arg := func(i int) uint64 {

@@ -84,9 +84,6 @@ func NewGLES(g *gpu.GPU, cpu *hw.CPUModel) *GLES {
 	}
 }
 
-// GPU exposes the engine (tests, compositor sharing).
-func (gl *GLES) GPU() *gpu.GPU { return gl.gpu }
-
 // NewContext creates a context sized to a surface.
 func (gl *GLES) NewContext(s *Surface) *Context {
 	c := &Context{Surface: s, PixelsPerVertex: 24, nextName: 1}
@@ -99,11 +96,6 @@ func (gl *GLES) NewContext(s *Surface) *Context {
 // MakeCurrent binds a context to the calling thread.
 func (gl *GLES) MakeCurrent(t *kernel.Thread, c *Context) {
 	gl.current[t.TID()] = c
-}
-
-// Current returns the calling thread's context.
-func (gl *GLES) Current(t *kernel.Thread) *Context {
-	return gl.current[t.TID()]
 }
 
 // glInvalidOperation is GL_INVALID_OPERATION.
@@ -250,9 +242,6 @@ func (e *EGL) SwapBuffers(t *kernel.Thread, c *Context) {
 	fence := e.sf.Composite(t)
 	e.gl.gpu.WaitFence(t, fence)
 }
-
-// GLES exposes the driver library.
-func (e *EGL) GLES() *GLES { return e.gl }
 
 // SurfaceFlinger exposes the compositor.
 func (e *EGL) SurfaceFlinger() *SurfaceFlinger { return e.sf }

@@ -45,13 +45,6 @@ func NewSurfaceFlinger(g *gpu.GPU, gr *Gralloc, fb *iokit.FBDevice) *SurfaceFlin
 	}
 }
 
-// Gralloc exposes the allocator (libEGLbridge and the IOSurface diplomats
-// allocate through it).
-func (sf *SurfaceFlinger) Gralloc() *Gralloc { return sf.gralloc }
-
-// GPU exposes the composition engine.
-func (sf *SurfaceFlinger) GPU() *gpu.GPU { return sf.gpu }
-
 // Frames reports completed composition passes.
 func (sf *SurfaceFlinger) Frames() uint64 { return sf.frames }
 

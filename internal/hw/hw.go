@@ -65,11 +65,6 @@ type CPUModel struct {
 	CPI [numCPUOps]float64
 }
 
-// CycleTime returns the duration of one clock cycle.
-func (c *CPUModel) CycleTime() time.Duration {
-	return time.Duration(float64(time.Second) / (float64(c.FreqMHz) * 1e6))
-}
-
 // Cycles converts a cycle count into virtual time on this CPU.
 func (c *CPUModel) Cycles(n float64) time.Duration {
 	// n cycles at FreqMHz: n / (FreqMHz*1e6) seconds = n*1000/FreqMHz ns.

@@ -32,9 +32,6 @@ func (d *Device) Open(*kernel.Thread) (kernel.File, kernel.Errno) {
 	return &deviceFile{dev: d}, kernel.OK
 }
 
-// Injected reports how many events have entered the queue.
-func (d *Device) Injected() uint64 { return d.injected }
-
 // Inject queues an event, waking blocked readers. t is the injecting
 // context (the touchscreen interrupt path, or CiderPress's test driver).
 func (d *Device) Inject(t *kernel.Thread, e Event) {

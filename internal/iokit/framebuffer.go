@@ -35,17 +35,11 @@ func (f *FBDevice) Open(*kernel.Thread) (kernel.File, kernel.Errno) {
 	return &fbFile{dev: f}, kernel.OK
 }
 
-// Front returns the scan-out buffer.
-func (f *FBDevice) Front() *mem.Backing { return f.front }
-
 // Flips reports completed page flips.
 func (f *FBDevice) Flips() uint64 { return f.flips }
 
 // Flip performs a page flip (the compositor's scan-out handoff).
 func (f *FBDevice) Flip() { f.flips++ }
-
-// Display returns the panel description.
-func (f *FBDevice) Display() *hw.DisplayModel { return f.display }
 
 // Framebuffer ioctl request codes (FBIO* style).
 const (

@@ -267,25 +267,3 @@ func (t *Thread) socketpairInternal() (int, int, Errno) {
 	}
 	return afd, bfd, OK
 }
-
-// SockPeer wires two already-created sockEnds across processes: CiderPress
-// and the eventpump use a pre-connected socket pair whose ends live in
-// different tasks. InstallSocketPair allocates one end in each task.
-func InstallSocketPair(t1 *Thread, t2 *Thread) (fd1, fd2 int, errno Errno) {
-	ab := newPipeBuffer("unix-a2b")
-	ba := newPipeBuffer("unix-b2a")
-	ab.readers, ab.writers = 1, 1
-	ba.readers, ba.writers = 1, 1
-	a := newSockEnd(t1.k, ba, ab)
-	b := newSockEnd(t2.k, ab, ba)
-	fd1, errno = t1.task.fds.Alloc(a)
-	if errno != OK {
-		return -1, -1, errno
-	}
-	fd2, errno = t2.task.fds.Alloc(b)
-	if errno != OK {
-		t1.task.fds.Close(t1, fd1)
-		return -1, -1, errno
-	}
-	return fd1, fd2, OK
-}

@@ -226,10 +226,6 @@ func isExceptionSignal(sig int) bool {
 	return false
 }
 
-// IsExceptionSignal exposes the exception-signal set to the xnu extension
-// and tests.
-func IsExceptionSignal(sig int) bool { return isExceptionSignal(sig) }
-
 // linuxToXNUSignal maps canonical Linux numbers to XNU numbers where they
 // differ (sys/signal.h on each platform). The map must be a bijection on
 // [1, nsig): a partial table is how the oracle-caught SIGTSTP bug happened

@@ -65,9 +65,6 @@ func (tk *Task) PPID() int {
 	return tk.parent.pid
 }
 
-// Kernel returns the owning kernel.
-func (tk *Task) Kernel() *Kernel { return tk.k }
-
 // Mem returns the task's address space.
 func (tk *Task) Mem() *mem.AddressSpace { return tk.mem }
 
@@ -151,10 +148,6 @@ func (t *Thread) charge(d time.Duration) { t.proc.Advance(d) }
 // Charge exposes cost charging to user-space runtimes (libc, dyld,
 // libraries) that model their own compute.
 func (t *Thread) Charge(d time.Duration) { t.charge(d) }
-
-// Compute charges n operations of CPU op class, scaled by the executing
-// image's toolchain (set via SetToolchainScale at load time).
-func (t *Thread) Compute(d time.Duration) { t.charge(d) }
 
 // Now returns the thread's virtual clock.
 func (t *Thread) Now() time.Duration { return t.proc.Now() }

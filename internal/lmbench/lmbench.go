@@ -14,9 +14,11 @@
 package lmbench
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/figure"
 	"repro/internal/hw"
 	"repro/internal/kernel"
 	"repro/internal/persona"
@@ -63,24 +65,20 @@ type Test struct {
 	run func(c *ctx) (time.Duration, bool)
 }
 
-// BaseName returns the normalization baseline test name.
-func (t Test) BaseName() string {
-	if t.Base != "" {
-		return t.Base
-	}
-	return t.Name
-}
+// Row is the test's row of the Fig. 5 table.
+func (t Test) Row() figure.Row { return figure.Row{Name: t.Name, Group: t.Group, Base: t.Base} }
 
 // Result is one (test, configuration) measurement.
 type Result struct {
-	Test   string
-	Group  string
-	Config string
+	Test, Config string
 	// Latency is the per-operation virtual-time latency.
 	Latency time.Duration
 	// Failed marks tests that could not complete.
 	Failed bool
 }
+
+// Measured is the latency, in ns, and whether the test failed.
+func (r Result) Measured() (float64, bool) { return float64(r.Latency), r.Failed }
 
 // iters is the default measurement loop count.
 const iters = 64
@@ -94,97 +92,95 @@ func measure(c *ctx, n int, op func()) time.Duration {
 	return (c.t.Now() - start) / time.Duration(n)
 }
 
-// Config names used in reports.
-const (
-	ConfigAndroid      = "android"
-	ConfigCiderAndroid = "cider-android"
-	ConfigCiderIOS     = "cider-ios"
-	ConfigIPad         = "ipad"
-)
-
-// Configuration describes one Fig. 5 column.
-type Configuration struct {
-	Name   string
-	System core.Config
-	// Persona selects the compiled form of the benchmark: the GCC-built
-	// ELF (Android) or the Xcode-built Mach-O (iOS).
-	Persona persona.Kind
+// fig5 is Figure 5 as data for the shared frame: one cell per
+// (configuration, test), because every test boots from the same
+// cold-start System state (see TestParallelCellsMatchBatch).
+var fig5 = &figure.Figure{
+	Name:       "lmbench",
+	Title:      "Figure 5: lmbench latencies normalized to vanilla Android (lower is better)",
+	GroupWidth: 7,
+	Rule:       98,
+	Groups: map[string]string{
+		"basic":   "basic CPU operations",
+		"syscall": "syscalls and signals",
+		"proc":    "process creation",
+		"comm":    "local communication and file operations",
+	},
+	Format:      func(v float64) string { return fmtDur(time.Duration(v)) },
+	PerTest:     true,
+	AndroidPath: "/bin/lmbench",
+	IOSPath:     "/bin/lmbench",
 }
 
-// Configurations returns the four Fig. 5 configurations in paper order.
-func Configurations() []Configuration {
-	return []Configuration{
-		{ConfigAndroid, core.ConfigVanilla, persona.Android},
-		{ConfigCiderAndroid, core.ConfigCider, persona.Android},
-		{ConfigCiderIOS, core.ConfigCider, persona.IOS},
-		{ConfigIPad, core.ConfigIPad, persona.IOS},
+func fmtDur(d time.Duration) string {
+	switch {
+	case d < time.Microsecond:
+		return fmt.Sprintf("%dns", d.Nanoseconds())
+	case d < time.Millisecond:
+		return fmt.Sprintf("%.2fµs", float64(d)/float64(time.Microsecond))
+	default:
+		return fmt.Sprintf("%.2fms", float64(d)/float64(time.Millisecond))
 	}
+}
+
+// Run runs one group of the battery ("" for all of it) on the four
+// configurations: Figure 5, latency normalized to vanilla Android.
+func Run(group string, opts figure.Options) (*figure.Report, error) {
+	return figure.Run(fig5, AllTests(), group, opts, RunWith)
+}
+
+// Configurations returns the four configurations in paper order (kept
+// for hostbench).
+func Configurations() []figure.Configuration { return figure.Configurations() }
+
+// Cell is one (configuration, test) pair of the battery.
+type Cell struct {
+	Config figure.Configuration
+	Test   Test
+}
+
+// Cells enumerates the battery's cells in the order figure.Run indexes
+// them: configurations in paper order, tests in battery order.
+func Cells(tests []Test) []Cell {
+	var cells []Cell
+	for _, conf := range figure.Configurations() {
+		for _, t := range tests {
+			cells = append(cells, Cell{conf, t})
+		}
+	}
+	return cells
 }
 
 // RunWith executes the given tests in one configuration, returning a
-// result per test. onSystem, when non-nil, is invoked with the freshly
-// booted System before any benchmark process starts. Tests and the CLI
-// use it to attach a trace session to the run; it must not advance
-// virtual time. The hook is per run, not a package global, so concurrent
-// batteries (and concurrent tests) stay independent.
-//
-// RunWith does not close the System: a hook that keeps it owns it and
-// calls System.Close once it has audited the post-run state (the soak
-// cells read trace digests and LeakCheck after RunWith returns). Without
-// that, any daemons the hook booted stay parked and keep the System in
-// memory.
-func RunWith(conf Configuration, tests []Test, onSystem func(*core.System)) ([]Result, error) {
-	sys, err := core.NewSystem(conf.System)
-	if err != nil {
-		return nil, err
-	}
-	if onSystem != nil {
-		onSystem(sys)
-	}
-	// Install the hello-world payloads the process-creation tests exec.
-	if sys.AndroidFS != nil {
-		if err := sys.InstallStaticAndroidBinary(helloLinux, "lm-hello-linux",
-			helloBody); err != nil {
-			return nil, err
-		}
-	}
-	if sys.IOSFS != nil {
-		if err := sys.InstallIOSBinary(helloIOS, "lm-hello-ios", nil,
-			helloBody); err != nil {
-			return nil, err
-		}
-	}
-
+// result per test; see figure.Figure.RunWith for onSystem.
+func RunWith(conf figure.Configuration, tests []Test, onSystem func(*core.System)) ([]Result, error) {
 	results := make([]Result, 0, len(tests))
-	driver := func(t *kernel.Thread) {
-		c := &ctx{t: t, lc: posix.New(conf.Persona, t), sys: sys}
-		if conf.Persona == persona.IOS {
-			c.toolchain = hw.Xcode421()
-		} else {
-			c.toolchain = hw.GCC441()
+	err := fig5.RunWith(conf, onSystem, func(sys *core.System) (func(*kernel.Thread), error) {
+		// Install the hello-world payloads the process-creation tests exec.
+		if sys.AndroidFS != nil {
+			if err := sys.InstallStaticAndroidBinary(helloLinux, "lm-hello-linux", helloBody); err != nil {
+				return nil, err
+			}
 		}
-		for _, test := range tests {
-			lat, ok := test.run(c)
-			results = append(results, Result{
-				Test: test.Name, Group: test.Group, Config: conf.Name,
-				Latency: lat, Failed: !ok,
-			})
+		if sys.IOSFS != nil {
+			if err := sys.InstallIOSBinary(helloIOS, "lm-hello-ios", nil, helloBody); err != nil {
+				return nil, err
+			}
 		}
-	}
-	const path = "/bin/lmbench"
-	key := "lmbench-" + conf.Name
-	if conf.Persona == persona.IOS {
-		err = sys.InstallIOSBinary(path, key, nil, kernel.Entry(driver))
-	} else {
-		err = sys.InstallStaticAndroidBinary(path, key, kernel.Entry(driver))
-	}
+		return func(t *kernel.Thread) {
+			c := &ctx{t: t, lc: posix.New(conf.Persona, t), sys: sys}
+			if conf.Persona == persona.IOS {
+				c.toolchain = hw.Xcode421()
+			} else {
+				c.toolchain = hw.GCC441()
+			}
+			for _, test := range tests {
+				lat, ok := test.run(c)
+				results = append(results, Result{Test: test.Name, Config: conf.Name, Latency: lat, Failed: !ok})
+			}
+		}, nil
+	})
 	if err != nil {
-		return nil, err
-	}
-	if _, err := sys.Start(path, nil); err != nil {
-		return nil, err
-	}
-	if err := sys.Run(); err != nil {
 		return nil, err
 	}
 	return results, nil

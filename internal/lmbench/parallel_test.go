@@ -48,7 +48,7 @@ func TestPerRunHookIsolation(t *testing.T) {
 // it measures inside the full sequential battery — lmbench tests start
 // from cold System state, so per-(config, test) cells are safe. (The
 // passmark 3D tests fail this property, which is why passmark shards per
-// configuration; see passmark.Cell.)
+// configuration; see passmark's fig6.)
 func TestParallelCellsMatchBatch(t *testing.T) {
 	tests := AllTests()[:6]     // basic group + first syscalls: enough to cross groups
 	conf := Configurations()[2] // cider-ios: the config with the most machinery

@@ -21,36 +21,57 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/figure"
 	"repro/internal/kernel"
 	"repro/internal/persona"
 )
 
-// Config names (Fig. 6 columns).
-const (
-	ConfigAndroid      = "android"
-	ConfigCiderAndroid = "cider-android"
-	ConfigCiderIOS     = "cider-ios"
-	ConfigIPad         = "ipad"
-)
-
-// Configuration is one Fig. 6 column.
-type Configuration struct {
-	Name   string
-	System core.Config
-	// Persona selects the app build: the Google Play app (Dalvik
-	// bytecode) for Android, the App Store app (native binary) for iOS.
-	Persona persona.Kind
+// fig6 is Figure 6 as data for the shared frame. PassMark cells cannot
+// shard per test the way lmbench's do: the 3D scenes measure warm
+// GPU/diplomat state built up by the tests that ran before them in the
+// same app process (a cold-start "simple 3D" run scores measurably
+// differently), so a cell is a whole configuration's battery.
+var fig6 = &figure.Figure{
+	Name:       "passmark",
+	Title:      "Figure 6: PassMark throughput normalized to vanilla Android (higher is better)",
+	GroupWidth: 8,
+	Rule:       100,
+	Groups: map[string]string{
+		"cpu":     "CPU operations",
+		"storage": "storage operations",
+		"memory":  "memory operations",
+		"2d":      "2D graphics",
+		"3d":      "3D graphics",
+	},
+	Format:      fmtScore,
+	RunWrapped:  true,
+	AndroidPath: "/data/app/passmark",
+	IOSPath:     "/Applications/PassMark.app/PassMark",
+	AndroidLibs: []string{"libc.so", "libGLESv2.so", "libandroid_runtime.so"},
 }
 
-// Configurations returns the four Fig. 6 configurations in paper order.
-func Configurations() []Configuration {
-	return []Configuration{
-		{ConfigAndroid, core.ConfigVanilla, persona.Android},
-		{ConfigCiderAndroid, core.ConfigCider, persona.Android},
-		{ConfigCiderIOS, core.ConfigCider, persona.IOS},
-		{ConfigIPad, core.ConfigIPad, persona.IOS},
+func fmtScore(s float64) string {
+	switch {
+	case s >= 1e9:
+		return fmt.Sprintf("%.1fG/s", s/1e9)
+	case s >= 1e6:
+		return fmt.Sprintf("%.1fM/s", s/1e6)
+	case s >= 1e3:
+		return fmt.Sprintf("%.1fk/s", s/1e3)
+	default:
+		return fmt.Sprintf("%.1f/s", s)
 	}
 }
+
+// Run runs one group of the battery ("" for all of it) on the four
+// configurations: Figure 6, throughput normalized to vanilla Android.
+func Run(group string, opts figure.Options) (*figure.Report, error) {
+	return figure.Run(fig6, AllTests(), group, opts, RunWith)
+}
+
+// Configurations returns the four configurations in paper order (kept
+// for hostbench).
+func Configurations() []figure.Configuration { return figure.Configurations() }
 
 // Test is one PassMark measurement.
 type Test struct {
@@ -64,72 +85,50 @@ type Test struct {
 	runIOS     func(c *ctx) (float64, time.Duration, error)
 }
 
+// Row is the test's row of the Fig. 6 table.
+func (t Test) Row() figure.Row { return figure.Row{Name: t.Name, Group: t.Group} }
+
 // Result is one (test, configuration) score.
 type Result struct {
-	Test   string
-	Group  string
-	Config string
+	Test, Config string
 	// Score is work units per second (higher is better).
 	Score float64
 	// Err records a failed run.
 	Err error
 }
 
-// RunWith executes the battery in one configuration. onSystem, when
-// non-nil, is invoked with the freshly booted System before the app
-// starts — the place to attach a trace session. It must not advance
-// virtual time.
-//
-// RunWith does not close the System: a hook that keeps it owns it and
-// calls System.Close once it has audited the post-run state, as the soak
-// cells do after reading trace digests and LeakCheck.
-func RunWith(conf Configuration, tests []Test, onSystem func(*core.System)) ([]Result, error) {
-	sys, err := core.NewSystem(conf.System)
-	if err != nil {
-		return nil, err
-	}
-	if onSystem != nil {
-		onSystem(sys)
-	}
+// Measured is the score and whether the run failed.
+func (r Result) Measured() (float64, bool) { return r.Score, r.Err != nil }
+
+// RunWith executes the battery in one configuration; see
+// figure.Figure.RunWith for onSystem.
+func RunWith(conf figure.Configuration, tests []Test, onSystem func(*core.System)) ([]Result, error) {
 	var results []Result
-	driver := func(t *kernel.Thread) {
-		c, cerr := newCtx(t, sys, conf.Persona)
-		if cerr != nil {
+	err := fig6.RunWith(conf, onSystem, func(sys *core.System) (func(*kernel.Thread), error) {
+		return func(t *kernel.Thread) {
+			c, cerr := newCtx(t, sys, conf.Persona)
+			if cerr != nil {
+				for _, test := range tests {
+					results = append(results, Result{Test: test.Name, Config: conf.Name, Err: cerr})
+				}
+				return
+			}
 			for _, test := range tests {
-				results = append(results, Result{Test: test.Name, Group: test.Group, Config: conf.Name, Err: cerr})
+				run := test.runAndroid
+				if conf.Persona == persona.IOS {
+					run = test.runIOS
+				}
+				work, elapsed, rerr := run(c)
+				r := Result{Test: test.Name, Config: conf.Name, Err: rerr}
+				if rerr == nil && elapsed > 0 {
+					r.Score = work / elapsed.Seconds()
+				}
+				results = append(results, r)
 			}
-			return
-		}
-		for _, test := range tests {
-			run := test.runAndroid
-			if conf.Persona == persona.IOS {
-				run = test.runIOS
-			}
-			work, elapsed, rerr := run(c)
-			r := Result{Test: test.Name, Group: test.Group, Config: conf.Name, Err: rerr}
-			if rerr == nil && elapsed > 0 {
-				r.Score = work / elapsed.Seconds()
-			}
-			results = append(results, r)
-		}
-	}
-	key := "passmark-" + conf.Name
-	var path string
-	if conf.Persona == persona.IOS {
-		path = "/Applications/PassMark.app/PassMark"
-		err = sys.InstallIOSBinary(path, key, nil, kernel.Entry(driver))
-	} else {
-		path = "/data/app/passmark"
-		err = sys.InstallAndroidBinary(path, key, []string{"libc.so", "libGLESv2.so", "libandroid_runtime.so"}, kernel.Entry(driver))
-	}
+		}, nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	if _, err := sys.Start(path, nil); err != nil {
-		return nil, err
-	}
-	if err := sys.Run(); err != nil {
-		return nil, fmt.Errorf("passmark: %s: %w", conf.Name, err)
 	}
 	return results, nil
 }

@@ -5,17 +5,18 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/figure"
 	"repro/internal/kernel"
 	"repro/internal/persona"
 	"repro/internal/prog"
 )
 
-var cachedReport *Report
+var cachedReport *figure.Report
 
-func figure6(t *testing.T) *Report {
+func figure6(t *testing.T) *figure.Report {
 	t.Helper()
 	if cachedReport == nil {
-		rep, err := RunFigure6(AllTests(), Options{})
+		rep, err := Run("", figure.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -24,7 +25,7 @@ func figure6(t *testing.T) *Report {
 	return cachedReport
 }
 
-func norm(t *testing.T, rep *Report, test, cfg string) float64 {
+func norm(t *testing.T, rep *figure.Report, test, cfg string) float64 {
 	t.Helper()
 	v, ok := rep.Normalized(test, cfg)
 	if !ok {
@@ -37,8 +38,8 @@ func TestCiderAddsNegligibleOverheadToAndroidApp(t *testing.T) {
 	// "In all tests, Cider adds negligible overhead to the Android
 	// PassMark app."
 	rep := figure6(t)
-	for _, test := range rep.Tests {
-		v := norm(t, rep, test.Name, ConfigCiderAndroid)
+	for _, test := range rep.Rows {
+		v := norm(t, rep, test.Name, figure.ConfigCiderAndroid)
 		if v < 0.97 || v > 1.03 {
 			t.Errorf("%s cider-android = %.3f, want ≈1.0", test.Name, v)
 		}
@@ -52,14 +53,14 @@ func TestCPUGroupNativeBeatsInterpreted(t *testing.T) {
 	// through the Dalvik VM while the iOS version is ... native."
 	for _, test := range []string{"integer math", "floating point", "find primes",
 		"random string sort", "data encryption", "data compression"} {
-		ciderIOS := norm(t, rep, test, ConfigCiderIOS)
+		ciderIOS := norm(t, rep, test, figure.ConfigCiderIOS)
 		if ciderIOS < 2 {
 			t.Errorf("%s cider-ios = %.2fx, want >> 1", test, ciderIOS)
 		}
 		// "Because the Android device contains a faster CPU than the iPad
 		// mini, Cider outperforms iOS when running the CPU tests from the
 		// same iOS PassMark application binary."
-		ipad := norm(t, rep, test, ConfigIPad)
+		ipad := norm(t, rep, test, figure.ConfigIPad)
 		if ipad <= 1 {
 			t.Errorf("%s ipad = %.2fx, want > 1", test, ipad)
 		}
@@ -73,13 +74,13 @@ func TestStorageShape(t *testing.T) {
 	rep := figure6(t)
 	// "The iPad mini has much better storage write performance than either
 	// the iOS or Android app running on Cider."
-	ipadWrite := norm(t, rep, "storage write", ConfigIPad)
+	ipadWrite := norm(t, rep, "storage write", figure.ConfigIPad)
 	if ipadWrite < 2 {
 		t.Errorf("storage write ipad = %.2fx, want >> 1", ipadWrite)
 	}
 	// "Cider has similar storage read performance to the iPad mini."
-	ciderRead := norm(t, rep, "storage read", ConfigCiderIOS)
-	ipadRead := norm(t, rep, "storage read", ConfigIPad)
+	ciderRead := norm(t, rep, "storage read", figure.ConfigCiderIOS)
+	ipadRead := norm(t, rep, "storage read", figure.ConfigIPad)
 	if ipadRead/ciderRead > 1.3 || ciderRead/ipadRead > 1.3 {
 		t.Errorf("storage read cider-ios %.2f vs ipad %.2f, want similar", ciderRead, ipadRead)
 	}
@@ -88,8 +89,8 @@ func TestStorageShape(t *testing.T) {
 func TestMemoryShape(t *testing.T) {
 	rep := figure6(t)
 	for _, test := range []string{"memory write", "memory read"} {
-		ciderIOS := norm(t, rep, test, ConfigCiderIOS)
-		ipad := norm(t, rep, test, ConfigIPad)
+		ciderIOS := norm(t, rep, test, figure.ConfigCiderIOS)
+		ipad := norm(t, rep, test, figure.ConfigIPad)
 		if ciderIOS < 2 {
 			t.Errorf("%s cider-ios = %.2fx, want >> 1 (native vs Dalvik)", test, ciderIOS)
 		}
@@ -106,21 +107,21 @@ func Test2DShape(t *testing.T) {
 	// "With the exception of complex vectors, the Android app performs
 	// much better than the iOS binary on both Cider and the iPad mini."
 	for _, test := range []string{"solid vectors", "transparent vectors", "image rendering", "image filters"} {
-		for _, cfg := range []string{ConfigCiderIOS, ConfigIPad} {
+		for _, cfg := range []string{figure.ConfigCiderIOS, figure.ConfigIPad} {
 			if v := norm(t, rep, test, cfg); v >= 1 {
 				t.Errorf("%s on %s = %.2fx, want < 1", test, cfg, v)
 			}
 		}
 	}
 	// Complex vectors: the iOS library wins.
-	if v := norm(t, rep, "complex vectors", ConfigCiderIOS); v <= 1 {
+	if v := norm(t, rep, "complex vectors", figure.ConfigCiderIOS); v <= 1 {
 		t.Errorf("complex vectors cider-ios = %.2fx, want > 1", v)
 	}
 	// The 2D tests are CPU bound, so Cider generally outperforms the iPad
 	// on the same binary.
 	for _, test := range []string{"solid vectors", "transparent vectors", "complex vectors", "image filters"} {
-		ciderIOS := norm(t, rep, test, ConfigCiderIOS)
-		ipad := norm(t, rep, test, ConfigIPad)
+		ciderIOS := norm(t, rep, test, figure.ConfigCiderIOS)
+		ipad := norm(t, rep, test, figure.ConfigIPad)
 		if ciderIOS <= ipad {
 			t.Errorf("%s: cider-ios (%.2f) should beat ipad (%.2f) (CPU bound)", test, ciderIOS, ipad)
 		}
@@ -128,8 +129,8 @@ func Test2DShape(t *testing.T) {
 	// "Bugs in the Cider OpenGL ES library related to fence
 	// synchronization primitives caused under-performance in the image
 	// rendering tests": Cider-iOS must trail even the iPad here.
-	imgCider := norm(t, rep, "image rendering", ConfigCiderIOS)
-	imgIPad := norm(t, rep, "image rendering", ConfigIPad)
+	imgCider := norm(t, rep, "image rendering", figure.ConfigCiderIOS)
+	imgIPad := norm(t, rep, "image rendering", figure.ConfigIPad)
 	if imgCider >= imgIPad {
 		t.Errorf("image rendering: cider-ios (%.2f) must trail ipad (%.2f) (fence bug)", imgCider, imgIPad)
 	}
@@ -140,15 +141,15 @@ func Test3DShape(t *testing.T) {
 	// "Because the iPad mini has a faster GPU than the Nexus 7, it has
 	// better 3D graphics performance."
 	for _, test := range []string{"simple 3D", "complex 3D"} {
-		if v := norm(t, rep, test, ConfigIPad); v <= 1 {
+		if v := norm(t, rep, test, figure.ConfigIPad); v <= 1 {
 			t.Errorf("%s ipad = %.2fx, want > 1", test, v)
 		}
 	}
 	// "The iOS binary running on Cider performs 20-37% worse than the
 	// Android PassMark app due to the extra cost of diplomatic function
 	// calls."
-	simple := norm(t, rep, "simple 3D", ConfigCiderIOS)
-	complex3d := norm(t, rep, "complex 3D", ConfigCiderIOS)
+	simple := norm(t, rep, "simple 3D", figure.ConfigCiderIOS)
+	complex3d := norm(t, rep, "complex 3D", figure.ConfigCiderIOS)
 	if simple < 0.63 || simple > 0.83 {
 		t.Errorf("simple 3D cider-ios = %.2fx, want within 20-37%% below android", simple)
 	}

@@ -37,6 +37,15 @@ func NewDigest() *Digest { return &Digest{h: EmptyDigest} }
 // U64 folds v's eight little-endian bytes.
 func (d *Digest) U64(v uint64) { d.h = foldU64(d.h, v) }
 
+// Flag folds b as the U64 1 or 0.
+func (d *Digest) Flag(b bool) {
+	if b {
+		d.U64(1)
+	} else {
+		d.U64(0)
+	}
+}
+
 // foldU64 folds v's eight little-endian bytes into h. It folds the low
 // bytes up to v's highest non-zero one byte by byte, then the run of
 // zero high bytes as one multiply: the same sum as eight byte folds, and

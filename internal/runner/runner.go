@@ -17,6 +17,7 @@ package runner
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Jobs normalizes a --jobs flag value: n<=0 selects GOMAXPROCS (the
@@ -26,40 +27,6 @@ func Jobs(n int) int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return n
-}
-
-// deque is one worker's work queue. The owner pops from the front; idle
-// workers steal from the back, so an owner working through a contiguous
-// block of cells loses its farthest-away work first. A mutex (not a
-// lock-free Chase-Lev deque) is plenty here: cells are whole simulated
-// benchmark runs, milliseconds to seconds each, so queue operations are
-// nowhere near contended.
-type deque struct {
-	mu    sync.Mutex
-	items []int
-}
-
-func (d *deque) popFront() (int, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.items) == 0 {
-		return 0, false
-	}
-	i := d.items[0]
-	d.items = d.items[1:]
-	return i, true
-}
-
-func (d *deque) popBack() (int, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.items) == 0 {
-		return 0, false
-	}
-	n := len(d.items) - 1
-	i := d.items[n]
-	d.items = d.items[:n]
-	return i, true
 }
 
 // Map runs fn(i) for every i in [0, n) across up to jobs host workers and
@@ -96,19 +63,12 @@ func Map[T any](n, jobs int, fn func(i int) (T, error)) ([]T, error) {
 		return results, firstErr
 	}
 
-	// Deal cells to workers in contiguous blocks so an owner sweeps its
-	// own range front-to-back while thieves peel cells off the far end.
-	deques := make([]*deque, jobs)
-	for w := 0; w < jobs; w++ {
-		deques[w] = &deque{}
-	}
-	for i := 0; i < n; i++ {
-		w := i * jobs / n
-		d := deques[w]
-		d.items = append(d.items, i)
-	}
-
 	var (
+		// next is the one shared cursor: an idle worker takes the next
+		// unstarted cell, so a slow cell holds up only its own worker.
+		// Cells are whole simulated runs, so it is nowhere near
+		// contended.
+		next     atomic.Int64
 		mu       sync.Mutex
 		firstErr error
 		firstIdx = n
@@ -139,33 +99,16 @@ func Map[T any](n, jobs int, fn func(i int) (T, error)) ([]T, error) {
 	}
 	for w := 0; w < jobs; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			// Drain our own deque first.
 			for {
-				i, ok := deques[w].popFront()
-				if !ok {
-					break
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
 				}
 				runCell(i)
 			}
-			// Then steal from the others, scanning round-robin from our
-			// right-hand neighbour.
-			for {
-				stole := false
-				for off := 1; off < jobs; off++ {
-					v := deques[(w+off)%jobs]
-					if i, ok := v.popBack(); ok {
-						runCell(i)
-						stole = true
-						break
-					}
-				}
-				if !stole {
-					return
-				}
-			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	if panicked {

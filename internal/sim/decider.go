@@ -74,9 +74,6 @@ type DecisionLister interface {
 // with zero overhead beyond a nil check.
 func (s *Sim) SetDecider(d Decider) { s.decider = d }
 
-// Decider returns the installed Decider, or nil.
-func (s *Sim) Decider() Decider { return s.decider }
-
 // nextDecided is Sim.next with the equal-time tie handed to the Decider:
 // all Procs (ready or sleeping) sharing the minimal clock are enumerated
 // in ascending id order and the Decider picks one. With a single

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ducttape"
 	"repro/internal/fault"
+	"repro/internal/figure"
 	"repro/internal/hw"
 	"repro/internal/kernel"
 	"repro/internal/lmbench"
@@ -36,7 +37,7 @@ func CellRefs(tests []lmbench.Test, full bool) []replay.CellRef {
 		refs = append(refs, replay.CellRef{Bench: "lmbench", Config: c.Config.Name, Test: c.Test.Name})
 	}
 	if full {
-		for _, conf := range passmark.Configurations() {
+		for _, conf := range figure.Configurations() {
 			refs = append(refs, replay.CellRef{Bench: "passmark", Config: conf.Name})
 		}
 	}
@@ -112,10 +113,8 @@ func (c cell) Artifact() *replay.Artifact {
 // exploration).
 func (c cell) run(dec sim.Decider) *cellOutcome {
 	switch c.ref.Bench {
-	case "lmbench":
-		return runLmbenchCell(c.s, c.ref, dec)
-	case "passmark":
-		return runPassmarkCell(c.s, c.ref, dec)
+	case "lmbench", "passmark":
+		return runFigureCell(c.s, c.ref, dec)
 	case "mach":
 		return runMachCell(c.s, dec)
 	}
@@ -183,59 +182,77 @@ func byName[T any](xs []T, name string, nameOf func(T) string) (T, bool) {
 	return zero, false
 }
 
-func runLmbenchCell(s Schedule, ref replay.CellRef, dec sim.Decider) *cellOutcome {
-	o := &cellOutcome{ref: ref, latPresent: true}
-	d := replay.NewDigest()
-	d.Str("lmbench")
+// runFigureCell runs one Fig. 5 (lmbench) or Fig. 6 (passmark) cell
+// under the schedule. The hook arms the schedule on the booted System;
+// lmbench cells also get its services, memory pressure and fd hog, which
+// passmark cells have never had. A failed run's error text is folded, a
+// deadlock becomes a finding, and the System is audited and closed,
+// alike for both.
+func runFigureCell(s Schedule, ref replay.CellRef, dec sim.Decider) *cellOutcome {
+	lm := ref.Bench == "lmbench"
+	o := &cellOutcome{ref: ref, latPresent: lm}
+	d, ld := replay.NewDigest(), replay.NewDigest()
+	d.Str(ref.Bench)
 	d.Str(ref.Config)
-	d.Str(ref.Test)
-	ld := replay.NewDigest()
-	ld.Str(ref.Test)
-
-	conf, okC := byName(lmbench.Configurations(), ref.Config, func(c lmbench.Configuration) string { return c.Name })
-	test, okT := byName(lmbench.AllTests(), ref.Test, func(t lmbench.Test) string { return t.Name })
-	if !okC || !okT {
-		o.fail(replay.Setup, "cell %s: unknown lmbench config/test", ref)
-		o.digest, o.latPart = d.Sum(), ld.Sum()
-		return o
+	if lm {
+		d.Str(ref.Test)
+		ld.Str(ref.Test)
 	}
 	var sys *core.System
-	rs, err := lmbench.RunWith(conf, []lmbench.Test{test}, func(y *core.System) {
+	hook := func(y *core.System) {
 		y.EnableTrace()
 		y.EnableFaults(s.Plan)
-		if s.Services {
+		if lm && s.Services {
 			bootCellServices(y)
 		}
-		if s.Pressure {
+		if lm && s.Pressure {
 			bootCellPressure(y)
 		}
-		if s.FDHog {
+		if lm && s.FDHog {
 			bootCellFDHog(y)
 		}
 		if dec != nil {
 			y.Sim.SetDecider(dec)
 		}
 		sys = y
-	})
-	if err != nil {
-		d.Str("err:" + err.Error())
-		ld.Str("err:" + err.Error())
-		var dl *sim.ErrDeadlock
-		if errors.As(err, &dl) {
-			o.fail(replay.Deadlock, "cell %s deadlocked under %q: %v", ref, s.Name, dl.Report())
+	}
+	conf, okC := byName(figure.Configurations(), ref.Config, func(c figure.Configuration) string { return c.Name })
+	test, okT := byName(lmbench.AllTests(), ref.Test, func(t lmbench.Test) string { return t.Name })
+	var err error
+	switch {
+	case !okC || lm && !okT:
+		o.fail(replay.Setup, "cell %s: unknown %s config/test", ref, ref.Bench)
+	case lm:
+		var rs []lmbench.Result
+		if rs, err = lmbench.RunWith(conf, []lmbench.Test{test}, hook); err != nil {
+			ld.Str("err:" + err.Error())
 		}
-	} else {
 		for _, r := range rs {
 			d.U64(uint64(r.Latency))
 			ld.U64(uint64(r.Latency))
+			d.Flag(r.Failed)
+			ld.Flag(r.Failed)
 			if r.Failed {
-				d.U64(1)
-				ld.U64(1)
 				o.failed++
-			} else {
-				d.U64(0)
-				ld.U64(0)
 			}
+		}
+	default:
+		var rs []passmark.Result
+		rs, err = passmark.RunWith(conf, passmark.AllTests(), hook)
+		for _, r := range rs {
+			d.Str(r.Test)
+			d.U64(uint64(int64(r.Score * 1e6)))
+			d.Flag(r.Err != nil)
+			if r.Err != nil {
+				o.failed++
+			}
+		}
+	}
+	if err != nil {
+		d.Str("err:" + err.Error())
+		var dl *sim.ErrDeadlock
+		if errors.As(err, &dl) {
+			o.fail(replay.Deadlock, "cell %s deadlocked under %q: %v", ref, s.Name, dl.Report())
 		}
 	}
 	if sys != nil {
@@ -243,53 +260,6 @@ func runLmbenchCell(s Schedule, ref replay.CellRef, dec sim.Decider) *cellOutcom
 		sys.Close()
 	}
 	o.digest, o.latPart = d.Sum(), ld.Sum()
-	return o
-}
-
-func runPassmarkCell(s Schedule, ref replay.CellRef, dec sim.Decider) *cellOutcome {
-	o := &cellOutcome{ref: ref}
-	d := replay.NewDigest()
-	d.Str("passmark")
-	d.Str(ref.Config)
-
-	conf, found := byName(passmark.Configurations(), ref.Config, func(c passmark.Configuration) string { return c.Name })
-	if !found {
-		o.fail(replay.Setup, "cell %s: unknown passmark config", ref)
-		o.digest = d.Sum()
-		return o
-	}
-	var sys *core.System
-	rs, err := passmark.RunWith(conf, passmark.AllTests(), func(y *core.System) {
-		y.EnableTrace()
-		y.EnableFaults(s.Plan)
-		if dec != nil {
-			y.Sim.SetDecider(dec)
-		}
-		sys = y
-	})
-	if err != nil {
-		d.Str("err:" + err.Error())
-		var dl *sim.ErrDeadlock
-		if errors.As(err, &dl) {
-			o.fail(replay.Deadlock, "cell %s deadlocked under %q: %v", ref, s.Name, dl.Report())
-		}
-	} else {
-		for _, r := range rs {
-			d.Str(r.Test)
-			d.U64(uint64(int64(r.Score * 1e6)))
-			if r.Err != nil {
-				d.U64(1)
-				o.failed++
-			} else {
-				d.U64(0)
-			}
-		}
-	}
-	if sys != nil {
-		o.auditSystem(d, s, sys)
-		sys.Close()
-	}
-	o.digest = d.Sum()
 	return o
 }
 
@@ -467,11 +437,7 @@ func runMachCell(s Schedule, dec sim.Decider) (o *cellOutcome) {
 	d.U64(received)
 	d.U64(retries)
 	d.U64(gaveUp)
-	if notified {
-		d.U64(1)
-	} else {
-		d.U64(0)
-	}
+	d.Flag(notified)
 	fired := in.Fired()
 	o.injected += fired
 	d.U64(fired)
