@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-fixtures race switch-allocs bench bench-golden profile cover soak soak-smoke diffcheck diffcheck-smoke replay-smoke explore verify
+.PHONY: build test vet lint race switch-allocs bench bench-golden profile cover soak soak-smoke diffcheck diffcheck-smoke explore verify
 
 build:
 	$(GO) build ./...
@@ -16,12 +16,6 @@ vet:
 # the trailing findings/allowed/analyzers summary line.
 lint:
 	$(GO) run ./cmd/ciderlint -timing ./...
-
-# lint-fixtures is the bounded analyzer smoke wired into verify: the
-# want-annotated fixture suites prove each analyzer still fires on its
-# known-bad shapes (a regression here means the tree gate is toothless).
-lint-fixtures:
-	$(GO) test -count=1 -run 'TestWallclock|TestChargeCheck|TestWakeTag|TestTracePure|TestTableComplete|TestXlateCheck|TestLockOrder|TestHotAlloc|TestDirectives' ./internal/analysis
 
 test:
 	$(GO) test ./...
@@ -119,15 +113,6 @@ diffcheck:
 diffcheck-smoke:
 	$(GO) run ./cmd/cider diffcheck --seeds 60
 
-# replay-smoke is the replay subcommand's CLI smoke wired into verify:
-# load the checked-in explored artifact, re-execute its cell, and exit
-# nonzero unless the digest is bit-identical to the recorded one. The
-# record/encode/decode/replay round trip of every quick cell of every
-# schedule is internal/soak's TestRecordReplayBitIdentical (see
-# DESIGN.md "Record/replay and schedule exploration").
-replay-smoke:
-	$(GO) run ./cmd/cider replay internal/soak/testdata/explored-daemon-crash-mach-x5.json
-
 # explore is the bounded DPOR-lite run: every soak schedule's cells and
 # every diffcheck persona pair re-execute under seeded perturbations of
 # each ambiguous scheduler decision (equal-time next-pick, wake order,
@@ -140,8 +125,9 @@ explore:
 	$(GO) run ./cmd/cider diffcheck --explore 3 --seeds 60
 
 # verify is the tier-1 gate: everything must build, vet clean, pass
-# ciderlint, pass the full test suite under the race detector, keep the
-# context-switch round allocation-free, check the host-time benchmark
-# against its golden digests, run the soak and diffcheck harnesses once
-# end to end, and replay a recorded artifact through the CLI.
-verify: build vet lint lint-fixtures race switch-allocs bench-golden soak-smoke diffcheck-smoke replay-smoke
+# ciderlint, pass the full test suite under the race detector (which
+# includes the analyzers' fixture suites and cmd/cider's replay of the
+# checked-in artifact, TestReplayFixture), keep the context-switch round
+# allocation-free, check the host-time benchmark against its golden
+# digests, and run the soak and diffcheck harnesses once end to end.
+verify: build vet lint race switch-allocs bench-golden soak-smoke diffcheck-smoke

@@ -60,8 +60,10 @@
 //	cider fig6 [-group cpu|storage|memory|2d|3d] [-jobs N]
 //	                       regenerate Figure 5 (lmbench latencies) or 6
 //	                       (PassMark throughput) on all four
-//	                       configurations, normalized to vanilla Android;
-//	                       the same bytes for every N host workers
+//	                       configurations, normalized to vanilla Android,
+//	                       then the paper-vs-measured table of the claims
+//	                       the run covers (exit 1 if one fails); the same
+//	                       bytes for every N host workers
 //	cider macho [-sample] <file>
 //	                       inspect a Mach-O image, or write a sample one
 //	cider ipa build|decrypt|info [-name App] [-bundle ID] [-key SEED] <file>...
@@ -626,7 +628,9 @@ func runDiffcheck(args []string, stdout io.Writer) error {
 
 // figureCmd returns the subcommand that regenerates one figure: it
 // parses -group and -jobs, runs the battery (one group of it, if asked)
-// on every configuration and writes the rendered table.
+// on every configuration and writes the rendered table, then the table
+// of the paper's claims over what ran. A claim that does not hold is a
+// failure, reported after both tables are written.
 func figureCmd(name, groupHelp string, run func(group string, opts figure.Options) (*figure.Report, error)) func([]string, io.Writer) error {
 	return func(args []string, stdout io.Writer) error {
 		fs := newFlags(name)
@@ -639,8 +643,17 @@ func figureCmd(name, groupHelp string, run func(group string, opts figure.Option
 		if err != nil {
 			return err
 		}
-		_, err = io.WriteString(stdout, rep.Render())
-		return err
+		out := rep.Render()
+		if claims := rep.RenderClaims(); claims != "" {
+			out += "\n" + claims
+		}
+		if _, err := io.WriteString(stdout, out); err != nil {
+			return err
+		}
+		if misses := rep.Check(); len(misses) > 0 {
+			return fmt.Errorf("%s: %d claim check(s) failed:\n  %s", name, len(misses), strings.Join(misses, "\n  "))
+		}
+		return nil
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/figure"
 	"repro/internal/lmbench"
 	"repro/internal/passmark"
 )
@@ -157,9 +158,11 @@ func TestRunUnknownGroup(t *testing.T) {
 	}
 }
 
-// TestFiguresMatchExperiments renders both figures and compares them
-// byte for byte with the measured-output blocks EXPERIMENTS.md shows: a
-// virtual-time change must re-render the documented figures.
+// TestFiguresMatchExperiments renders both figures and holds the
+// figure's section of EXPERIMENTS.md to them byte for byte: the fenced
+// measured-output block is the figure, and the paper-vs-measured table
+// that ends the section is the claim table. A virtual-time change must
+// re-render both.
 func TestFiguresMatchExperiments(t *testing.T) {
 	doc, err := os.ReadFile("../../EXPERIMENTS.md")
 	if err != nil {
@@ -167,23 +170,39 @@ func TestFiguresMatchExperiments(t *testing.T) {
 	}
 	for _, fig := range figures {
 		t.Run(fig.cmd, func(t *testing.T) {
-			// The block is the first fenced one after the figure's
-			// section heading, and starts with the table header.
-			section := "\n## Figure " + strings.TrimPrefix(fig.cmd, "fig") + " "
-			_, rest, ok := strings.Cut(string(doc), section)
-			if !ok {
-				t.Fatalf("EXPERIMENTS.md has no %q section", strings.TrimSpace(section))
+			_, section, ok := strings.Cut(string(doc), "\n## Figure "+strings.TrimPrefix(fig.cmd, "fig")+" ")
+			section, _, _ = strings.Cut(section, "\n## ")
+			block, table, _ := strings.Cut(runOK(t, fig.cmd, "-jobs", "1"), "\n\n")
+			if !ok || !strings.Contains(section, "\n```\n"+block+"\n```\n") {
+				t.Errorf("cider %s -jobs 1 figure differs from EXPERIMENTS.md; re-render the block:\n%s", fig.cmd, block)
 			}
-			_, rest, _ = strings.Cut(rest, "\n```\n")
-			block, _, ok := strings.Cut(rest, "```\n")
-			if !ok || !strings.HasPrefix(block, fig.header) {
-				t.Fatalf("no fenced block starting with %q under %q", fig.header, strings.TrimSpace(section))
-			}
-			if got := runOK(t, fig.cmd, "-jobs", "1"); got != block {
-				t.Errorf("cider %s -jobs 1 differs from EXPERIMENTS.md; re-render the block:\n%s", fig.cmd, got)
+			if !strings.HasPrefix(table, "| id |") || !strings.HasSuffix(section, "\n\n"+table) {
+				t.Errorf("cider %s -jobs 1 claim table differs from EXPERIMENTS.md; re-render the table:\n%s", fig.cmd, table)
 			}
 		})
 	}
+}
+
+// TestFailedClaim runs the figure command over a hand-built report whose
+// second claim misses: both tables are still printed, the miss renders
+// ❌, and the command exits 1 naming the cell.
+func TestFailedClaim(t *testing.T) {
+	check := []figure.Check{{Tests: []string{"t"}, Configs: []string{figure.ConfigCiderIOS}, In: figure.Within(1.3, 1.5)}}
+	miss := []figure.Check{{Tests: []string{"t"}, Configs: []string{figure.ConfigCiderIOS}, In: figure.Within(1, 1.2)}}
+	rep := &figure.Report{
+		Figure: &figure.Figure{Title: "Figure X", Format: func(v float64) string { return fmt.Sprint(v) }, Claims: []figure.Claim{
+			{ID: "x-holds", Section: "6.2", Text: "t", Paper: "1.4x", Checks: check},
+			{ID: "x-misses", Section: "6.2", Text: "t", Paper: "1.1x", Checks: miss}}},
+		Rows:  []figure.Row{{Name: "t"}},
+		Value: map[string]map[string]float64{"t": {figure.ConfigAndroid: 10, figure.ConfigCiderIOS: 14}},
+	}
+	var out strings.Builder
+	err := figureCmd("figx", "", func(string, figure.Options) (*figure.Report, error) { return rep, nil })(nil, &out)
+	if exitCode(err) != 1 || !strings.Contains(fmt.Sprint(err), "x-misses: t on cider-ios = 1.400, want [1, 1.2]") {
+		t.Errorf("a missed claim: %v (exit %d), want exit 1 naming the cell", err, exitCode(err))
+	}
+	mustContain(t, out.String(), "Figure X\n", "\n\n| id | § |", "| `x-holds` | 6.2 | t | 1.4x | 1.40x | ✅ |\n",
+		"| `x-misses` | 6.2 | t | 1.1x | 1.40x | ❌ |\n")
 }
 
 // TestUnknownCommand: a first argument that is neither a flag nor a

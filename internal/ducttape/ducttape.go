@@ -231,9 +231,6 @@ func (img *Image) Resolve(symbol string) (Unit, bool) {
 	return img.units[i], true
 }
 
-// Units returns the linked units.
-func (img *Image) Units() []Unit { return img.units }
-
 // Report renders a human-readable link report (`cider ducttape`).
 func (img *Image) Report() string {
 	out := fmt.Sprintf("duct tape link report: %d units, %d symbols\n", len(img.units), len(img.owner))

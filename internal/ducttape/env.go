@@ -9,13 +9,12 @@ import (
 )
 
 // Env is the duct tape zone's runtime: implementations of the foreign
-// kernel's internal APIs (XNU's lck_mtx_*, kalloc, wait/wakeup, current
-// task) expressed in terms of domestic kernel primitives. Foreign
-// subsystems compiled via duct tape (internal/xnu, internal/iokit) call
-// only this surface — never the domestic kernel directly — which is the
-// zone discipline Link enforces statically.
+// kernel's internal APIs (XNU's lck_mtx_*, kalloc, wait/wakeup)
+// expressed in terms of domestic kernel primitives. Foreign subsystems
+// compiled via duct tape (internal/xnu, internal/iokit) call only this
+// surface — never the domestic kernel directly — which is the zone
+// discipline Link enforces statically.
 type Env struct {
-	k *kernel.Kernel
 	// allocated tracks kalloc'd bytes (leak diagnostics).
 	allocated int64
 	// lockCost and allocCost model the shim overhead of translating the
@@ -28,16 +27,10 @@ type Env struct {
 func NewEnv(k *kernel.Kernel) *Env {
 	cpu := k.Device().CPU
 	return &Env{
-		k:         k,
 		lockCost:  cpu.Cycles(26),
 		allocCost: cpu.Cycles(130),
 	}
 }
-
-// Kernel exposes the domestic kernel to duct-tape-zone code (only — the
-// foreign zone must not touch it; Go has no zone enforcement at runtime,
-// so the Link-checked unit graph in internal/xnu documents compliance).
-func (e *Env) Kernel() *kernel.Kernel { return e.k }
 
 // Kalloc models XNU's kalloc: accounted allocation in the domestic kernel
 // heap (kmalloc underneath).
@@ -55,9 +48,6 @@ func (e *Env) Kfree(t *kernel.Thread, buf []byte) {
 
 // AllocatedBytes reports outstanding kalloc memory.
 func (e *Env) AllocatedBytes() int64 { return e.allocated }
-
-// CurrentTask maps XNU's current_task() onto the domestic process.
-func (e *Env) CurrentTask(t *kernel.Thread) *kernel.Task { return t.Task() }
 
 // LckMtx is XNU's lck_mtx_t adapted onto domestic kernel sleeping locks.
 // With the simulator's one-runnable-at-a-time execution the lock state
@@ -108,9 +98,6 @@ func (m *LckMtx) TryLock(t *kernel.Thread) bool {
 	m.owner = t
 	return true
 }
-
-// Locked reports the lock state (assertions).
-func (m *LckMtx) Locked() bool { return m.locked }
 
 // Semaphore is XNU's semaphore_t adapted onto domestic primitives.
 type Semaphore struct {
@@ -163,9 +150,6 @@ func (s *Semaphore) Signal(t *kernel.Thread) {
 	s.count++
 	s.waitq.WakeOne(t.Proc(), sim.WakeNormal)
 }
-
-// Count exposes the current value (tests).
-func (s *Semaphore) Count() int { return s.count }
 
 // WaitEvent adapts XNU's assert_wait/thread_block/thread_wakeup triple onto
 // a domestic wait queue keyed by an arbitrary event pointer.

@@ -3,8 +3,10 @@
 // running the iOS binary, the iPad mini), the battery runner that boots
 // one System per cell and shards cells across host workers, the driver
 // skeleton each cell runs, and the report, normalized to vanilla Android,
-// with its table renderer. lmbench (Fig. 5) and passmark (Fig. 6) keep
-// their tests and supply the rest of what differs as a Figure value.
+// with its table renderer, and the paper's claims about each figure as
+// data: checks over the report that also render its paper-vs-measured
+// table. lmbench (Fig. 5) and passmark (Fig. 6) keep their tests and
+// supply the rest of what differs, claims included, as a Figure value.
 package figure
 
 import (
@@ -89,6 +91,8 @@ type Figure struct {
 	// AndroidLibs, or static without) or IOSPath.
 	AndroidPath, IOSPath string
 	AndroidLibs          []string
+	// Claims are the paper's claims about the figure, in table order.
+	Claims []Claim
 }
 
 // Cell is one independently booted System of a battery run. Index is its
@@ -157,7 +161,7 @@ func Run[T Test, R Result](f *Figure, tests []T, group string, opts Options,
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{fig: f, Rows: rows, Value: map[string]map[string]float64{}, Failed: map[string]map[string]bool{}}
+	rep := &Report{Figure: f, Rows: rows, Value: map[string]map[string]float64{}, Failed: map[string]map[string]bool{}}
 	for i, rs := range outs {
 		for j, r := range rs {
 			test, conf := rows[cells[i].lo+j].Name, cells[i].Config.Name
@@ -220,7 +224,7 @@ func (f *Figure) RunWith(conf Configuration, onSystem func(*core.System),
 // value (a latency in ns for Fig. 5, work units per second for Fig. 6)
 // and whether the test failed. Rows are the tests in figure order.
 type Report struct {
-	fig    *Figure
+	Figure *Figure
 	Rows   []Row
 	Value  map[string]map[string]float64
 	Failed map[string]map[string]bool
@@ -230,12 +234,7 @@ type Report struct {
 // test's vanilla-Android value (the y-axis). ok is false when either
 // side failed.
 func (r *Report) Normalized(test, config string) (float64, bool) {
-	base := test
-	for _, row := range r.Rows {
-		if row.Name == test && row.Base != "" {
-			base = row.Base
-		}
-	}
+	base := r.base(test)
 	b := r.Value[base][ConfigAndroid]
 	v, have := r.Value[test][config]
 	if !have || b == 0 || r.Failed[base][ConfigAndroid] || r.Failed[test][config] {
@@ -244,10 +243,20 @@ func (r *Report) Normalized(test, config string) (float64, bool) {
 	return v / b, true
 }
 
+// base names the test whose vanilla-Android value normalizes test.
+func (r *Report) base(test string) string {
+	for _, row := range r.Rows {
+		if row.Name == test && row.Base != "" {
+			return row.Base
+		}
+	}
+	return test
+}
+
 // Render produces the figure's table: per test, the vanilla-Android
 // value for scale, then the other configurations normalized.
 func (r *Report) Render() string {
-	f := r.fig
+	f := r.Figure
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n%-22s %-*s | %14s %14s %14s %14s\n%s\n", f.Title, "test", f.GroupWidth, "group",
 		ConfigAndroid+"(abs)", ConfigCiderAndroid, ConfigCiderIOS, ConfigIPad, strings.Repeat("-", f.Rule))

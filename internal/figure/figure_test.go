@@ -152,3 +152,70 @@ func TestRunGroupAndErrors(t *testing.T) {
 		}
 	}
 }
+
+// fakeClaims exercise every kind of check over the fake report, whose
+// normalized values are a: 1, 2, 3, 4; b: 1, 22/12, 32/12, 42/12; and
+// b(ios): n/a on vanilla Android, then 24/12, 34/12, 44/12.
+var fakeClaims = []Claim{
+	{ID: "closed", Section: "6.2", Text: "a on Cider", Paper: "2–3x",
+		Checks: []Check{{Tests: []string{"a"}, Configs: []string{ConfigCiderAndroid, ConfigCiderIOS}, In: Within(2, 3)}}},
+	{ID: "open-ends", Section: "6.2", Text: "a above 3 on cider-ios, below 4 on ipad", Paper: "-",
+		Checks: []Check{{Tests: []string{"a"}, Configs: []string{ConfigCiderIOS}, In: Above(3)},
+			{Tests: []string{"a"}, Configs: []string{ConfigIPad}, In: Below(4)}}},
+	{ID: "ratios", Section: "6.3", Text: "a: ipad over cider-android; b(ios) over b", Paper: "2x / ≈1x",
+		Checks: []Check{{Tests: []string{"a"}, Configs: []string{ConfigIPad}, OverConfig: ConfigCiderAndroid, In: Within(2, 2)},
+			{Tests: []string{"b(ios)"}, Configs: []string{ConfigIPad}, OverTest: "b", In: AtMost(1.05)}}},
+	{ID: "over-g2", Section: "6.3", Text: "b over b(ios) on cider-ios", Paper: "<1x",
+		Checks: []Check{{Tests: []string{"b"}, Configs: []string{ConfigCiderIOS}, OverTest: "b(ios)", In: AtLeast(0.9)}}},
+	{ID: "outcomes", Section: "6.2", Text: "b(ios) fails on android, runs on cider-ios", Paper: "fails",
+		Checks: []Check{{Tests: []string{"b(ios)"}, Configs: []string{ConfigAndroid}, NA: true},
+			{Tests: []string{"b(ios)"}, Configs: []string{ConfigCiderIOS}, In: Any}}},
+	{ID: "misses", Section: "6.2", Text: "wrong outcomes", Paper: "-",
+		Checks: []Check{{Tests: []string{"b(ios)"}, Configs: []string{ConfigAndroid}, In: Any},
+			{Tests: []string{"b(ios)"}, Configs: []string{ConfigIPad}, NA: true}}},
+}
+
+// TestClaims pins the evaluator and the claim table: each kind of check
+// and range end, the measured column (a value, a min–max range or n/a
+// per check, joined by " / "), the computed status, the miss lines, and
+// which claims a group run holds.
+func TestClaims(t *testing.T) {
+	rep, err := Run(&Figure{PerTest: true, Claims: fakeClaims}, fakeTests, "", Options{}, fakeRunWith)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "| id | § | paper claim | paper value | measured | status |\n|---|---|---|---|---|---|\n" +
+		"| `closed` | 6.2 | a on Cider | 2–3x | 2.00–3.00x | ✅ |\n" +
+		"| `open-ends` | 6.2 | a above 3 on cider-ios, below 4 on ipad | - | 3.00x / 4.00x | ❌ |\n" +
+		"| `ratios` | 6.3 | a: ipad over cider-android; b(ios) over b | 2x / ≈1x | 2.00x / 1.05x | ✅ |\n" +
+		"| `over-g2` | 6.3 | b over b(ios) on cider-ios | <1x | 0.94x | ✅ |\n" +
+		"| `outcomes` | 6.2 | b(ios) fails on android, runs on cider-ios | fails | n/a / 2.83x | ✅ |\n" +
+		"| `misses` | 6.2 | wrong outcomes | - | n/a / 3.67x | ❌ |\n"
+	if got := rep.RenderClaims(); got != want {
+		t.Errorf("RenderClaims:\n%s\nwant:\n%s", got, want)
+	}
+	wantMisses := "open-ends: a on cider-ios = 3.000, want (3, +Inf)\n" +
+		"open-ends: a on ipad = 4.000, want (-Inf, 4)\n" +
+		"misses: b(ios) on android = n/a, want (-Inf, +Inf)\n" +
+		"misses: b(ios) on ipad = 3.667, want n/a\n" +
+		`the report holds 3 of claims ["closed" "open-ends" "misses" "nope"]`
+	if got := strings.Join(rep.Check("closed", "open-ends", "misses", "nope"), "\n"); got != wantMisses {
+		t.Errorf("Check:\n%s\nwant:\n%s", got, wantMisses)
+	}
+	if got := rep.Check(); len(got) != 4 {
+		t.Errorf("Check() over every claim: %q, want the 4 misses above", got)
+	}
+
+	// A group run holds the claims over its rows, the rows its ratios
+	// divide by, and their baselines.
+	rep, err = Run(&Figure{PerTest: true, Claims: fakeClaims}, fakeTests, "g1", Options{}, fakeRunWith)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Claims(); len(got) != 2 || got[0].ID != "closed" || got[1].ID != "open-ends" {
+		t.Errorf("group g1 holds claims %v, want closed and open-ends", got)
+	}
+	if rep.Rows = []Row{fakeTests[2].Row()}; len(rep.Claims()) != 0 || rep.RenderClaims() != "" {
+		t.Errorf("b(ios) without its baseline b holds claims %v", rep.Claims())
+	}
+}

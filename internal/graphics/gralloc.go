@@ -35,9 +35,6 @@ type Buffer struct {
 	Backing *mem.Backing
 }
 
-// Bytes returns the buffer size in bytes.
-func (b *Buffer) Bytes() int64 { return int64(b.Width * b.Height * b.BPP) }
-
 // Gralloc is the graphics-memory allocator HAL.
 type Gralloc struct {
 	cpu     *hw.CPUModel

@@ -110,6 +110,7 @@ var fig5 = &figure.Figure{
 	PerTest:     true,
 	AndroidPath: "/bin/lmbench",
 	IOSPath:     "/bin/lmbench",
+	Claims:      claims,
 }
 
 func fmtDur(d time.Duration) string {

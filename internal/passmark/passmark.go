@@ -48,6 +48,7 @@ var fig6 = &figure.Figure{
 	AndroidPath: "/data/app/passmark",
 	IOSPath:     "/Applications/PassMark.app/PassMark",
 	AndroidLibs: []string{"libc.so", "libGLESv2.so", "libandroid_runtime.so"},
+	Claims:      claims,
 }
 
 func fmtScore(s float64) string {

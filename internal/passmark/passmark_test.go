@@ -2,6 +2,7 @@ package passmark
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -11,157 +12,33 @@ import (
 	"repro/internal/prog"
 )
 
-var cachedReport *figure.Report
+// battery is the full Fig. 6 battery, run once per test binary.
+var battery = sync.OnceValues(func() (*figure.Report, error) { return Run("", figure.Options{}) })
 
-func figure6(t *testing.T) *figure.Report {
+// holds fails the test for every miss of the named claims over the full
+// battery (claims.go holds their checks and bounds).
+func holds(t *testing.T, ids ...string) {
 	t.Helper()
-	if cachedReport == nil {
-		rep, err := Run("", figure.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cachedReport = rep
+	rep, err := battery()
+	if err != nil {
+		t.Fatal(err)
 	}
-	return cachedReport
-}
-
-func norm(t *testing.T, rep *figure.Report, test, cfg string) float64 {
-	t.Helper()
-	v, ok := rep.Normalized(test, cfg)
-	if !ok {
-		t.Fatalf("%s/%s missing", test, cfg)
-	}
-	return v
-}
-
-func TestCiderAddsNegligibleOverheadToAndroidApp(t *testing.T) {
-	// "In all tests, Cider adds negligible overhead to the Android
-	// PassMark app."
-	rep := figure6(t)
-	for _, test := range rep.Rows {
-		v := norm(t, rep, test.Name, figure.ConfigCiderAndroid)
-		if v < 0.97 || v > 1.03 {
-			t.Errorf("%s cider-android = %.3f, want ≈1.0", test.Name, v)
-		}
+	for _, miss := range rep.Check(ids...) {
+		t.Error(miss)
 	}
 }
 
+// Each shape test checks the Fig. 6 claims that carry its assertions.
+func TestCiderAddsNegligibleOverheadToAndroidApp(t *testing.T) { holds(t, "fig6-android-app") }
 func TestCPUGroupNativeBeatsInterpreted(t *testing.T) {
-	rep := figure6(t)
-	// "Cider delivers significantly faster performance when running the
-	// iOS PassMark app ... because the Android version is ... interpreted
-	// through the Dalvik VM while the iOS version is ... native."
-	for _, test := range []string{"integer math", "floating point", "find primes",
-		"random string sort", "data encryption", "data compression"} {
-		ciderIOS := norm(t, rep, test, figure.ConfigCiderIOS)
-		if ciderIOS < 2 {
-			t.Errorf("%s cider-ios = %.2fx, want >> 1", test, ciderIOS)
-		}
-		// "Because the Android device contains a faster CPU than the iPad
-		// mini, Cider outperforms iOS when running the CPU tests from the
-		// same iOS PassMark application binary."
-		ipad := norm(t, rep, test, figure.ConfigIPad)
-		if ipad <= 1 {
-			t.Errorf("%s ipad = %.2fx, want > 1", test, ipad)
-		}
-		if ciderIOS <= ipad {
-			t.Errorf("%s: cider-ios (%.2f) must beat ipad (%.2f)", test, ciderIOS, ipad)
-		}
-	}
+	holds(t, "fig6-cpu-native", "fig6-cpu-ipad", "fig6-cpu-cider-beats-ipad")
 }
-
-func TestStorageShape(t *testing.T) {
-	rep := figure6(t)
-	// "The iPad mini has much better storage write performance than either
-	// the iOS or Android app running on Cider."
-	ipadWrite := norm(t, rep, "storage write", figure.ConfigIPad)
-	if ipadWrite < 2 {
-		t.Errorf("storage write ipad = %.2fx, want >> 1", ipadWrite)
-	}
-	// "Cider has similar storage read performance to the iPad mini."
-	ciderRead := norm(t, rep, "storage read", figure.ConfigCiderIOS)
-	ipadRead := norm(t, rep, "storage read", figure.ConfigIPad)
-	if ipadRead/ciderRead > 1.3 || ciderRead/ipadRead > 1.3 {
-		t.Errorf("storage read cider-ios %.2f vs ipad %.2f, want similar", ciderRead, ipadRead)
-	}
-}
-
-func TestMemoryShape(t *testing.T) {
-	rep := figure6(t)
-	for _, test := range []string{"memory write", "memory read"} {
-		ciderIOS := norm(t, rep, test, figure.ConfigCiderIOS)
-		ipad := norm(t, rep, test, figure.ConfigIPad)
-		if ciderIOS < 2 {
-			t.Errorf("%s cider-ios = %.2fx, want >> 1 (native vs Dalvik)", test, ciderIOS)
-		}
-		// "Cider outperforms the iPad mini running the memory tests from
-		// the same iOS PassMark app binary."
-		if ciderIOS <= ipad {
-			t.Errorf("%s: cider-ios (%.2f) must beat ipad (%.2f)", test, ciderIOS, ipad)
-		}
-	}
-}
-
+func TestStorageShape(t *testing.T) { holds(t, "fig6-storage-write", "fig6-storage-read") }
+func TestMemoryShape(t *testing.T)  { holds(t, "fig6-memory-native", "fig6-memory-cider-beats-ipad") }
 func Test2DShape(t *testing.T) {
-	rep := figure6(t)
-	// "With the exception of complex vectors, the Android app performs
-	// much better than the iOS binary on both Cider and the iPad mini."
-	for _, test := range []string{"solid vectors", "transparent vectors", "image rendering", "image filters"} {
-		for _, cfg := range []string{figure.ConfigCiderIOS, figure.ConfigIPad} {
-			if v := norm(t, rep, test, cfg); v >= 1 {
-				t.Errorf("%s on %s = %.2fx, want < 1", test, cfg, v)
-			}
-		}
-	}
-	// Complex vectors: the iOS library wins.
-	if v := norm(t, rep, "complex vectors", figure.ConfigCiderIOS); v <= 1 {
-		t.Errorf("complex vectors cider-ios = %.2fx, want > 1", v)
-	}
-	// The 2D tests are CPU bound, so Cider generally outperforms the iPad
-	// on the same binary.
-	for _, test := range []string{"solid vectors", "transparent vectors", "complex vectors", "image filters"} {
-		ciderIOS := norm(t, rep, test, figure.ConfigCiderIOS)
-		ipad := norm(t, rep, test, figure.ConfigIPad)
-		if ciderIOS <= ipad {
-			t.Errorf("%s: cider-ios (%.2f) should beat ipad (%.2f) (CPU bound)", test, ciderIOS, ipad)
-		}
-	}
-	// "Bugs in the Cider OpenGL ES library related to fence
-	// synchronization primitives caused under-performance in the image
-	// rendering tests": Cider-iOS must trail even the iPad here.
-	imgCider := norm(t, rep, "image rendering", figure.ConfigCiderIOS)
-	imgIPad := norm(t, rep, "image rendering", figure.ConfigIPad)
-	if imgCider >= imgIPad {
-		t.Errorf("image rendering: cider-ios (%.2f) must trail ipad (%.2f) (fence bug)", imgCider, imgIPad)
-	}
+	holds(t, "fig6-2d-android-wins", "fig6-2d-complex-vectors", "fig6-2d-cpu-bound", "fig6-fence-bug")
 }
-
-func Test3DShape(t *testing.T) {
-	rep := figure6(t)
-	// "Because the iPad mini has a faster GPU than the Nexus 7, it has
-	// better 3D graphics performance."
-	for _, test := range []string{"simple 3D", "complex 3D"} {
-		if v := norm(t, rep, test, figure.ConfigIPad); v <= 1 {
-			t.Errorf("%s ipad = %.2fx, want > 1", test, v)
-		}
-	}
-	// "The iOS binary running on Cider performs 20-37% worse than the
-	// Android PassMark app due to the extra cost of diplomatic function
-	// calls."
-	simple := norm(t, rep, "simple 3D", figure.ConfigCiderIOS)
-	complex3d := norm(t, rep, "complex 3D", figure.ConfigCiderIOS)
-	if simple < 0.63 || simple > 0.83 {
-		t.Errorf("simple 3D cider-ios = %.2fx, want within 20-37%% below android", simple)
-	}
-	if complex3d < 0.60 || complex3d > 0.80 {
-		t.Errorf("complex 3D cider-ios = %.2fx, want within 20-37%% below android", complex3d)
-	}
-	// "As the complexity of a given frame increases, the number of OpenGL
-	// ES calls increases, which correspondingly increases the overhead."
-	if complex3d >= simple {
-		t.Errorf("complex 3D (%.2f) must lose more than simple 3D (%.2f)", complex3d, simple)
-	}
-}
+func Test3DShape(t *testing.T) { holds(t, "fig6-3d-ipad", "fig6-3d-diplomat", "fig6-3d-complexity") }
 
 // TestChecksumEquivalence asserts that the DEX and native builds compute
 // identical results — the Fig. 6 CPU comparison measures interpretation,
@@ -230,13 +107,13 @@ func TestPrimesCountIsCorrect(t *testing.T) {
 	}
 }
 
+// TestRenderedReport: the full battery holds every Fig. 6 claim, so
+// its claim table has a ✅ row for each.
 func TestRenderedReport(t *testing.T) {
-	rep := figure6(t)
-	out := rep.Render()
-	for _, want := range []string{"Figure 6", "integer math", "complex 3D", "storage write"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("report missing %q", want)
-		}
+	holds(t)
+	rep, _ := battery()
+	if got := strings.Count(rep.RenderClaims(), " | ✅ |\n"); got != len(claims) {
+		t.Errorf("claim table has %d ✅ rows, want %d", got, len(claims))
 	}
 }
 

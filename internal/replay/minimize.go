@@ -4,26 +4,17 @@ package replay
 // stream's choice log; each trial re-executes the whole cell.
 const MinimizeBudget = 96
 
-// MinimizeChoices shrinks a failing schedule's non-canonical choice log
-// to a shorter one that still reproduces the failure, using the same
-// greedy delta-debug shape as internal/diffcheck's program minimizer:
-// sweep back-to-front reverting one choice at a time to canonical, keep
-// the removal if reproduces still reports the failure, and repeat until
-// a full sweep removes nothing or MinimizeBudget trials have run.
-//
-// reproduces re-executes the cell under the trial choice log and
-// reports whether the original failure still occurs. Trials that
-// diverge from the recorded execution are expected — the Replayer
-// clamps out-of-range choices — and simply return false.
-//
-// The result is a copy; choices is not mutated.
-func MinimizeChoices(choices []Choice, reproduces func([]Choice) bool) []Choice {
-	cur := append([]Choice(nil), choices...)
-	budget := MinimizeBudget
-	for {
-		shrunk := false
+// Shrink greedily delta-debugs xs: it sweeps back to front, dropping one
+// element at a time and keeping the drop while reproduces still reports
+// the failure, and repeats until a full sweep drops nothing or budget
+// trials have run. Sweeping from the back drops what comes after the
+// failure point first. Each trial is a fresh slice; xs is not mutated.
+func Shrink[T any](xs []T, budget int, reproduces func([]T) bool) []T {
+	cur := append([]T(nil), xs...)
+	for shrunk := true; shrunk && budget > 0; {
+		shrunk = false
 		for i := len(cur) - 1; i >= 0 && budget > 0; i-- {
-			trial := make([]Choice, 0, len(cur)-1)
+			trial := make([]T, 0, len(cur)-1)
 			trial = append(trial, cur[:i]...)
 			trial = append(trial, cur[i+1:]...)
 			budget--
@@ -32,10 +23,19 @@ func MinimizeChoices(choices []Choice, reproduces func([]Choice) bool) []Choice 
 				shrunk = true
 			}
 		}
-		if !shrunk || budget <= 0 {
-			return cur
-		}
 	}
+	return cur
+}
+
+// MinimizeChoices shrinks a failing schedule's non-canonical choice log
+// to a shorter one that still reproduces the failure: dropping a choice
+// reverts that decision to canonical. reproduces re-executes the cell
+// under the trial choice log and reports whether the original failure
+// still occurs. Trials that diverge from the recorded execution are
+// expected — the Replayer clamps out-of-range choices — and simply
+// return false.
+func MinimizeChoices(choices []Choice, reproduces func([]Choice) bool) []Choice {
+	return Shrink(choices, MinimizeBudget, reproduces)
 }
 
 // minimize shrinks a failing recording's choice logs one stream at a

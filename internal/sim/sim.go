@@ -441,8 +441,7 @@ type Sim struct {
 	// returns control to Run's pick, deadlock and panic logic.
 	current *Proc
 	running bool
-	// live counts Procs that are not done; nonDaemonLive excludes daemons.
-	live          int
+	// nonDaemonLive counts the non-daemon Procs that are not done.
 	nonDaemonLive int
 	// sink, when non-nil, receives scheduling events (see Sink).
 	sink Sink
@@ -525,7 +524,6 @@ func (s *Sim) Spawn(name string, fn func(*Proc)) *Proc {
 		fn:        fn,
 	}
 	s.nextID++
-	s.live++
 	s.nonDaemonLive++
 	if s.current != nil {
 		p.now = s.current.now
@@ -562,7 +560,6 @@ func (s *Sim) procMain(p *Proc) {
 			p.onExit[i](p)
 		}
 		p.state = StateDone
-		s.live--
 		if !p.daemon {
 			s.nonDaemonLive--
 		}
@@ -827,6 +824,3 @@ func (s *Sim) Closed() bool { return s.closed }
 
 // Current returns the Proc holding the run token, or nil between turns.
 func (s *Sim) Current() *Proc { return s.current }
-
-// Live reports the number of Procs that have not finished.
-func (s *Sim) Live() int { return s.live }

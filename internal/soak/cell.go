@@ -183,11 +183,10 @@ func byName[T any](xs []T, name string, nameOf func(T) string) (T, bool) {
 }
 
 // runFigureCell runs one Fig. 5 (lmbench) or Fig. 6 (passmark) cell
-// under the schedule. The hook arms the schedule on the booted System;
-// lmbench cells also get its services, memory pressure and fd hog, which
-// passmark cells have never had. A failed run's error text is folded, a
-// deadlock becomes a finding, and the System is audited and closed,
-// alike for both.
+// under the schedule. The hook arms the schedule on the booted System:
+// its fault plan, and its services, memory pressure and fd hog when it
+// has them. A failed run's error text is folded, a deadlock becomes a
+// finding, and the System is audited and closed, alike for both.
 func runFigureCell(s Schedule, ref replay.CellRef, dec sim.Decider) *cellOutcome {
 	lm := ref.Bench == "lmbench"
 	o := &cellOutcome{ref: ref, latPresent: lm}
@@ -202,13 +201,13 @@ func runFigureCell(s Schedule, ref replay.CellRef, dec sim.Decider) *cellOutcome
 	hook := func(y *core.System) {
 		y.EnableTrace()
 		y.EnableFaults(s.Plan)
-		if lm && s.Services {
+		if s.Services {
 			bootCellServices(y)
 		}
-		if lm && s.Pressure {
+		if s.Pressure {
 			bootCellPressure(y)
 		}
-		if lm && s.FDHog {
+		if s.FDHog {
 			bootCellFDHog(y)
 		}
 		if dec != nil {

@@ -96,9 +96,6 @@ type Port struct {
 // (MACH_NOTIFY_DEAD_NAME).
 const MsgDeadNameNotification int32 = 0110
 
-// ID returns the kernel-global port id (diagnostics).
-func (p *Port) ID() uint64 { return p.id }
-
 // Dead reports whether the port has been destroyed (launchd uses this to
 // prune stale service registrations on lookup).
 func (p *Port) Dead() bool { return p.dead }

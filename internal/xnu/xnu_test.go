@@ -1,6 +1,7 @@
 package xnu
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -656,5 +657,36 @@ func TestDeadNameNotificationRequiresReceiveRight(t *testing.T) {
 	})
 	if kr != KernInvalidRight {
 		t.Fatalf("kr = %v, want KERN_INVALID_RIGHT", kr)
+	}
+}
+
+// TestLeakCheckReportsOrphanedSpace hides a task's port space from its
+// exit teardown, as a teardown bug would: once the task has exited, the
+// leak check must name the pid and the two receive rights left in it,
+// and say nothing after a clean exit.
+func TestLeakCheckReportsOrphanedSpace(t *testing.T) {
+	h := newHarness(t)
+	var tk *kernel.Task
+	var hidden *Space
+	h.runProcs(t, func(th *kernel.Thread) {
+		for i := 0; i < 2; i++ {
+			if _, kr := h.ipc.PortAllocate(th); kr != KernSuccess {
+				t.Errorf("port_allocate: %v", kr)
+			}
+		}
+		tk, hidden = th.Task(), h.ipc.spaces[th.Task()]
+		delete(h.ipc.spaces, tk)
+	}, func(th *kernel.Thread) {
+		if _, kr := h.ipc.PortAllocate(th); kr != KernSuccess {
+			t.Errorf("port_allocate: %v", kr)
+		}
+	})
+	if got := h.ipc.LeakCheck(h.k); len(got) != 0 {
+		t.Fatalf("clean exits reported %q", got)
+	}
+	h.ipc.spaces[tk] = hidden
+	want := fmt.Sprintf("mach_ipc: space for exited pid %d leaked (2 names)", tk.PID())
+	if got := h.ipc.LeakCheck(h.k); len(got) != 1 || got[0] != want {
+		t.Fatalf("leak check = %q, want [%q]", got, want)
 	}
 }
