@@ -24,7 +24,9 @@ race:
 	$(GO) test -race ./...
 
 # switch-allocs pins the context-switch round (the park/wake handoff
-# the syscall fast path stands on) at zero allocations and the cost of
+# the syscall fast path stands on) and both timed-wait rounds of the run
+# queue (a WaitTimeout cancelled by WakeOne, a Sleep that expires) at
+# zero allocations and the cost of
 # one Proc (its coroutine) under a bound, a trap with arguments through each
 # persona's libc (per-thread argument slots) and a diplomatic GL call
 # (per-thread call frames) at zero allocations, a libSystem Mach self

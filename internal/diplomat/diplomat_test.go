@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/abi"
 	"repro/internal/core"
 	"repro/internal/diplomat"
 	"repro/internal/kernel"
@@ -75,6 +76,30 @@ func TestFirstInvocationResolvesAndCaches(t *testing.T) {
 		}
 		if second > 10*time.Microsecond {
 			t.Errorf("cached diplomat call = %v, want a few µs", second)
+		}
+	})
+}
+
+// TestWarmCallCharges pins what a warm diplomatic call costs: its two
+// set_persona traps, measured directly on the same thread, plus the
+// staging charges of steps 2, 4, 6 and 9 (90 cycles each) and the TLS
+// conversion of step 8 (65 cycles). The Fig. 6 claims cannot see the
+// staging charges beside the traps, so this test is what holds them.
+func TestWarmCallCharges(t *testing.T) {
+	onIOS(t, func(th *kernel.Thread, sys *core.System) {
+		sys.Registry.MustRegister("dom-noop", func(c *prog.Call) uint64 { return 0 })
+		dip := sys.Diplomat.Wrap("dom-noop")
+		dip(&prog.Call{Ctx: th}) // resolve and cache the entry point
+		start := th.Now()
+		th.Syscall(abi.SetPersonaTrap, &kernel.SyscallArgs{I: [6]uint64{uint64(persona.Android)}})
+		th.Syscall(kernel.SysSetPersona, &kernel.SyscallArgs{I: [6]uint64{uint64(persona.IOS)}})
+		traps := th.Now() - start
+		start = th.Now()
+		dip(&prog.Call{Ctx: th})
+		got := th.Now() - start
+		cpu := sys.Kernel.Device().CPU
+		if want := traps + 4*cpu.Cycles(90) + cpu.Cycles(65); got != want {
+			t.Errorf("warm diplomatic call = %v, want %v (traps %v + 4 x 90 + 65 cycles)", got, want, traps)
 		}
 	})
 }

@@ -13,8 +13,6 @@ import (
 // Load must return ENOEXEC — without touching the task's address space —
 // when data is not in its format, so exec can probe the next loader.
 type BinFmt interface {
-	// Name identifies the loader ("binfmt_elf", "binfmt_macho").
-	Name() string
 	// Recognize reports whether data is in this loader's format; exec uses
 	// it to decide the point of no return before destroying the old image.
 	Recognize(data []byte) bool
@@ -32,9 +30,6 @@ type ELFLoader struct {
 	// means only static binaries can run.
 	LinkerKey string
 }
-
-// Name implements BinFmt.
-func (l *ELFLoader) Name() string { return "binfmt_elf" }
 
 // Recognize implements BinFmt.
 func (l *ELFLoader) Recognize(data []byte) bool {

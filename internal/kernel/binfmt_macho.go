@@ -21,9 +21,6 @@ type MachOLoader struct {
 	DyldFallbackKey string
 }
 
-// Name implements BinFmt.
-func (l *MachOLoader) Name() string { return "binfmt_macho" }
-
 // Recognize implements BinFmt. Binfmt probing runs on every exec, so it
 // sniffs the eight header bytes it needs instead of decoding the image;
 // Load re-validates with a full parse.

@@ -110,39 +110,39 @@ func BenchmarkWaitQueueChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkTimerWheel measures the sleep structure on its dominant
-// operation mix: arm a timeout, cancel it before expiry (the pipe/IPC/select
-// shape where the wake almost always beats the timer), occasionally letting
-// one expire.
-func BenchmarkTimerWheel(b *testing.B) {
+// BenchmarkRunQueue measures the run queue on the sleep operation mix:
+// arm a timeout, cancel it before expiry (the pipe/IPC/select shape where
+// the wake almost always beats the timer), occasionally letting one
+// expire.
+func BenchmarkRunQueue(b *testing.B) {
 	b.ReportAllocs()
 	procs := makeBenchSleepers(64)
-	w := newTimerWheel()
+	rq := &procHeap{}
 	for i, p := range procs {
-		p.wakeAt = time.Duration(i+1) * time.Microsecond
-		w.push(p)
+		rq.push(p, time.Duration(i+1)*time.Microsecond)
 	}
+	floor := time.Duration(0) // the last expired deadline
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var p *Proc
 		if i%16 == 15 {
-			p = w.popMin() // timer actually expires
+			p = rq.pop() // timer actually expires
+			floor = p.due
 		} else {
 			// Wake beats the timer: cancel an arbitrary sleeper + re-arm.
 			// (Mixed pick, not FIFO — waking in exact arm order would make
 			// every cancel hit the min, which no real wake pattern does.)
 			p = procs[(uint64(i)*0x9e3779b97f4a7c15>>32)%uint64(len(procs))]
-			w.remove(p)
+			rq.remove(p)
 		}
-		p.wakeAt = w.floor + time.Duration(1+(i%1000))*time.Microsecond
-		w.push(p)
+		rq.push(p, floor+time.Duration(1+(i%1000))*time.Microsecond)
 	}
 }
 
 func makeBenchSleepers(n int) []*Proc {
 	procs := make([]*Proc, n)
 	for i := range procs {
-		procs[i] = &Proc{id: i, heapIndex: -1, twLevel: -1}
+		procs[i] = &Proc{id: i, heapIndex: -1}
 	}
 	return procs
 }

@@ -15,7 +15,7 @@ type DecisionKind uint8
 
 const (
 	// DecisionNext is an equal-virtual-time pick in Sim.next: two or more
-	// ready/sleeping Procs share the minimal clock and any of them could
+	// ready/sleeping Procs share the minimal key and any of them could
 	// legally run first. Candidates are presented in ascending id order,
 	// so index 0 is the canonical choice.
 	DecisionNext DecisionKind = iota
@@ -75,27 +75,24 @@ type DecisionLister interface {
 func (s *Sim) SetDecider(d Decider) { s.decider = d }
 
 // nextDecided is Sim.next with the equal-time tie handed to the Decider:
-// all Procs (ready or sleeping) sharing the minimal clock are enumerated
-// in ascending id order and the Decider picks one. With a single
-// candidate no decision is consulted and the pick equals next()'s.
+// all queued Procs (ready or sleeping) sharing the root's key are
+// enumerated in ascending id order and the Decider picks one. With a
+// single candidate no decision is consulted and the pick equals next()'s.
 //
 //hot:noalloc
 func (s *Sim) nextDecided() *Proc {
-	var minT time.Duration
-	have := false
-	if s.ready.Len() > 0 {
-		minT = s.ready.peek().now
-		have = true
-	}
-	if sl := s.sleepers.peek(); sl != nil && (!have || sl.wakeAt < minT) {
-		minT = sl.wakeAt
-		have = true
-	}
-	if !have {
+	root := s.runq.min()
+	if root == nil {
 		return nil
 	}
-	s.decCands = s.ready.appendEqual(minT, s.decCands[:0])
-	s.decCands = s.sleepers.appendEqual(minT, s.decCands)
+	minT := root.due
+	// A linear scan: the run queue holds a handful of Procs.
+	s.decCands = s.decCands[:0]
+	for _, p := range s.runq.procs {
+		if p.due == minT {
+			s.decCands = append(s.decCands, p)
+		}
+	}
 	// Insertion sort by id: candidate sets are tiny (procs sharing one
 	// virtual instant), and sort.Slice would allocate its closure.
 	for i := 1; i < len(s.decCands); i++ {
@@ -114,12 +111,9 @@ func (s *Sim) nextDecided() *Proc {
 			pick = s.decCands[idx]
 		}
 	}
+	s.runq.remove(pick)
 	if pick.state == StateSleeping {
-		s.sleepers.take(pick)
-		pick.now = pick.wakeAt
-		pick.wakeTag = WakeNormal
-	} else {
-		s.ready.remove(pick)
+		expire(pick)
 	}
 	return pick
 }
@@ -150,30 +144,17 @@ func (s *Sim) maybePreemptDecided(p *Proc) {
 	}
 }
 
-// contention reports whether any waiting Proc has a strictly earlier
-// clock than p (strict) or shares p's clock exactly (tie). The heap and
-// wheel minima are sufficient: no non-root entry can beat the root.
+// contention reports whether any queued Proc has a strictly earlier key
+// than p's clock (strict) or shares it exactly (tie). The root is
+// sufficient: no other entry can beat it.
 //
 //hot:noalloc
 func (s *Sim) contention(p *Proc) (strict, tie bool) {
-	if len(s.ready.procs) > 0 {
-		q := s.ready.procs[0]
-		if q.now < p.now {
-			return true, false
-		}
-		if q.now == p.now {
-			tie = true
-		}
+	q := s.runq.min()
+	if q == nil {
+		return false, false
 	}
-	if q := s.sleepers.peek(); q != nil {
-		if q.wakeAt < p.now {
-			return true, false
-		}
-		if q.wakeAt == p.now {
-			tie = true
-		}
-	}
-	return false, tie
+	return q.due < p.now, q.due == p.now
 }
 
 // preempt makes p runnable and hands the token over (the slow path of
@@ -182,59 +163,6 @@ func (s *Sim) contention(p *Proc) (strict, tie bool) {
 //hot:noalloc
 func (s *Sim) preempt(p *Proc) {
 	p.state = StateRunnable
-	s.ready.push(p)
+	s.runq.push(p, p.now)
 	s.yieldAndWait(p)
-}
-
-// appendEqual appends every heap entry whose clock equals t. A linear
-// scan: it only runs under a Decider, and the ready set is bounded by
-// live threads.
-//
-//hot:noalloc
-func (h *procHeap) appendEqual(t time.Duration, out []*Proc) []*Proc {
-	for i := 0; i < len(h.procs); i++ {
-		if h.procs[i].now == t {
-			out = append(out, h.procs[i])
-		}
-	}
-	return out
-}
-
-// appendEqual appends every wheel entry whose deadline equals t.
-//
-//hot:noalloc
-func (w *timerWheel) appendEqual(t time.Duration, out []*Proc) []*Proc {
-	if w.min == nil || w.min.wakeAt != t {
-		return out
-	}
-	for level := 0; level < wheelLevels; level++ {
-		occ := w.occ[level]
-		for occ != 0 {
-			slot := trailingZeros64(occ)
-			occ &= occ - 1
-			for p := w.slots[level][slot]; p != nil; p = p.twNext {
-				if p.wakeAt == t {
-					out = append(out, p)
-				}
-			}
-		}
-	}
-	for p := w.overflow; p != nil; p = p.twNext {
-		if p.wakeAt == t {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// take removes an arbitrary minimal-deadline entry, advancing the floor
-// exactly as popMin would (p.wakeAt equals the cached minimum's wakeAt
-// when used from nextDecided, so floor monotonicity is preserved).
-//
-//hot:noalloc
-func (w *timerWheel) take(p *Proc) {
-	if p.wakeAt > w.floor {
-		w.floor = p.wakeAt
-	}
-	w.remove(p)
 }

@@ -6,11 +6,11 @@ import (
 	"time"
 )
 
-// twRand is a tiny seeded splitmix64 so the equivalence test is
+// rqRand is a tiny seeded splitmix64 so the equivalence test is
 // deterministic across hosts (same idiom as internal/fault).
-type twRand uint64
+type rqRand uint64
 
-func (r *twRand) next() uint64 {
+func (r *rqRand) next() uint64 {
 	*r += 0x9e3779b97f4a7c15
 	x := uint64(*r)
 	x ^= x >> 30
@@ -21,14 +21,14 @@ func (r *twRand) next() uint64 {
 	return x
 }
 
-// sleepModel is the reference the timer wheel is checked against: a
-// slice kept sorted by (wakeAt, id), the wake order the scheduler
-// promises. It shares no code with the wheel.
+// sleepModel is the reference the run queue is checked against: a
+// slice kept sorted by (due, id), the wake order the scheduler
+// promises. It shares no code with the heap.
 type sleepModel []*Proc
 
 func sleepsBefore(a, b *Proc) bool {
-	if a.wakeAt != b.wakeAt {
-		return a.wakeAt < b.wakeAt
+	if a.due != b.due {
+		return a.due < b.due
 	}
 	return a.id < b.id
 }
@@ -59,24 +59,24 @@ func (m *sleepModel) pop() *Proc {
 
 func (m *sleepModel) peek() *Proc { return (*m)[0] }
 
-// TestTimerWheelEquivalence drives the wheel and the sorted-slice model
-// with an identical randomized sequence of arms, cancels, and expiries,
-// and asserts they agree on the minimum at every step and pop in the
-// same (wakeAt, id) order.
-func TestTimerWheelEquivalence(t *testing.T) {
+// TestRunQueueEquivalence drives the run queue and the sorted-slice
+// model with an identical randomized sequence of arms, cancels, and
+// expiries, and asserts they agree on the root at every step and pop in
+// the same (due, id) order.
+func TestRunQueueEquivalence(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 0xdead} {
-		wheel := newTimerWheel()
+		rq := &procHeap{}
 		model := &sleepModel{}
-		rng := twRand(seed)
+		rng := rqRand(seed)
 
 		var live []*Proc
 		nextID := 0
 		floor := time.Duration(0)
 
 		arm := func() {
-			// Deadlines span all wheel levels plus the overflow list, and
-			// occasionally land exactly on the floor (ties + below-floor
-			// defensive path). Duplicate wakeAts exercise the id tiebreak.
+			// Deadlines span microseconds to seconds and occasionally
+			// land exactly on the floor; duplicate deadlines exercise the
+			// id tiebreak.
 			var d time.Duration
 			switch rng.next() % 5 {
 			case 0:
@@ -90,9 +90,9 @@ func TestTimerWheelEquivalence(t *testing.T) {
 			case 4:
 				d = 0
 			}
-			p := &Proc{id: nextID, wakeAt: floor + d, heapIndex: -1, twLevel: -1}
+			p := &Proc{id: nextID, due: floor + d, heapIndex: -1}
 			nextID++
-			wheel.push(p)
+			rq.push(p, p.due)
 			model.push(p)
 			live = append(live, p)
 		}
@@ -104,7 +104,7 @@ func TestTimerWheelEquivalence(t *testing.T) {
 			p := live[i]
 			live[i] = live[len(live)-1]
 			live = live[:len(live)-1]
-			wheel.remove(p)
+			rq.remove(p)
 			model.remove(p)
 		}
 		expire := func() {
@@ -112,15 +112,15 @@ func TestTimerWheelEquivalence(t *testing.T) {
 				return
 			}
 			want := model.pop()
-			got := wheel.popMin()
+			got := rq.pop()
 			if got != want {
-				t.Fatalf("seed %d: popMin = proc %d @%v, model says proc %d @%v",
-					seed, got.id, got.wakeAt, want.id, want.wakeAt)
+				t.Fatalf("seed %d: pop = proc %d @%v, model says proc %d @%v",
+					seed, got.id, got.due, want.id, want.due)
 			}
-			if want.wakeAt < floor {
-				t.Fatalf("seed %d: wake order went backwards: %v < floor %v", seed, want.wakeAt, floor)
+			if want.due < floor {
+				t.Fatalf("seed %d: wake order went backwards: %v < floor %v", seed, want.due, floor)
 			}
-			floor = want.wakeAt
+			floor = want.due
 			for i, p := range live {
 				if p == want {
 					live[i] = live[len(live)-1]
@@ -139,37 +139,37 @@ func TestTimerWheelEquivalence(t *testing.T) {
 			case 3:
 				expire()
 			}
-			if wheel.Len() != model.Len() {
-				t.Fatalf("seed %d step %d: wheel Len %d != model Len %d", seed, step, wheel.Len(), model.Len())
+			if rq.Len() != model.Len() {
+				t.Fatalf("seed %d step %d: run queue Len %d != model Len %d", seed, step, rq.Len(), model.Len())
 			}
 			wantMin := (*Proc)(nil)
 			if model.Len() > 0 {
 				wantMin = model.peek()
 			}
-			if got := wheel.peek(); got != wantMin {
-				t.Fatalf("seed %d step %d: peek mismatch", seed, step)
+			if got := rq.min(); got != wantMin {
+				t.Fatalf("seed %d step %d: root mismatch", seed, step)
 			}
 		}
 		// Drain: the full remaining population must pop in identical order.
 		for model.Len() > 0 {
 			expire()
 		}
-		if wheel.Len() != 0 || wheel.peek() != nil {
-			t.Fatalf("seed %d: wheel not empty after drain", seed)
+		if rq.Len() != 0 || rq.min() != nil {
+			t.Fatalf("seed %d: run queue not empty after drain", seed)
 		}
 	}
 }
 
-// TestTimerWheelRemoveIdempotent pins the cancel-twice and cancel-unarmed
+// TestRunQueueRemoveIdempotent pins the cancel-twice and cancel-unarmed
 // cases the scheduler relies on (wake of an already-woken Proc).
-func TestTimerWheelRemoveIdempotent(t *testing.T) {
-	w := newTimerWheel()
-	p := &Proc{id: 1, wakeAt: time.Millisecond, heapIndex: -1, twLevel: -1}
-	w.remove(p) // never armed: no-op
-	w.push(p)
-	w.remove(p)
-	w.remove(p) // already cancelled: no-op
-	if w.Len() != 0 || w.peek() != nil {
-		t.Fatalf("wheel not empty after idempotent removes: len %d", w.Len())
+func TestRunQueueRemoveIdempotent(t *testing.T) {
+	rq := &procHeap{}
+	p := &Proc{id: 1, heapIndex: -1}
+	rq.remove(p) // never armed: no-op
+	rq.push(p, time.Millisecond)
+	rq.remove(p)
+	rq.remove(p) // already cancelled: no-op
+	if rq.Len() != 0 || rq.min() != nil {
+		t.Fatalf("run queue not empty after idempotent removes: len %d", rq.Len())
 	}
 }

@@ -188,8 +188,9 @@ type Proc struct {
 	name  string
 	state State
 	now   time.Duration
-	// wakeAt is the wakeup deadline while sleeping.
-	wakeAt time.Duration
+	// due is the Proc's key in the run queue: its clock while runnable,
+	// its wakeup deadline while sleeping.
+	due time.Duration
 	// wakeTag carries the waker's tag to a parked/sleeping Proc.
 	wakeTag int
 	// parkReason describes what a parked Proc is waiting for (diagnostics).
@@ -201,14 +202,10 @@ type Proc struct {
 	resume func() (struct{}, bool)
 	stop   func()
 	yield  func(struct{}) bool
-	// heapIndex is the Proc's position in the ready heap.
+	// heapIndex is the Proc's position in the run queue, -1 when not
+	// queued.
 	heapIndex int
-	// twNext/twPrev/twLevel/twSlot thread the Proc through the sleep timer
-	// wheel's intrusive slot lists; twLevel is -1 while not sleeping.
-	twNext, twPrev *Proc
-	twLevel        int8
-	twSlot         int8
-	fn             func(*Proc)
+	fn        func(*Proc)
 	// onExit callbacks run (in the Proc's context) after fn returns.
 	onExit []func(*Proc)
 	// daemon marks the Proc as a background service: the simulation ends
@@ -272,9 +269,8 @@ func (p *Proc) Sleep(d time.Duration) int {
 		return WakeInterrupted
 	}
 	p.state = StateSleeping
-	p.wakeAt = p.now + d
 	p.wakeTag = WakeNormal
-	p.sim.sleepers.push(p)
+	p.sim.runq.push(p, p.now+d)
 	p.sim.yieldAndWait(p)
 	return p.wakeTag
 }
@@ -317,8 +313,12 @@ func (p *Proc) OnExit(fn func(*Proc)) {
 	p.onExit = append(p.onExit, fn)
 }
 
-// procHeap orders Procs by (clock, id) for deterministic scheduling. It
-// is a hand-rolled binary heap rather than container/heap: push/pop/remove
+// procHeap is the run queue: every runnable and every sleeping Proc,
+// ordered by (due, id) for deterministic scheduling. A sleeper's key is
+// its wakeup deadline, so the root is always the Proc that runs next,
+// whichever kind it is. Few Procs are ever queued at once (a handful
+// runnable, one or two asleep), so one heap serves both. It is a
+// hand-rolled binary heap rather than container/heap: push/pop/remove
 // sit on the scheduler's hottest path, and the direct version avoids the
 // interface boxing and indirect Less/Swap calls of the generic one.
 type procHeap struct {
@@ -327,12 +327,12 @@ type procHeap struct {
 
 func (h *procHeap) Len() int { return len(h.procs) }
 
-// less orders by (now, id); the id tiebreak makes scheduling deterministic.
+// less orders by (due, id); the id tiebreak makes scheduling deterministic.
 //
 //hot:noalloc
 func (h *procHeap) less(a, b *Proc) bool {
-	if a.now != b.now {
-		return a.now < b.now
+	if a.due != b.due {
+		return a.due < b.due
 	}
 	return a.id < b.id
 }
@@ -380,9 +380,11 @@ func (h *procHeap) down(i int) {
 	p.heapIndex = i
 }
 
+// push queues p under the key due.
 //
 //hot:noalloc
-func (h *procHeap) push(p *Proc) {
+func (h *procHeap) push(p *Proc, due time.Duration) {
+	p.due = due
 	p.heapIndex = len(h.procs)
 	h.procs = append(h.procs, p)
 	h.up(p.heapIndex)
@@ -405,7 +407,15 @@ func (h *procHeap) pop() *Proc {
 	return p
 }
 
-func (h *procHeap) peek() *Proc { return h.procs[0] }
+// min returns the root, the Proc that runs next, or nil when empty.
+//
+//hot:noalloc
+func (h *procHeap) min() *Proc {
+	if len(h.procs) == 0 {
+		return nil
+	}
+	return h.procs[0]
+}
 
 //
 //hot:noalloc
@@ -430,12 +440,10 @@ func (h *procHeap) remove(p *Proc) {
 // Sim is a discrete-event simulator instance.
 type Sim struct {
 	nextID int
-	ready  *procHeap
-	// sleepers holds Procs in timed waits. It is a timer wheel, not a heap:
-	// most sleeps are cancelled by a Wake before expiry, and the wheel makes
-	// both arm and cancel O(1) (see timerwheel.go).
-	sleepers *timerWheel
-	parked   map[int]*Proc
+	// runq is the run queue: runnable Procs keyed on their clock and
+	// sleeping Procs keyed on their deadline (see procHeap).
+	runq   *procHeap
+	parked map[int]*Proc
 	// current is the Proc holding the run token. A Proc that blocks
 	// stores its successor here and yields to Run, which resumes it; nil
 	// returns control to Run's pick, deadlock and panic logic.
@@ -466,9 +474,8 @@ type Sim struct {
 // New creates an empty simulator.
 func New() *Sim {
 	return &Sim{
-		ready:    &procHeap{},
-		sleepers: newTimerWheel(),
-		parked:   make(map[int]*Proc),
+		runq:   &procHeap{},
+		parked: make(map[int]*Proc),
 	}
 }
 
@@ -520,7 +527,6 @@ func (s *Sim) Spawn(name string, fn func(*Proc)) *Proc {
 		name:      name,
 		state:     StateRunnable,
 		heapIndex: -1,
-		twLevel:   -1,
 		fn:        fn,
 	}
 	s.nextID++
@@ -529,7 +535,7 @@ func (s *Sim) Spawn(name string, fn func(*Proc)) *Proc {
 		p.now = s.current.now
 	}
 	newCoro(p, s.procMain)
-	s.ready.push(p)
+	s.runq.push(p, p.now)
 	s.emit(SchedSpawn, p, "")
 	return p
 }
@@ -589,8 +595,8 @@ func (s *Sim) yieldAndWait(p *Proc) {
 
 // pick stores the next schedulable Proc in s.current, marked running, and
 // returns it. When the next Proc is the caller itself (a sole Proc
-// sleeping, say — next() pops it straight back out of the sleep wheel),
-// the caller keeps running with no switch at all. pick stores nil when
+// sleeping, say — next() pops it straight back off the run queue), the
+// caller keeps running with no switch at all. pick stores nil when
 // the simulation cannot proceed from here — every non-daemon finished,
 // nothing is schedulable (potential deadlock), or a Proc panicked — and
 // Run's loop takes over.
@@ -617,8 +623,8 @@ func (s *Sim) maybePreempt(p *Proc) {
 		return
 	}
 	// Same-proc fast path: when the running Proc would win the next
-	// scheduling decision anyway — no ready or sleeping Proc has a
-	// strictly earlier clock, or an equal clock with a smaller id — the
+	// scheduling decision anyway — no queued Proc has a strictly
+	// earlier key, or an equal key with a smaller id — the
 	// old code still bounced the token through a full block/resume pair
 	// just to be handed it back. Skipping the handoff preserves the
 	// execution order exactly (the winner runs either way) and therefore
@@ -630,23 +636,13 @@ func (s *Sim) maybePreempt(p *Proc) {
 	s.preempt(p)
 }
 
-// stillMin reports whether p beats every ready and sleeping Proc under the
-// scheduler's (clock, id) order — i.e. next() would pick p again.
+// stillMin reports whether p beats every queued Proc under the
+// scheduler's (due, id) order — i.e. next() would pick p again.
 //
 //hot:noalloc
 func (s *Sim) stillMin(p *Proc) bool {
-	if len(s.ready.procs) > 0 {
-		q := s.ready.procs[0]
-		if q.now < p.now || (q.now == p.now && q.id < p.id) {
-			return false
-		}
-	}
-	if q := s.sleepers.peek(); q != nil {
-		if q.wakeAt < p.now || (q.wakeAt == p.now && q.id < p.id) {
-			return false
-		}
-	}
-	return true
+	q := s.runq.min()
+	return q == nil || p.now < q.due || (p.now == q.due && p.id < q.id)
 }
 
 // wake transitions target out of parked/sleeping. Shared by Proc.Wake and
@@ -658,7 +654,7 @@ func (s *Sim) wake(at time.Duration, target *Proc, tag int) bool {
 	case StateParked:
 		delete(s.parked, target.id)
 	case StateSleeping:
-		s.sleepers.remove(target)
+		s.runq.remove(target)
 	default:
 		return false
 	}
@@ -668,7 +664,7 @@ func (s *Sim) wake(at time.Duration, target *Proc, tag int) bool {
 	target.wakeTag = tag
 	target.parkReason = ""
 	target.state = StateRunnable
-	s.ready.push(target)
+	s.runq.push(target, target.now)
 	detail := ""
 	if tag != WakeNormal {
 		detail = "interrupted"
@@ -677,35 +673,31 @@ func (s *Sim) wake(at time.Duration, target *Proc, tag int) bool {
 	return true
 }
 
-// next picks the Proc to run: the earliest of ready and sleep heaps.
+// next pops the Proc to run, the run queue's root, or returns nil when
+// the queue is empty.
 //
 //hot:noalloc
 func (s *Sim) next() *Proc {
 	if s.decider != nil {
 		return s.nextDecided()
 	}
-	var pick *Proc
-	fromSleep := false
-	if s.ready.Len() > 0 {
-		pick = s.ready.peek()
-	}
-	if sl := s.sleepers.peek(); sl != nil {
-		if pick == nil || sl.wakeAt < pick.now || (sl.wakeAt == pick.now && sl.id < pick.id) {
-			pick = sl
-			fromSleep = true
-		}
-	}
-	if pick == nil {
+	if s.runq.Len() == 0 {
 		return nil
 	}
-	if fromSleep {
-		s.sleepers.popMin()
-		pick.now = pick.wakeAt
-		pick.wakeTag = WakeNormal
-	} else {
-		s.ready.pop()
+	p := s.runq.pop()
+	if p.state == StateSleeping {
+		expire(p)
 	}
-	return pick
+	return p
+}
+
+// expire ends a popped sleeper's timed wait: its clock moves to the
+// deadline and the wait reports WakeNormal.
+//
+//hot:noalloc
+func expire(p *Proc) {
+	p.now = p.due
+	p.wakeTag = WakeNormal
 }
 
 // Run executes the simulation until every Proc is done, a deadlock is
@@ -772,8 +764,8 @@ func (s *Sim) Run() error {
 // stops each Proc's coroutine in id order, one at a time. A Proc that
 // never started never runs. A blocked Proc's yield returns false, and it
 // unwinds its stack with a private panic that procMain recovers without
-// running OnExit callbacks, updating Live, emitting events or picking a
-// successor. Go defers do run during the unwind, and one that would block
+// running OnExit callbacks, updating the non-daemon count, emitting
+// events or picking a successor. Go defers do run during the unwind, and one that would block
 // (Park, Sleep, a preempting Advance) unwinds further instead. Because
 // those defers can change simulated state (a Mach port lock released, a
 // reply port destroyed), Close is not done when Run returns: the owner
@@ -802,15 +794,12 @@ func (s *Sim) Close() {
 	s.current = nil
 }
 
-// takeUnfinished empties the ready heap, the sleep wheel and the parked
-// set, returning their Procs sorted by id.
+// takeUnfinished empties the run queue and the parked set, returning
+// their Procs sorted by id.
 func (s *Sim) takeUnfinished() []*Proc {
-	procs := make([]*Proc, 0, s.ready.Len()+s.sleepers.Len()+len(s.parked))
-	procs = append(procs, s.ready.procs...)
-	s.ready = &procHeap{}
-	for s.sleepers.Len() > 0 {
-		procs = append(procs, s.sleepers.popMin())
-	}
+	procs := make([]*Proc, 0, s.runq.Len()+len(s.parked))
+	procs = append(procs, s.runq.procs...)
+	s.runq = &procHeap{}
 	for _, p := range s.parked {
 		procs = append(procs, p)
 	}

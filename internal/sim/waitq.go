@@ -44,9 +44,6 @@ func NewWaitQueue(name string) *WaitQueue {
 	return &WaitQueue{name: name, reason: "waitq:" + name}
 }
 
-// Name returns the queue's diagnostic name.
-func (q *WaitQueue) Name() string { return q.name }
-
 // Len reports the number of queue entries (a Proc enqueued twice counts
 // twice, matching the old slice length).
 func (q *WaitQueue) Len() int { return q.size }
